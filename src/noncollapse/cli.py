@@ -7,6 +7,7 @@ one exception since it records wall time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,9 +18,9 @@ from typing import Optional
 
 from . import __version__
 from .errors import ConvexityLost
-from .flow import FlowConfig, run as run_flow, build_speed
+from .flow import FlowConfig, build_body, build_speed, run as run_flow
 from .monitor import monitor_rows, run_verdicts, write_monitor_csv
-from .oracle import boundary_suite, interior_suite, worker_count
+from .oracle import boundary_suite, interior_suite
 from .speeds import certify, parse_speed
 from . import geometry
 
@@ -110,14 +111,12 @@ def cmd_oracle(args) -> int:
 def cmd_flow(args) -> int:
     try:
         cfg = FlowConfig.from_json(args.config)
-        if args.grid:
-            cfg.body = dict(cfg.body, N=args.grid)
-        if args.cfl:
-            cfg.cfl = args.cfl
-        if args.stop_max_f:
-            cfg.stop_max_f = args.stop_max_f
-        if args.seed is not None:
-            cfg.seed = args.seed
+        flags = {"cfl": args.cfl, "stop_max_f": args.stop_max_f, "seed": args.seed}
+        if args.grid is not None:
+            flags["body"] = dict(cfg.body, N=args.grid)
+        # replace() runs the config validation again on the overridden values
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+        body = build_body(cfg.body)
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
         print(f"error: bad config: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -131,7 +130,7 @@ def cmd_flow(args) -> int:
     manifest.write(os.path.join(out, "manifest.json"))
 
     try:
-        fr = run_flow(cfg)
+        fr = run_flow(cfg, body=body)
     except ConvexityLost as e:
         print(f"error: {e}", file=sys.stderr)
         manifest.wall_time_s = round(time.perf_counter() - t0, 3)
@@ -166,7 +165,6 @@ def cmd_flow(args) -> int:
 def refinement_deltas(cfg: FlowConfig, speed) -> dict:
     """Measured t=0 discretisation deltas between N and the nested 2N grid
     (2N-1 points in axisymmetric mode so the theta grids nest)."""
-    from .flow import build_body
     from .monitor import ratios as ratios_of
 
     body_n = build_body(cfg.body)
@@ -240,6 +238,13 @@ def _cell(v) -> str:
 
 # ---------------------------------------------------------------------------
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="noncollapse",
@@ -252,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--property", choices=["concave", "inverse-concave",
                                           "monotone", "homogeneous"])
-    c.add_argument("--trials", type=int, default=2000)
+    c.add_argument("--trials", type=positive_int, default=2000)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out")
     c.set_defaults(fn=cmd_certify)
@@ -263,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "2.5 = boundary (smallest-eigenvalue) estimate")
     o.add_argument("--speed", required=True)
     o.add_argument("--n", type=int, required=True)
-    o.add_argument("--trials", type=int, default=10000)
+    o.add_argument("--trials", type=positive_int, default=10000)
     o.add_argument("--seed", type=int, default=0)
     o.add_argument("--out")
     o.set_defaults(fn=cmd_oracle)
@@ -285,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _ = worker_count()  # validate NONCOLLAPSE_THREADS early
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvexityLost, DomainError
-from .geometry import (AXISYMMETRIC, CURVE, ConvexBody, make_ellipse,
-                       make_ellipsoid, make_sphere, principal_radii, radii,
+from .geometry import (AXISYMMETRIC, CURVE, ConvexBody, _Workspace, _workspace,
+                       make_ellipse, make_ellipsoid, make_sphere, radii,
                        recenter)
 from .speeds import SpeedFunction, parse_speed
 
@@ -49,6 +49,8 @@ class FlowConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError("cfl must lie in (0, 0.5]")
+        if self.stop_max_f is not None and not self.stop_max_f > 0.0:
+            raise ValueError("stop_max_f must be positive")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         if self.monitor not in ("full", "radii"):
@@ -91,59 +93,6 @@ def build_body(spec: dict) -> ConvexBody:
 
 def build_speed(name: str, mode: str) -> SpeedFunction:
     return parse_speed(name, 1 if mode == CURVE else 2)
-
-
-# ---------------------------------------------------------------------------
-# Spectral workspace (cached per grid; all stepping goes through it)
-# ---------------------------------------------------------------------------
-
-class _Workspace:
-    def __init__(self, mode: str, N: int):
-        self.mode = mode
-        self.N = N
-        if mode == CURVE:
-            self.dth = 2.0 * np.pi / N
-            self.nfft = N
-            m = np.arange(N // 2 + 1, dtype=float)
-        else:
-            self.dth = np.pi / (N - 1)
-            self.nfft = 2 * (N - 1)  # even periodic extension
-            m = np.arange(self.nfft // 2 + 1, dtype=float)
-            th = np.pi * np.arange(N) / (N - 1)
-            self.cot_int = np.cos(th[1:-1]) / np.sin(th[1:-1])
-        self.d1 = 1j * m
-        if self.nfft % 2 == 0:
-            self.d1[-1] = 0.0  # unmatched Nyquist mode has no odd derivative
-        self.d2 = -(m * m)
-
-    def second_deriv_curve(self, h: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(self.d2 * np.fft.rfft(h), self.nfft)
-
-    def radii(self, h: np.ndarray) -> np.ndarray:
-        """Principal radii (N, 1) or (N, 2); no positivity check."""
-        if self.mode == CURVE:
-            return (self.second_deriv_curve(h) + h)[:, None]
-        he = np.concatenate([h, h[-2:0:-1]])
-        H = np.fft.rfft(he)
-        h1 = np.fft.irfft(self.d1 * H, self.nfft)[: self.N]
-        h2 = np.fft.irfft(self.d2 * H, self.nfft)[: self.N]
-        r1 = h2 + h
-        r2 = np.empty_like(r1)
-        r2[1:-1] = self.cot_int * h1[1:-1] + h[1:-1]
-        r2[0] = r1[0]
-        r2[-1] = r1[-1]
-        return np.stack([r1, r2], axis=1)
-
-
-_WORKSPACES: dict = {}
-
-
-def _workspace(mode: str, N: int) -> _Workspace:
-    key = (mode, N)
-    ws = _WORKSPACES.get(key)
-    if ws is None:
-        ws = _WORKSPACES[key] = _Workspace(mode, N)
-    return ws
 
 
 def _speed_of_radii(r: np.ndarray, speed: SpeedFunction) -> np.ndarray:
@@ -247,8 +196,7 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
     def sample(b: ConvexBody) -> ConvexBody:
         F = _speed_of_radii(ws.radii(b.h), speed)
         if config.recenter:
-            b, _ = recenter(b)
-            rep = radii(b)
+            b, rep = recenter(b)
             center_abs = b.center_offset
         else:
             rep = radii(b)

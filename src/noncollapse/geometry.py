@@ -1,10 +1,11 @@
 """Convex hypersurfaces represented by support-function samples.
 
-Two modes: closed curves in the plane (periodic grid, Fourier
-differentiation) and axisymmetric surfaces in 3-space (polar-angle grid
-including the poles, cosine-series differentiation).  The module computes
-embeddings, principal curvatures, interior/exterior ball-curvature fields,
-in/circumradius, and the Hausdorff distance to a unit sphere.
+Two modes: closed curves in the plane (periodic grid) and axisymmetric
+surfaces in 3-space (polar-angle grid including the poles, differentiated
+through its even periodic extension); both use one cached Fourier kernel.
+The module computes embeddings, principal curvatures, interior/exterior
+ball-curvature fields, in/circumradius, and the Hausdorff distance to a unit
+sphere.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
-import scipy.fft
 from scipy.optimize import linprog
 
 from .errors import (CenterOutside, ConvexityLost, DiagonalWitness,
@@ -46,6 +46,10 @@ class ConvexBody:
         object.__setattr__(self, "h", h)
         if self.mode not in (CURVE, AXISYMMETRIC):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if h.ndim != 1 or h.size < 3:
+            raise ValueError(f"need a vector of at least 3 support values, got shape {h.shape}")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("support values must be finite")
         off = self.center_offset
         if off is None:
             off = np.zeros(self.dim)
@@ -53,6 +57,8 @@ class ConvexBody:
         off.flags.writeable = False
         if off.shape != (self.dim,):
             raise ValueError("center_offset has the wrong dimension")
+        if not np.all(np.isfinite(off)):
+            raise ValueError("center_offset must be finite")
         object.__setattr__(self, "center_offset", off)
 
     @property
@@ -104,63 +110,81 @@ class ConvexBody:
 # Spectral derivatives
 # ---------------------------------------------------------------------------
 
+class _Workspace:
+    """Cached Fourier multipliers of one grid.  Curve grids are periodic;
+    an axisymmetric grid is differentiated through its even 2(N-1)-periodic
+    extension.  One forward rfft per call, one inverse per derivative."""
+
+    def __init__(self, mode: str, N: int):
+        self.mode = mode
+        self.N = N
+        if mode == CURVE:
+            self.dth = 2.0 * np.pi / N
+            self.nfft = N
+        else:
+            self.dth = np.pi / (N - 1)
+            self.nfft = 2 * (N - 1)
+            th = np.pi * np.arange(N) / (N - 1)
+            self.cot_int = np.cos(th[1:-1]) / np.sin(th[1:-1])
+        m = np.arange(self.nfft // 2 + 1, dtype=float)
+        self.d1 = 1j * m
+        if self.nfft % 2 == 0:
+            self.d1[-1] = 0.0  # unmatched Nyquist mode has no odd derivative
+        self.d2 = -(m * m)
+
+    def _spectrum(self, h: np.ndarray) -> np.ndarray:
+        if self.mode == CURVE:
+            return np.fft.rfft(h)
+        return np.fft.rfft(np.concatenate([h, h[-2:0:-1]]))
+
+    def derivs(self, h: np.ndarray):
+        """(h', h'') on the grid."""
+        H = self._spectrum(h)
+        h1 = np.fft.irfft(self.d1 * H, self.nfft)[: self.N]
+        h2 = np.fft.irfft(self.d2 * H, self.nfft)[: self.N]
+        if self.mode == AXISYMMETRIC:
+            h1[0] = h1[-1] = 0.0  # even about both poles
+        return h1, h2
+
+    def radii(self, h: np.ndarray) -> np.ndarray:
+        """Principal radii (N, 1) or (N, 2); poles take the meridian value.
+        No positivity check."""
+        H = self._spectrum(h)
+        r1 = np.fft.irfft(self.d2 * H, self.nfft)[: self.N] + h
+        if self.mode == CURVE:
+            return r1[:, None]
+        h1 = np.fft.irfft(self.d1 * H, self.nfft)
+        r2 = np.empty_like(r1)
+        r2[1:-1] = self.cot_int * h1[1 : self.N - 1] + h[1:-1]
+        r2[0] = r1[0]
+        r2[-1] = r1[-1]
+        return np.stack([r1, r2], axis=1)
+
+
+_WORKSPACES: dict = {}
+
+
+def _workspace(mode: str, N: int) -> _Workspace:
+    key = (mode, N)
+    ws = _WORKSPACES.get(key)
+    if ws is None:
+        ws = _WORKSPACES[key] = _Workspace(mode, N)
+    return ws
+
+
 def curve_derivs(h: np.ndarray):
     """(h', h'') of a periodic sample by Fourier differentiation."""
-    N = h.size
-    H = np.fft.rfft(h)
-    m = np.arange(H.size)
-    d1 = 1j * m * H
-    if N % 2 == 0:
-        d1[-1] = 0.0  # odd derivative of the unmatched Nyquist mode
-    h1 = np.fft.irfft(d1, N)
-    h2 = np.fft.irfft(-(m**2) * H, N)
-    return h1, h2
-
-
-def cosine_coeffs(h: np.ndarray) -> np.ndarray:
-    """Coefficients c with h_j = sum_m c_m cos(m theta_j) on the closed [0, pi] grid."""
-    M = h.size
-    c = scipy.fft.dct(h, type=1) / (M - 1)
-    c[0] *= 0.5
-    c[-1] *= 0.5
-    return c
-
-
-def cosine_eval(c: np.ndarray) -> np.ndarray:
-    """Values of sum_m c_m cos(m theta_j) on the grid of the same size."""
-    y = c.copy()
-    y[0] *= 2.0
-    y[-1] *= 2.0
-    return scipy.fft.dct(y, type=1) / 2.0
+    return _workspace(CURVE, h.size).derivs(h)
 
 
 def axi_derivs(h: np.ndarray):
     """(h', h'') of an even sample on the closed [0, pi] grid."""
-    M = h.size
-    c = cosine_coeffs(h)
-    m = np.arange(M)
-    h2 = cosine_eval(-(m**2) * c)
-    h1 = np.zeros(M)
-    s = -(m * c)[1 : M - 1]  # sin-mode M-1 vanishes on this grid
-    if M > 2:
-        h1[1 : M - 1] = scipy.fft.dst(s, type=1) / 2.0
-    return h1, h2
+    return _workspace(AXISYMMETRIC, h.size).derivs(h)
 
 
 def principal_radii(body: ConvexBody) -> np.ndarray:
     """(N, n) principal radii of curvature; poles take the meridian value."""
-    h = body.h
-    if body.mode == CURVE:
-        _, h2 = curve_derivs(h)
-        return (h2 + h)[:, None]
-    h1, h2 = axi_derivs(h)
-    r1 = h2 + h
-    th = body.thetas
-    r2 = np.empty_like(r1)
-    r2[1:-1] = (h1[1:-1] / np.sin(th[1:-1])) * np.cos(th[1:-1]) + h[1:-1]
-    r2[0] = r1[0]
-    r2[-1] = r1[-1]
-    return np.stack([r1, r2], axis=1)
+    return _workspace(body.mode, body.N).radii(body.h)
 
 
 def check_convex(body: ConvexBody) -> np.ndarray:
@@ -190,9 +214,7 @@ def embed(body: ConvexBody):
         pts = np.stack([h * np.cos(th) - h1 * np.sin(th),
                         h * np.sin(th) + h1 * np.cos(th)], axis=1)
         return pts, body.directions()
-    h1, _ = axi_derivs(h)
-    rho = h * np.sin(th) + h1 * np.cos(th)
-    zax = h * np.cos(th) - h1 * np.sin(th)
+    rho, zax, _ = meridian_profile(body)
     pts = np.stack([rho, np.zeros(body.N), zax], axis=1)
     return pts, body.directions()
 
@@ -628,13 +650,16 @@ def scale(body: ConvexBody, s: float) -> ConvexBody:
                       center_offset=body.center_offset * s)
 
 
-def recenter(body: ConvexBody) -> tuple[ConvexBody, np.ndarray]:
-    """Shift the support origin to the in-center; returns (body, shift)."""
+def recenter(body: ConvexBody) -> tuple[ConvexBody, RadiiReport]:
+    """Shift the support origin to the in-center; returns (body, report).
+
+    The report is that of the input body, so its in_center is the shift;
+    r_minus and r_plus do not depend on the origin."""
     rep = radii(body)
     c = rep.in_center
     shifted = ConvexBody(mode=body.mode, h=body.h - body.directions() @ c,
                          t=body.t, center_offset=body.center_offset + c)
-    return shifted, c
+    return shifted, rep
 
 
 def make_sphere(mode: str, N: int, radius: float = 1.0) -> ConvexBody:

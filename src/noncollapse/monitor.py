@@ -34,8 +34,6 @@ SLACK_FLOOR = 1e-6  # absolute measurement-noise floor for interval/refinement c
 class RatioExtremes:
     min_ratio_lower: float   # min over the grid of k_lower / F
     max_ratio_upper: float   # max over the grid of k_upper / F
-    k0_now: float            # alias of min_ratio_lower
-    K0_now: float            # alias of max_ratio_upper
     argmin_index: int
     argmax_index: int
 
@@ -51,8 +49,6 @@ def ratios(body: ConvexBody, fld: BallCurvatureField, speed: SpeedFunction) -> R
     return RatioExtremes(
         min_ratio_lower=float(lower[i_lo]),
         max_ratio_upper=float(upper[i_hi]),
-        k0_now=float(lower[i_lo]),
-        K0_now=float(upper[i_hi]),
         argmin_index=i_lo,
         argmax_index=i_hi,
     )

@@ -3,43 +3,21 @@ non-collapsing: the interior estimate (shifted-inverse comparison with the
 closed-form optimal mixing matrix) and the boundary estimate (quadratic form
 with smallest-eigenvalue resolvent weights).
 
-Samplers are deterministic per (seed, trial index) so batches can run in any
-order or in parallel and still reduce to identical reports.
+Samplers are deterministic per (seed, trial index), so a witness can be
+replayed from its trial alone.
 """
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, SingularShift
-from .speeds import GAP_TOL, SpeedFunction, matrix_eval
+from .speeds import GAP_TOL, SpeedFunction, hess_form_terms, matrix_eval
 
 _SHIFT_FLOOR = 1e-12
-
-
-def worker_count() -> int:
-    """Worker cap from NONCOLLAPSE_THREADS (default 1 = serial)."""
-    try:
-        cap = int(os.environ.get("NONCOLLAPSE_THREADS", "1"))
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, os.cpu_count() or 1))
-
-
-def _map_trials(fn, trials: int, workers: Optional[int] = None) -> list:
-    workers = worker_count() if workers is None else workers
-    if workers <= 1:
-        return [fn(t) for t in range(trials)]
-    chunk = max(1, trials // (workers * 8))
-    ranges = [range(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(lambda r: [fn(t) for t in r], ranges))
-    return [x for part in parts for x in part]
 
 
 # ---------------------------------------------------------------------------
@@ -143,23 +121,11 @@ def q_second_derivative_check(f: SpeedFunction, a, z, k: float):
     return lhs, rhs
 
 
-def sample_interior(f: SpeedFunction, rng: np.random.Generator) -> InteriorSample:
-    """Log-uniform spectra in [1e-2, 1e2]; A conjugated by a random rotation;
-    k uniform in [0, 0.9 min eig). Nonnegative shifts only: the estimate is
-    provably false for k < 0 (see the harmonic-mean counterexample test)."""
-    n = f.n
-    a = 10.0 ** rng.uniform(-2.0, 2.0, n)
-    b = 10.0 ** rng.uniform(-2.0, 2.0, n)
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    Q = Q * np.sign(np.diag(R))
-    A = (Q * a) @ Q.T
-    A = 0.5 * (A + A.T)
-    k = rng.uniform(0.0, 0.9 * min(a.min(), b.min()))
-    return InteriorSample(A=A, B=np.diag(b), k=k, f=f)
-
-
 def _interior_draw(f: SpeedFunction, rng: np.random.Generator):
-    """Raw (A, b, k) of sample_interior without the validation dataclass."""
+    """Raw (A, b, k), b the diagonal of B: log-uniform spectra in [1e-2, 1e2];
+    A conjugated by a random rotation; k uniform in [0, 0.9 min eig).
+    Nonnegative shifts only: the estimate is provably false for k < 0 (see
+    the harmonic-mean counterexample test)."""
     n = f.n
     a = 10.0 ** rng.uniform(-2.0, 2.0, n)
     b = 10.0 ** rng.uniform(-2.0, 2.0, n)
@@ -169,6 +135,12 @@ def _interior_draw(f: SpeedFunction, rng: np.random.Generator):
     A = 0.5 * (A + A.T)
     k = rng.uniform(0.0, 0.9 * min(a.min(), b.min()))
     return A, b, k
+
+
+def sample_interior(f: SpeedFunction, rng: np.random.Generator) -> InteriorSample:
+    """The draw of _interior_draw, validated as an InteriorSample."""
+    A, b, k = _interior_draw(f, rng)
+    return InteriorSample(A=A, B=np.diag(b), k=k, f=f)
 
 
 def interior_gaps_batched(f: SpeedFunction, A: np.ndarray, b: np.ndarray,
@@ -218,10 +190,12 @@ class BoundarySample:
             raise ValueError("B must be symmetric")
 
 
-def _boundary_terms(s: BoundarySample, on_degenerate: str):
-    lam = s.lam.copy()
+def _boundary_terms(s: BoundarySample, on_degenerate: str = "perturb"):
+    """(value, tolerance scale, closed-form sup part) of one sample, from one
+    assembly of its terms: the hess-form terms of the matrix lift, then the
+    resolvent sum.  The scale is 1 + the largest term magnitude."""
+    lam = s.lam
     n = s.f.n
-    flagged = False
     gaps = lam[1:] - lam[0]
     tol = GAP_TOL * (1.0 + abs(lam[0]))
     if np.any(gaps < tol):
@@ -229,51 +203,35 @@ def _boundary_terms(s: BoundarySample, on_degenerate: str):
         if on_degenerate == "raise" and np.any(s.B[:, bad] != 0.0):
             raise DegenerateSpectrum(f"lam[q] - lam[0] below gap tolerance at q={bad.tolist()}")
         # continuity in the spectrum: nudge the eigenvalues apart and report
-        # the perturbed value, flagged
+        # the perturbed value
         lam = lam + np.arange(n) * 10.0 * tol
-        flagged = True
 
     g = s.f.grad(lam)
-    H = s.f.hess(lam)
-    d = np.diag(s.B)
-    terms = [float(d @ H @ d)]
-    for p in range(n):
-        for q in range(n):
-            if p == q or s.B[p, q] == 0.0:
-                continue
-            gap = lam[p] - lam[q]
-            if abs(gap) < GAP_TOL * (1.0 + abs(lam[p])):
-                coef = H[p, p] - H[p, q]
-            else:
-                coef = (g[p] - g[q]) / gap
-            terms.append(coef * s.B[p, q] ** 2)
+    terms = hess_form_terms(lam, s.B, g, s.f.hess(lam))
     sup_part = 0.0
     for p in range(n):
         for q in range(1, n):
             if s.B[p, q] != 0.0:
                 sup_part += 2.0 * g[p] / (lam[q] - lam[0]) * s.B[p, q] ** 2
     terms.append(sup_part)
-    return terms, sup_part, flagged, lam
+    return float(sum(terms)), 1.0 + max(abs(t) for t in terms), float(sup_part)
 
 
 def boundary_form(s: BoundarySample, on_degenerate: str = "perturb") -> float:
     """hess-form + divided differences + resolvent terms; >= 0 for
     inverse-concave speeds, with near-zero only when the first row of B is
     near zero."""
-    terms, _, _, _ = _boundary_terms(s, on_degenerate)
-    return float(sum(terms))
+    return _boundary_terms(s, on_degenerate)[0]
 
 
 def boundary_scale(s: BoundarySample) -> float:
     """Tolerance scale: 1 + magnitude of the largest assembled term."""
-    terms, _, _, _ = _boundary_terms(s, "perturb")
-    return 1.0 + max(abs(t) for t in terms)
+    return _boundary_terms(s)[1]
 
 
 def boundary_closed_sup(s: BoundarySample) -> float:
     """Closed-form supremum contribution 2 sum g_p B_pq^2 / (lam_q - lam_0)."""
-    _, sup_part, _, _ = _boundary_terms(s, "perturb")
-    return float(sup_part)
+    return _boundary_terms(s)[2]
 
 
 def boundary_bracket(s: BoundarySample, L) -> float:
@@ -377,12 +335,9 @@ def evaluate_boundary(s: BoundarySample, brute_force: bool = False) -> OracleVer
     L = np.zeros((n, n))
     denom = lam[1:] - lam[0]
     L[:, 1:] = s.B[:, 1:] / denom[None, :]
-    bf = None
-    if brute_force:
-        sup_cf = boundary_closed_sup(s)
-        bf = brute_force_boundary(s) + (boundary_form(s) - sup_cf)
-    return OracleVerdict(value=boundary_form(s),
-                         lower_bound_checked=-1e-7 * boundary_scale(s),
+    value, scale, sup_cf = _boundary_terms(s)
+    bf = brute_force_boundary(s) + (value - sup_cf) if brute_force else None
+    return OracleVerdict(value=value, lower_bound_checked=-1e-7 * scale,
                          optimizer=L, brute_force_value=bf)
 
 
@@ -390,12 +345,11 @@ def evaluate_boundary(s: BoundarySample, brute_force: bool = False) -> OracleVer
 # Trial batches (the CLI `oracle` command is a thin wrapper over these)
 # ---------------------------------------------------------------------------
 
-def interior_suite(f: SpeedFunction, trials: int, seed: int = 0,
-                   workers: Optional[int] = None) -> dict:
+def interior_suite(f: SpeedFunction, trials: int, seed: int = 0) -> dict:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
-    draws = _map_trials(
-        lambda t: _interior_draw(f, np.random.default_rng((seed, t))),
-        trials, workers)
+    draws = [_interior_draw(f, np.random.default_rng((seed, t))) for t in range(trials)]
     A = np.stack([d[0] for d in draws])
     b = np.stack([d[1] for d in draws])
     k = np.array([d[2] for d in draws])
@@ -421,28 +375,23 @@ def interior_suite(f: SpeedFunction, trials: int, seed: int = 0,
     return report
 
 
-def boundary_suite(f: SpeedFunction, trials: int, seed: int = 0,
-                   workers: Optional[int] = None) -> dict:
-    def one(t: int):
-        rng = np.random.default_rng((seed, t))
-        s = sample_boundary(f, rng)
-        terms, _, _, _ = _boundary_terms(s, "perturb")
-        scale = 1.0 + max(abs(x) for x in terms)
-        return sum(terms) / (1e-7 * scale), s
-
+def boundary_suite(f: SpeedFunction, trials: int, seed: int = 0) -> dict:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
-    results = _map_trials(lambda t: one(t), trials, workers)
-    scaled = np.array([r[0] for r in results])
+    samples = [sample_boundary(f, np.random.default_rng((seed, t))) for t in range(trials)]
+    values, scales = np.array([_boundary_terms(s)[:2] for s in samples]).T
+    scaled = values / (1e-7 * scales)
     worst = int(np.argmin(scaled))
-    s = results[worst][1]
+    s = samples[worst]
     report = {
         "proposition": "2.5",
         "speed": f.name,
         "n": f.n,
         "trials": trials,
-        "min_value": float(boundary_form(s)),
+        "min_value": float(values[worst]),
         "min_scaled": float(scaled[worst]),
-        "tol": float(1e-7 * boundary_scale(s)),
+        "tol": float(1e-7 * scales[worst]),
         "runtime_ms": round(1000.0 * (time.perf_counter() - t0), 3),
     }
     if scaled[worst] < -1.0:

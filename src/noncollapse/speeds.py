@@ -347,21 +347,19 @@ def matrix_eval(f: SpeedFunction, A) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def matrix_hess_form(f: SpeedFunction, lam, B) -> float:
-    """Second-derivative quadratic form of the matrix lift at eigenvalues lam.
-
-    B is expressed in the eigenbasis of A.  Divided differences
-    (grad_p - grad_q)/(lam_p - lam_q) switch to their analytic limit
-    hess_pp - hess_pq when the gap is below GAP_TOL relative.
-    """
-    lam = _cone_point(lam, f.n)
-    B = np.asarray(B, dtype=float)
-    g = f.grad(lam)
-    H = f.hess(lam)
+def hess_form_terms(lam: np.ndarray, B: np.ndarray, g: np.ndarray,
+                    H: np.ndarray) -> list:
+    """Terms of the second-derivative quadratic form of a matrix lift with
+    gradient g and Hessian H at eigenvalues lam, B in the eigenbasis:
+    d^T H d for the diagonal d of B, then coef_pq B_pq^2 for each nonzero
+    off-diagonal B_pq in row order.  The divided difference
+    coef_pq = (g_p - g_q)/(lam_p - lam_q) switches to its analytic limit
+    H_pp - H_pq when the gap is below GAP_TOL relative."""
     d = np.diag(B)
-    total = float(d @ H @ d)
-    for p in range(f.n):
-        for q in range(f.n):
+    terms = [float(d @ H @ d)]
+    n = lam.size
+    for p in range(n):
+        for q in range(n):
             if p == q or B[p, q] == 0.0:
                 continue
             gap = lam[p] - lam[q]
@@ -369,8 +367,16 @@ def matrix_hess_form(f: SpeedFunction, lam, B) -> float:
                 coef = H[p, p] - H[p, q]
             else:
                 coef = (g[p] - g[q]) / gap
-            total += coef * B[p, q] ** 2
-    return total
+            terms.append(coef * B[p, q] ** 2)
+    return terms
+
+
+def matrix_hess_form(f: SpeedFunction, lam, B) -> float:
+    """Second-derivative quadratic form of the matrix lift at eigenvalues lam
+    (B expressed in the eigenbasis of A); see hess_form_terms."""
+    lam = _cone_point(lam, f.n)
+    return float(sum(hess_form_terms(lam, np.asarray(B, dtype=float), f.grad(lam),
+                                     f.hess(lam))))
 
 
 # ---------------------------------------------------------------------------

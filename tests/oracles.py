@@ -148,3 +148,54 @@ def random_convex_axisym(rng, N=65, modes=5, strength=0.3):
         amp = rng.uniform(-1.0, 1.0) * strength / (modes * m * m)
         h += amp * np.cos(m * th)
     return h
+
+
+# ---------------------------------------------------------------------------
+# Reference spectral derivatives (independent of the library's rfft kernel)
+# ---------------------------------------------------------------------------
+
+def axi_derivs_dct(h):
+    """(h', h'') of an even sample on the closed [0, pi] grid through a DCT-I
+    cosine series and a DST-I for the odd derivative."""
+    import scipy.fft
+
+    M = h.size
+    c = scipy.fft.dct(h, type=1) / (M - 1)
+    c[0] *= 0.5
+    c[-1] *= 0.5
+    m = np.arange(M)
+    y = -(m**2) * c
+    y[0] *= 2.0
+    y[-1] *= 2.0
+    h2 = scipy.fft.dct(y, type=1) / 2.0
+    h1 = np.zeros(M)
+    s = -(m * c)[1 : M - 1]  # sin-mode M-1 vanishes on this grid
+    if M > 2:
+        h1[1 : M - 1] = scipy.fft.dst(s, type=1) / 2.0
+    return h1, h2
+
+
+def curve_derivs_complex(h):
+    """(h', h'') of a periodic sample through the full complex FFT; the
+    unmatched Nyquist mode of an even N contributes to h'' only."""
+    import scipy.fft
+
+    N = h.size
+    k = scipy.fft.fftfreq(N, 1.0 / N)
+    H = scipy.fft.fft(h)
+    d1 = 1j * k
+    if N % 2 == 0:
+        d1[N // 2] = 0.0
+    return scipy.fft.ifft(d1 * H).real, scipy.fft.ifft(-(k**2) * H).real
+
+
+def principal_radii_reference(mode, h):
+    """(N, n) principal radii from the reference derivatives."""
+    if mode == "curve":
+        return (curve_derivs_complex(h)[1] + h)[:, None]
+    h1, h2 = axi_derivs_dct(h)
+    th = np.pi * np.arange(h.size) / (h.size - 1)
+    r1 = h2 + h
+    r2 = r1.copy()
+    r2[1:-1] = h1[1:-1] * np.cos(th[1:-1]) / np.sin(th[1:-1]) + h[1:-1]
+    return np.stack([r1, r2], axis=1)

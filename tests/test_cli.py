@@ -57,6 +57,13 @@ def test_certify_usage_error():
     assert run_cli("certify", "--speed", "mean") == 1  # missing --n
 
 
+@pytest.mark.parametrize("command", [["certify"], ["oracle", "--prop", "2.2"],
+                                     ["oracle", "--prop", "2.5"]])
+def test_zero_trials_usage_error(capsys, command):
+    assert run_cli(*command, "--speed", "mean", "--n", "2", "--trials", "0") == 1
+    assert "argument --trials: must be >= 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -146,6 +153,27 @@ def test_flow_negative_control_completes(tmp_path):
     verdicts = json.loads((out / "verdicts.json").read_text())
     assert verdicts["termination"] == "ReachedMaxF"
     assert (code == 0) == verdicts["passed"]
+
+
+@pytest.mark.parametrize("flag", ["--cfl", "--grid", "--stop-max-f"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_flow_flag_out_of_range_exit_1(tmp_path, capsys, flag, value):
+    cfg = sphere_config(tmp_path)
+    out = tmp_path / "r"
+    assert run_cli("flow", "--config", cfg, "--out", str(out), flag, value) == 1
+    assert "error: bad config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, N", [("curve", 64), ("axisymmetric", 65)])
+def test_flow_nonfinite_support_exit_1(tmp_path, capsys, mode, N):
+    h = [1.0] * N
+    h[N // 3] = float("nan")
+    cfg = sphere_config(tmp_path, N=N, mode=mode, shape={"kind": "support", "h": h})
+    out = tmp_path / "r"
+    assert run_cli("flow", "--config", cfg, "--out", str(out)) == 1
+    assert "support values must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_flow_bad_config_exit_1(tmp_path):

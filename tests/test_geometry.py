@@ -9,14 +9,15 @@ from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, area,
                                   ball_curvature_pair, curve_derivs, embed,
                                   hausdorff_to_unit_sphere, make_ellipse,
                                   make_ellipsoid, make_sphere,
-                                  principal_curvatures, radii, recenter,
-                                  scale, support_from_points,
+                                  principal_curvatures, principal_radii,
+                                  radii, recenter, scale, support_from_points,
                                   tangent_plane_diagnostic, translate)
 
-from oracles import (ellipse_curvature_parametric,
+from oracles import (axi_derivs_dct, curve_derivs_complex,
+                     ellipse_curvature_parametric,
                      ellipsoid_curvatures_parametric, fd_derivs_even,
-                     fd_derivs_periodic, random_convex_axisym,
-                     random_convex_curve)
+                     fd_derivs_periodic, principal_radii_reference,
+                     random_convex_axisym, random_convex_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +40,32 @@ def test_spectral_vs_finite_difference_derivatives():
     g1, g2 = fd_derivs_even(ha, np.pi / (M - 1))
     assert np.abs(a1 - g1).max() < 1e-6
     assert np.abs(a2 - g2).max() < 1e-6
+
+
+# The references round differently; the second derivative carries the m^2
+# multiplier, so the difference scales like N^2 eps max|h|.  Measured worst
+# constant: 0.56 (axisymmetric, against the DCT-I), 2e-5 (curve).
+SPECTRAL_C = 2.0
+
+
+@pytest.mark.parametrize("mode, N", [(AXISYMMETRIC, 128), (AXISYMMETRIC, 129),
+                                     (AXISYMMETRIC, 256), (AXISYMMETRIC, 511),
+                                     (CURVE, 256), (CURVE, 512)])
+def test_spectral_kernel_matches_reference(mode, N):
+    rng = np.random.default_rng(N)
+    if mode == CURVE:
+        bodies = [make_ellipse(N, 1.5, 1.0),
+                  ConvexBody(mode=CURVE, h=3.0 * random_convex_curve(rng, N=N))]
+        derivs, reference = curve_derivs, curve_derivs_complex
+    else:
+        bodies = [make_ellipsoid(N, 1.0, 1.5),
+                  ConvexBody(mode=AXISYMMETRIC, h=3.0 * random_convex_axisym(rng, N=N))]
+        derivs, reference = axi_derivs, axi_derivs_dct
+    for b in bodies:
+        tol = SPECTRAL_C * N * N * np.finfo(float).eps * np.abs(b.h).max()
+        for got, want in zip(derivs(b.h), reference(b.h)):
+            assert np.abs(got - want).max() <= tol
+        assert np.abs(principal_radii(b) - principal_radii_reference(mode, b.h)).max() <= tol
 
 
 def test_embed_unit_circle():
@@ -275,8 +302,8 @@ def test_radii_ellipsoid():
 
 def test_recenter_moves_origin():
     b = translate(make_sphere(CURVE, 128, 1.0), [0.3, 0.1])
-    b2, shift = recenter(b)
-    assert np.allclose(shift, [0.3, 0.1], atol=1e-8)
+    b2, rep = recenter(b)
+    assert np.allclose(rep.in_center, [0.3, 0.1], atol=1e-8)
     assert np.allclose(b2.center_offset, [0.3, 0.1], atol=1e-8)
     assert np.abs(b2.h - 1.0).max() < 1e-8
 
@@ -360,3 +387,14 @@ def test_body_serialisation_round_trip():
     b2 = ConvexBody.from_dict(d)
     assert b2.mode == b.mode and b2.t == b.t
     assert np.array_equal(b2.h, b.h)
+
+
+def test_body_rejects_nonfinite_and_short_input():
+    h = np.ones(16)
+    h[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        ConvexBody(mode=CURVE, h=h)
+    with pytest.raises(ValueError, match="finite"):
+        ConvexBody(mode=AXISYMMETRIC, h=np.ones(16), center_offset=[0.0, 0.0, np.inf])
+    with pytest.raises(ValueError, match="at least 3"):
+        ConvexBody(mode=CURVE, h=np.ones(2))

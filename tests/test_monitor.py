@@ -31,8 +31,6 @@ def test_ratios_sphere_exactly_one():
     ext = ratios(b, ball_curvature_field(b), build_speed("mean", CURVE))
     assert ext.min_ratio_lower == pytest.approx(1.0, abs=1e-12)
     assert ext.max_ratio_upper == pytest.approx(1.0, abs=1e-12)
-    assert ext.k0_now == ext.min_ratio_lower
-    assert ext.K0_now == ext.max_ratio_upper
 
 
 def test_ratios_two_computations_agree():

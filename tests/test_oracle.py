@@ -1,20 +1,19 @@
-import os
-
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from noncollapse.errors import DegenerateSpectrum, SingularShift
 from noncollapse.oracle import (BoundarySample, InteriorSample,
-                                boundary_bracket, boundary_closed_sup,
+                                _interior_draw, boundary_bracket, boundary_closed_sup,
                                 boundary_form, boundary_scale, boundary_suite,
                                 brute_force_boundary, counterexample_search,
                                 interior_bracket, interior_gap, interior_scale,
                                 interior_suite, optimal_lambda,
                                 q_second_derivative_check, sample_boundary,
                                 sample_interior)
-from noncollapse.speeds import (ArithmeticMean, HarmonicMean, PowerMean,
-                                SigmaRatio, parse_speed)
+from noncollapse.speeds import (GAP_TOL, ArithmeticMean, HarmonicMean,
+                                PowerMean, SigmaRatio, matrix_hess_form,
+                                parse_speed)
 
 from oracles import q_reference
 
@@ -50,6 +49,16 @@ def test_optimal_lambda_dominates_perturbations():
         E = rng.standard_normal((3, 3))
         val = interior_bracket(f, s.A, s.B, s.k, L + 1e-3 * E)
         assert val <= base + 1e-10 * (1 + abs(base))
+
+
+def test_sample_interior_is_the_suite_draw():
+    f = parse_speed("sigma-ratio:2", 3)
+    for t in range(20):
+        A, b, k = _interior_draw(f, np.random.default_rng((7, t)))
+        s = sample_interior(f, np.random.default_rng((7, t)))
+        assert np.array_equal(s.A, A)
+        assert np.array_equal(s.B, np.diag(b))
+        assert s.k == k
 
 
 def test_interior_gap_equals_bracket_at_optimum():
@@ -265,6 +274,15 @@ def test_boundary_form_degenerate_spectrum_paths():
     assert v >= -1e-8 * boundary_scale(s)
 
 
+def test_boundary_form_is_hess_form_plus_closed_sup():
+    for spec in INVERSE_CONCAVE + ["power:-2"]:
+        f = parse_speed(spec, 3)
+        for t in range(40):
+            s = sample_boundary(f, np.random.default_rng((13, t)))
+            assert (s.lam[1:] - s.lam[0]).min() > GAP_TOL * (1.0 + s.lam[0])
+            assert boundary_form(s) == matrix_hess_form(f, s.lam, s.B) + boundary_closed_sup(s)
+
+
 def test_boundary_sample_validation():
     f = HarmonicMean(2)
     with pytest.raises(ValueError):
@@ -374,14 +392,9 @@ def test_counterexample_search_none_for_inverse_concave():
     assert counterexample_search(HarmonicMean(2), trials=300, seed=0) is None
 
 
-def test_suites_deterministic_and_thread_invariant():
+def test_suites_deterministic():
     f = SigmaRatio(2, 2)
-    a = interior_suite(f, trials=300, seed=5)
-    b = interior_suite(f, trials=300, seed=5)
-    assert a["min_value"] == b["min_value"]
-    os.environ["NONCOLLAPSE_THREADS"] = "2"
-    try:
-        c = interior_suite(f, trials=300, seed=5)
-    finally:
-        del os.environ["NONCOLLAPSE_THREADS"]
-    assert c["min_value"] == a["min_value"]
+    for suite in (interior_suite, boundary_suite):
+        a = suite(f, trials=300, seed=5)
+        b = suite(f, trials=300, seed=5)
+        assert a["min_value"] == b["min_value"]
