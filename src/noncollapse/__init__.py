@@ -23,5 +23,5 @@ from .geometry import (BallCurvatureField, ConvexBody, RadiiReport, area,
                        scale, tangent_plane_diagnostic, translate)
 from .flow import FlowConfig, FlowRun, build_body, build_speed, run, stable_dt, step
 from .monitor import (MonitorRow, RatioExtremes, TrendVerdict, assert_trend,
-                      eta_default, monitor_rows, phi, ratios, roundness,
-                      run_verdicts, write_monitor_csv)
+                      monitor_rows, ratios, roundness, run_verdicts,
+                      write_monitor_csv)

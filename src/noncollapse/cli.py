@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import __version__
 from .errors import ConvexityLost
-from .flow import FlowConfig, build_body, build_speed, run as run_flow
+from .flow import FlowConfig, build_body, build_speed, run as run_flow, stop_threshold
 from .monitor import monitor_rows, run_verdicts, write_monitor_csv
 from .oracle import boundary_suite, interior_suite
 from .speeds import certify, parse_speed
@@ -117,8 +117,17 @@ def cmd_flow(args) -> int:
         # replace() runs the config validation again on the overridden values
         cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
         body = build_body(cfg.body)
+        speed = build_speed(cfg.speed, body.mode)
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
         print(f"error: bad config: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        stop_threshold(cfg, body, speed)
+    except ConvexityLost as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONVEXITY
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
     out = args.out or "run-out"
@@ -129,15 +138,7 @@ def cmd_flow(args) -> int:
                            out_dir=out, version=__version__)
     manifest.write(os.path.join(out, "manifest.json"))
 
-    try:
-        fr = run_flow(cfg, body=body)
-    except ConvexityLost as e:
-        print(f"error: {e}", file=sys.stderr)
-        manifest.wall_time_s = round(time.perf_counter() - t0, 3)
-        manifest.write(os.path.join(out, "manifest.json"))
-        return EXIT_CONVEXITY
-
-    speed = build_speed(cfg.speed, fr.snapshots[0].mode)
+    fr = run_flow(cfg, speed=speed, body=body)
     rows = monitor_rows(fr, speed, fields=(cfg.monitor == "full"))
     write_monitor_csv(rows, os.path.join(out, "monitor.csv"))
     for i, body in enumerate(fr.snapshots):

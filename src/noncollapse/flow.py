@@ -51,6 +51,8 @@ class FlowConfig:
             raise ValueError("cfl must lie in (0, 0.5]")
         if self.stop_max_f is not None and not self.stop_max_f > 0.0:
             raise ValueError("stop_max_f must be positive")
+        if self.stop_max_f_factor is not None and not self.stop_max_f_factor > 1.0:
+            raise ValueError("stop_max_f_factor must exceed 1")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         if self.monitor not in ("full", "radii"):
@@ -168,6 +170,25 @@ class FlowRun:
         return self.t_hat_hi[-1] - self.t_hat_lo[-1]
 
 
+def stop_threshold(config: FlowConfig, body: ConvexBody, speed: SpeedFunction) -> float:
+    """The max-F stop of a run from body: stop_max_f, else stop_max_f_factor
+    (default 1000) times the initial max F.  Raises ConvexityLost for a
+    nonconvex body and ValueError for a stop at or below the initial max F."""
+    r = _workspace(body.mode, body.N).radii(body.h)
+    if r.min() <= 0.0:
+        raise ConvexityLost(f"initial body is not convex (min radius {r.min():.3e})")
+    f_max0 = float(_speed_of_radii(r, speed).max())
+    if config.stop_max_f is not None:
+        stop_f = float(config.stop_max_f)
+    elif config.stop_max_f_factor is not None:
+        stop_f = float(config.stop_max_f_factor) * f_max0
+    else:
+        stop_f = 1e3 * f_max0
+    if stop_f <= f_max0:
+        raise ValueError(f"stop threshold {stop_f:g} must exceed the initial max F {f_max0:g}")
+    return stop_f
+
+
 def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
         body: Optional[ConvexBody] = None) -> FlowRun:
     """Step until a termination condition, sampling every snapshot_every steps.
@@ -178,20 +199,8 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
     body = build_body(config.body) if body is None else body
     speed = build_speed(config.speed, body.mode) if speed is None else speed
     ws = _workspace(body.mode, body.N)
-    r = ws.radii(body.h)
-    if r.min() <= 0.0:
-        raise ConvexityLost(f"initial body is not convex (min radius {r.min():.3e})")
-
+    stop_f = stop_threshold(config, body, speed)
     run_ = FlowRun(config=config)
-    f_max0 = float(_speed_of_radii(r, speed).max())
-    if config.stop_max_f is not None:
-        stop_f = float(config.stop_max_f)
-    elif config.stop_max_f_factor is not None:
-        stop_f = float(config.stop_max_f_factor) * f_max0
-    else:
-        stop_f = 1e3 * f_max0
-    if stop_f <= f_max0:
-        raise ValueError(f"stop threshold {stop_f:g} must exceed the initial max F {f_max0:g}")
 
     def sample(b: ConvexBody) -> ConvexBody:
         F = _speed_of_radii(ws.radii(b.h), speed)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -203,30 +202,25 @@ def principal_curvatures(body: ConvexBody) -> np.ndarray:
 # Embedding
 # ---------------------------------------------------------------------------
 
-def embed(body: ConvexBody):
-    """Grid points and outward unit normals (curve: full circle; axisym:
-    the meridian at azimuth 0)."""
-    check_convex(body)
+def _points(body: ConvexBody) -> np.ndarray:
+    """Grid points (curve: full circle; axisym: the meridian at azimuth 0),
+    without the convexity check."""
     th = body.thetas
     h = body.h
     if body.mode == CURVE:
         h1, _ = curve_derivs(h)
-        pts = np.stack([h * np.cos(th) - h1 * np.sin(th),
-                        h * np.sin(th) + h1 * np.cos(th)], axis=1)
-        return pts, body.directions()
-    rho, zax, _ = meridian_profile(body)
-    pts = np.stack([rho, np.zeros(body.N), zax], axis=1)
-    return pts, body.directions()
+        return np.stack([h * np.cos(th) - h1 * np.sin(th),
+                         h * np.sin(th) + h1 * np.cos(th)], axis=1)
+    h1, _ = axi_derivs(h)
+    return np.stack([h * np.sin(th) + h1 * np.cos(th), np.zeros(body.N),
+                     h * np.cos(th) - h1 * np.sin(th)], axis=1)
 
 
-def meridian_profile(body: ConvexBody):
-    """(rho, z) of the axisymmetric profile and the meridian speed |X_theta| = r1."""
-    h = body.h
-    th = body.thetas
-    h1, h2 = axi_derivs(h)
-    rho = h * np.sin(th) + h1 * np.cos(th)
-    zax = h * np.cos(th) - h1 * np.sin(th)
-    return rho, zax, h2 + h
+def embed(body: ConvexBody):
+    """Grid points and outward unit normals (curve: full circle; axisym:
+    the meridian at azimuth 0)."""
+    check_convex(body)
+    return _points(body), body.directions()
 
 
 def support_from_points(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -250,8 +244,9 @@ def area(body: ConvexBody) -> float:
 class BallCurvatureField:
     """Per-gridpoint exterior (k_lower) and interior (k_upper) ball curvatures.
 
-    Witnesses are y-grid indices; (-1, -1) marks the diagonal (the extremum is
-    a principal curvature at x itself).
+    Witnesses are (y index, azimuth index); the azimuth of y is
+    2 pi iphi / N, with iphi <= N // 2 (0 in curve mode).  (-1, -1) marks
+    the diagonal (the extremum is a principal curvature at x itself).
     """
 
     k_lower: np.ndarray
@@ -267,118 +262,125 @@ class BallCurvatureField:
         return self.witness_upper[i, 0] < 0
 
 
-def _revolved_points(body: ConvexBody, n_phi: int):
-    rho, zax, _ = meridian_profile(body)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    X = np.empty((body.N, n_phi, 3))
-    X[:, :, 0] = rho[:, None] * np.cos(phi)[None, :]
-    X[:, :, 1] = rho[:, None] * np.sin(phi)[None, :]
-    X[:, :, 2] = zax[:, None]
-    return X, phi
-
-
 def ball_curvature_pair(body: ConvexBody, x_index: int, y_index: int,
                         y_azimuth: float = 0.0) -> float:
     """k(x, y) = 2 <X_x - X_y, nu_x> / |X_x - X_y|^2 for distinct grid points."""
-    pts, nus = embed(body)
+    r = check_convex(body)
+    pts, nus = _points(body), body.directions()
     if body.mode == CURVE:
         if y_azimuth != 0.0:
             raise ValueError("curve mode has no azimuth")
         Xy = pts[y_index]
     else:
-        rho, zax, _ = meridian_profile(body)
-        ca, sa = np.cos(y_azimuth), np.sin(y_azimuth)
-        Xy = np.array([rho[y_index] * ca, rho[y_index] * sa, zax[y_index]])
+        rho = pts[y_index, 0]
+        Xy = np.array([rho * np.cos(y_azimuth), rho * np.sin(y_azimuth), pts[y_index, 2]])
     D = pts[x_index] - Xy
     d2 = float(D @ D)
-    r = principal_radii(body)
     sep = SEP_FACTOR * body.grid_spacing * r[x_index].min()
     if d2 <= sep * sep:
         raise PairTooClose(f"chord {np.sqrt(d2):.3e} below separation {sep:.3e}")
     return float(2.0 * (D @ nus[x_index]) / d2)
 
 
-def ball_curvature_field(body: ConvexBody, n_phi: Optional[int] = None) -> BallCurvatureField:
+def ball_curvature_field(body: ConvexBody) -> BallCurvatureField:
     """Exterior/interior ball curvatures at every gridpoint.
 
-    The off-diagonal search runs over the full grid (curve) or the
-    (theta, phi) torus with x fixed at azimuth 0 (axisymmetric); pairs closer
-    than the separation tolerance are covered by the diagonal extension,
-    which contributes the principal curvatures at x.
+    k(x, y) = 2 <X_x - Y, nu_x> / |X_x - Y|^2 over admissible y: grid points
+    farther from x than SEP_FACTOR grid spacings in arclength at x.  Closer
+    pairs are covered by the diagonal extension, which contributes the
+    principal curvatures at x; an off-diagonal extremum is reported only when
+    it is strictly below the smallest (k_lower) or above the largest
+    (k_upper) of them.
+
+    Curve mode takes the extrema over the N x N pair matrix.  Axisymmetric
+    mode fixes x at azimuth 0 and turns the meridian point y by the grid
+    azimuths 2 pi m / N.  With c = cos(2 pi m / N), |X_x - Y|^2 = A - B c
+    (B = 2 rho_x rho_y >= 0) and 2 <X_x - Y, nu_x> = P - Q c, so k is
+    linear-fractional, hence monotone, in c on the admissible set
+    {A - B c > sep^2}.  Its extrema over the azimuths therefore sit at the
+    far azimuth m = N // 2 (the smallest c, which is pi only for even N) or
+    at the nearest admissible one, the first admissible m <= N // 2 (found by
+    bisection, admissibility being monotone in m).  The result equals the
+    sweep over the whole (theta, phi) torus up to rounding.
+
+    Ties: the witness is the first extremum in y; on one y the nearer of the
+    two azimuths wins, and of the mirror azimuths m and N - m the one
+    <= N // 2 is reported.
     """
     r = check_convex(body)
     kappa = 1.0 / r
     N = body.N
-    pts, nus = embed(body)
-
-    k_lower = np.empty(N)
-    k_upper = np.empty(N)
-    w_lower = np.full((N, 2), -1, dtype=int)
-    w_upper = np.full((N, 2), -1, dtype=int)
+    pts = _points(body)
+    nus = body.directions()
+    sep2 = ((SEP_FACTOR * body.grid_spacing * r[:, 0]) ** 2)[:, None]
 
     if body.mode == CURVE:
         D = pts[:, None, :] - pts[None, :, :]       # X_x - X_y
         d2 = np.einsum("xyk,xyk->xy", D, D)
         num = 2.0 * np.einsum("xyk,xk->xy", D, nus)
-        sep = SEP_FACTOR * body.grid_spacing * r[:, 0]
-        admissible = d2 > (sep**2)[:, None]
+        ok = d2 > sep2
         with np.errstate(divide="ignore", invalid="ignore"):
-            kmat = np.where(admissible, num / d2, np.nan)
-        for x in range(N):
-            row = kmat[x]
-            ok = np.isfinite(row)
-            kmin_diag = kappa[x].min()
-            kmax_diag = kappa[x].max()
-            if ok.any():
-                j_lo = int(np.nanargmin(row))
-                j_hi = int(np.nanargmax(row))
-                lo, hi = row[j_lo], row[j_hi]
-            else:
-                lo, hi = np.inf, -np.inf
-                j_lo = j_hi = -1
-            if lo < kmin_diag:
-                k_lower[x] = lo
-                w_lower[x] = (j_lo, 0)
-            else:
-                k_lower[x] = kmin_diag
-            if hi > kmax_diag:
-                k_upper[x] = hi
-                w_upper[x] = (j_hi, 0)
-            else:
-                k_upper[x] = kmax_diag
-        return BallCurvatureField(k_lower, k_upper, w_lower, w_upper, kappa)
+            k = num / d2
+        return _extremes(kappa, ok, k, k, 0, 0)
 
-    n_phi = N if n_phi is None else n_phi
-    Y, _ = _revolved_points(body, n_phi)
-    sep = SEP_FACTOR * body.grid_spacing * r[:, 0]
-    for x in range(N):
-        D = pts[x][None, None, :] - Y
-        d2 = np.einsum("ijk,ijk->ij", D, D)
-        num = 2.0 * (D @ nus[x])
-        admissible = d2 > sep[x] ** 2
-        kmin_diag = kappa[x].min()
-        kmax_diag = kappa[x].max()
-        if admissible.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                kmat = np.where(admissible, num / d2, np.nan)
-            flat_lo = int(np.nanargmin(kmat))
-            flat_hi = int(np.nanargmax(kmat))
-            lo = kmat.flat[flat_lo]
-            hi = kmat.flat[flat_hi]
-        else:
-            lo, hi = np.inf, -np.inf
-            flat_lo = flat_hi = 0
-        if lo < kmin_diag:
-            k_lower[x] = lo
-            w_lower[x] = divmod(flat_lo, n_phi)
-        else:
-            k_lower[x] = kmin_diag
-        if hi > kmax_diag:
-            k_upper[x] = hi
-            w_upper[x] = divmod(flat_hi, n_phi)
-        else:
-            k_upper[x] = kmax_diag
-    return BallCurvatureField(k_lower, k_upper, w_lower, w_upper, kappa)
+    rho = pts[:, 0]
+    dz = pts[:, 2][:, None] - pts[:, 2][None, :]
+    phi = 2.0 * np.pi * np.arange(N) / N
+    cphi, sphi = np.cos(phi), np.sin(phi)
+
+    def chord(m):
+        """Radial component of X_x - Y and |X_x - Y|^2 at azimuth indices m."""
+        d0 = rho[:, None] - rho[None, :] * cphi[m]
+        d1 = rho[None, :] * sphi[m]
+        return d0, d0 * d0 + d1 * d1 + dz * dz
+
+    def ball(m):
+        d0, d2 = chord(m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 2.0 * (d0 * nus[:, 0:1] + dz * nus[:, 2:3]) / d2, d2 > sep2
+
+    far = N // 2
+    k_far, ok = ball(far)
+    # first admissible azimuth in [0, far]: lo is inadmissible (or -1), hi is
+    # admissible wherever the far azimuth is
+    lo = np.full((N, N), -1)
+    hi = np.full((N, N), far)
+    while True:
+        wide = hi - lo > 1
+        if not wide.any():
+            break
+        mid = (lo + hi) // 2
+        adm = chord(mid)[1] > sep2
+        hi = np.where(wide & adm, mid, hi)
+        lo = np.where(wide & ~adm, mid, lo)
+    k_near, _ = ball(hi)
+    near_lo = k_near <= k_far
+    near_hi = k_near >= k_far
+    return _extremes(kappa, ok,
+                     np.where(near_lo, k_near, k_far), np.where(near_hi, k_near, k_far),
+                     np.where(near_lo, hi, far), np.where(near_hi, hi, far))
+
+
+def _extremes(kappa, ok, k_lo, k_hi, m_lo, m_hi) -> BallCurvatureField:
+    """Row extrema over admissible y of the (x, y) candidate values k_lo
+    (minimum) and k_hi (maximum), with their azimuth indices m_lo and m_hi,
+    compared against the principal curvatures at x."""
+    rows = np.arange(kappa.shape[0])
+    m_lo = np.broadcast_to(m_lo, ok.shape)
+    m_hi = np.broadcast_to(m_hi, ok.shape)
+    lo = np.where(ok, k_lo, np.inf)
+    hi = np.where(ok, k_hi, -np.inf)
+    y_lo = lo.argmin(axis=1)
+    y_hi = hi.argmax(axis=1)
+    lo = lo[rows, y_lo]
+    hi = hi[rows, y_hi]
+    kmin, kmax = kappa.min(axis=1), kappa.max(axis=1)
+    off_lo = lo < kmin
+    off_hi = hi > kmax
+    w_lower = np.where(off_lo[:, None], np.stack([y_lo, m_lo[rows, y_lo]], axis=1), -1)
+    w_upper = np.where(off_hi[:, None], np.stack([y_hi, m_hi[rows, y_hi]], axis=1), -1)
+    return BallCurvatureField(np.where(off_lo, lo, kmin), np.where(off_hi, hi, kmax),
+                              w_lower, w_upper, kappa)
 
 
 def tangent_plane_diagnostic(body: ConvexBody, fld: BallCurvatureField,
@@ -397,11 +399,9 @@ def tangent_plane_diagnostic(body: ConvexBody, fld: BallCurvatureField,
         Xy = pts[iy]
         tangents = [np.array([-np.sin(th[iy]), np.cos(th[iy])])]
     else:
-        rho, zax, _ = meridian_profile(body)
-        n_phi = body.N
-        phi = 2.0 * np.pi * iphi / n_phi
+        phi = 2.0 * np.pi * iphi / body.N
         ca, sa = np.cos(phi), np.sin(phi)
-        Xy = np.array([rho[iy] * ca, rho[iy] * sa, zax[iy]])
+        Xy = np.array([pts[iy, 0] * ca, pts[iy, 0] * sa, pts[iy, 2]])
         ct, st = np.cos(th[iy]), np.sin(th[iy])
         if st < 1e-12:  # pole: tangent plane is horizontal
             tangents = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
@@ -598,14 +598,12 @@ def radii(body: ConvexBody) -> RadiiReport:
     if body.mode == CURVE:
         Z = body.directions()
         c_in, r_in = _in_ball_curve(h, Z)
-        pts, _ = embed(body)
-        c_out, r_out = _circumball_curve(pts)
+        c_out, r_out = _circumball_curve(_points(body))
     else:
         u = np.cos(body.thetas)
         cz, r_in = _in_ball_axi(h, u)
         c_in = np.array([0.0, 0.0, cz])
-        pts, _ = embed(body)
-        c_out, r_out = _circumball_axi(pts)
+        c_out, r_out = _circumball_axi(_points(body))
     return RadiiReport(r_minus=float(r_in), r_plus=float(r_out),
                        in_center=c_in, circ_center=c_out)
 

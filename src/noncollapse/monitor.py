@@ -20,11 +20,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DiagonalWitness, DomainError, RunTooShort
+from .errors import DomainError, RunTooShort
 from .flow import REACHED_MAX_F, FlowRun
 from .geometry import (BallCurvatureField, ConvexBody, ball_curvature_field,
-                       hausdorff_to_unit_sphere, principal_radii,
-                       tangent_plane_diagnostic)
+                       hausdorff_to_unit_sphere, tangent_plane_diagnostic)
 from .speeds import SpeedFunction
 
 SLACK_FLOOR = 1e-6  # absolute measurement-noise floor for interval/refinement checks
@@ -39,7 +38,7 @@ class RatioExtremes:
 
 
 def ratios(body: ConvexBody, fld: BallCurvatureField, speed: SpeedFunction) -> RatioExtremes:
-    F = speed.value_many(1.0 / principal_radii(body))
+    F = speed.value_many(fld.kappa)
     if F.min() <= 0.0:
         raise DomainError("speed must be positive on the body")
     lower = fld.k_lower / F
@@ -52,34 +51,6 @@ def ratios(body: ConvexBody, fld: BallCurvatureField, speed: SpeedFunction) -> R
         argmin_index=i_lo,
         argmax_index=i_hi,
     )
-
-
-def phi(series: Sequence[float], sigma: int, eta: float,
-        times: Optional[Sequence[float]] = None) -> np.ndarray:
-    """Comparison transform exp(2 sigma eta t) (series - 1/eta).
-
-    For sigma = 0 the exponential factor and the constant drop out of any
-    monotonicity statement, so the convention is phi = series unchanged.
-    """
-    s = np.asarray(series, dtype=float)
-    if sigma == 0:
-        return s.copy()
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-    t = np.arange(len(s), dtype=float) if times is None else np.asarray(times, dtype=float)
-    return np.exp(2.0 * sigma * eta * t) * (s - 1.0 / eta)
-
-
-def eta_default(sigma: int, speed: SpeedFunction,
-                kappa_samples: Optional[np.ndarray] = None) -> float:
-    """Ambient-dependent comparison rate: spherical runs need eta >= max tr(dF)
-    over the relevant curvature range, hyperbolic runs may take eta = 1 for
-    concave speeds."""
-    if sigma == 1:
-        if kappa_samples is None:
-            raise ValueError("sigma=1 needs curvature samples to bound tr(dF)")
-        return float(speed.grad_many(np.asarray(kappa_samples, dtype=float)).sum(axis=1).max())
-    return 1.0
 
 
 @dataclass
@@ -149,19 +120,18 @@ class MonitorRow:
     hausdorff_rescaled: Optional[float] = None
     t_hat_lo: float = 0.0
     t_hat_hi: float = 0.0
-    phi: Optional[float] = None
     diag_residual: Optional[float] = None
 
 
 CSV_COLUMNS = ["t", "maxF", "minF", "r_plus", "r_minus", "min_ratio_lower",
                "max_ratio_upper", "hausdorff_rescaled", "T_hat_lo", "T_hat_hi",
-               "phi", "diag_residual"]
+               "diag_residual"]
 
 
-def monitor_rows(run: FlowRun, speed: SpeedFunction, fields: bool = True,
-                 diagnostics: bool = True) -> list[MonitorRow]:
-    """One row per snapshot.  fields=False skips the ball-curvature sweeps
-    (ratio, phi, and tangent-residual columns stay empty)."""
+def monitor_rows(run: FlowRun, speed: SpeedFunction,
+                 fields: bool = True) -> list[MonitorRow]:
+    """One row per snapshot.  fields=False skips the ball-curvature fields
+    (the ratio and tangent-residual columns stay empty)."""
     rows = []
     for i, body in enumerate(run.snapshots):
         row = MonitorRow(
@@ -174,12 +144,8 @@ def monitor_rows(run: FlowRun, speed: SpeedFunction, fields: bool = True,
             ext = ratios(body, fld, speed)
             row.min_ratio_lower = ext.min_ratio_lower
             row.max_ratio_upper = ext.max_ratio_upper
-            row.phi = ext.min_ratio_lower  # Euclidean convention (sigma = 0)
-            if diagnostics and not fld.diagonal_lower(ext.argmin_index):
-                try:
-                    row.diag_residual = tangent_plane_diagnostic(body, fld, ext.argmin_index)
-                except DiagonalWitness:  # pragma: no cover
-                    pass
+            if not fld.diagonal_lower(ext.argmin_index):
+                row.diag_residual = tangent_plane_diagnostic(body, fld, ext.argmin_index)
         rows.append(row)
 
     if run.termination == REACHED_MAX_F and rows:
@@ -206,7 +172,7 @@ def write_monitor_csv(rows: Sequence[MonitorRow], path: str) -> None:
             w.writerow([fmt(r.t), fmt(r.max_f), fmt(r.min_f), fmt(r.r_plus),
                         fmt(r.r_minus), fmt(r.min_ratio_lower), fmt(r.max_ratio_upper),
                         fmt(r.hausdorff_rescaled), fmt(r.t_hat_lo), fmt(r.t_hat_hi),
-                        fmt(r.phi), fmt(r.diag_residual)])
+                        fmt(r.diag_residual)])
 
 
 # ---------------------------------------------------------------------------

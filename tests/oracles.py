@@ -199,3 +199,93 @@ def principal_radii_reference(mode, h):
     r2 = r1.copy()
     r2[1:-1] = h1[1:-1] * np.cos(th[1:-1]) / np.sin(th[1:-1]) + h[1:-1]
     return np.stack([r1, r2], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Reference ball-curvature field: the direct sweep over every grid pair, with
+# the axisymmetric y running over the full (theta, phi) torus (O(N^3))
+# ---------------------------------------------------------------------------
+
+def ball_curvature_field_sweep(body):
+    """Exterior/interior ball curvatures by brute force.  Witnesses are the
+    first extremum in (y, phi) order, so either mirror azimuth may appear."""
+    from noncollapse.geometry import (CURVE, SEP_FACTOR, BallCurvatureField,
+                                      check_convex, embed)
+
+    r = check_convex(body)
+    kappa = 1.0 / r
+    N = body.N
+    pts, nus = embed(body)
+
+    k_lower = np.empty(N)
+    k_upper = np.empty(N)
+    w_lower = np.full((N, 2), -1, dtype=int)
+    w_upper = np.full((N, 2), -1, dtype=int)
+
+    if body.mode == CURVE:
+        D = pts[:, None, :] - pts[None, :, :]       # X_x - X_y
+        d2 = np.einsum("xyk,xyk->xy", D, D)
+        num = 2.0 * np.einsum("xyk,xk->xy", D, nus)
+        sep = SEP_FACTOR * body.grid_spacing * r[:, 0]
+        admissible = d2 > (sep**2)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kmat = np.where(admissible, num / d2, np.nan)
+        for x in range(N):
+            row = kmat[x]
+            ok = np.isfinite(row)
+            kmin_diag = kappa[x].min()
+            kmax_diag = kappa[x].max()
+            if ok.any():
+                j_lo = int(np.nanargmin(row))
+                j_hi = int(np.nanargmax(row))
+                lo, hi = row[j_lo], row[j_hi]
+            else:
+                lo, hi = np.inf, -np.inf
+                j_lo = j_hi = -1
+            if lo < kmin_diag:
+                k_lower[x] = lo
+                w_lower[x] = (j_lo, 0)
+            else:
+                k_lower[x] = kmin_diag
+            if hi > kmax_diag:
+                k_upper[x] = hi
+                w_upper[x] = (j_hi, 0)
+            else:
+                k_upper[x] = kmax_diag
+        return BallCurvatureField(k_lower, k_upper, w_lower, w_upper, kappa)
+
+    n_phi = N
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    Y = np.empty((N, n_phi, 3))
+    Y[:, :, 0] = pts[:, 0][:, None] * np.cos(phi)[None, :]
+    Y[:, :, 1] = pts[:, 0][:, None] * np.sin(phi)[None, :]
+    Y[:, :, 2] = pts[:, 2][:, None]
+    sep = SEP_FACTOR * body.grid_spacing * r[:, 0]
+    for x in range(N):
+        D = pts[x][None, None, :] - Y
+        d2 = np.einsum("ijk,ijk->ij", D, D)
+        num = 2.0 * (D @ nus[x])
+        admissible = d2 > sep[x] ** 2
+        kmin_diag = kappa[x].min()
+        kmax_diag = kappa[x].max()
+        if admissible.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                kmat = np.where(admissible, num / d2, np.nan)
+            flat_lo = int(np.nanargmin(kmat))
+            flat_hi = int(np.nanargmax(kmat))
+            lo = kmat.flat[flat_lo]
+            hi = kmat.flat[flat_hi]
+        else:
+            lo, hi = np.inf, -np.inf
+            flat_lo = flat_hi = 0
+        if lo < kmin_diag:
+            k_lower[x] = lo
+            w_lower[x] = divmod(flat_lo, n_phi)
+        else:
+            k_lower[x] = kmin_diag
+        if hi > kmax_diag:
+            k_upper[x] = hi
+            w_upper[x] = divmod(flat_hi, n_phi)
+        else:
+            k_upper[x] = kmax_diag
+    return BallCurvatureField(k_lower, k_upper, w_lower, w_upper, kappa)

@@ -113,7 +113,7 @@ def test_flow_sphere_run_directory(tmp_path):
     assert verdicts["termination"] == "ReachedMaxF"
     head = (out / "monitor.csv").read_text().splitlines()[0]
     assert head == ("t,maxF,minF,r_plus,r_minus,min_ratio_lower,max_ratio_upper,"
-                    "hausdorff_rescaled,T_hat_lo,T_hat_hi,phi,diag_residual")
+                    "hausdorff_rescaled,T_hat_lo,T_hat_hi,diag_residual")
     snaps = sorted((out / "snapshots").iterdir())
     assert len(snaps) >= 3
     snap = json.loads(snaps[0].read_text())
@@ -138,6 +138,7 @@ def test_flow_nonconvex_exit_3(tmp_path):
                         shape={"kind": "support",
                                "h": (1.0 + 0.5 * np.cos(2 * th)).tolist()})
     assert run_cli("flow", "--config", cfg, "--out", str(tmp_path / "r")) == 3
+    assert not (tmp_path / "r").exists()
 
 
 def test_flow_negative_control_completes(tmp_path):
@@ -176,12 +177,32 @@ def test_flow_nonfinite_support_exit_1(tmp_path, capsys, mode, N):
     assert not out.exists()
 
 
+def test_flow_stop_at_or_below_initial_max_f_exit_1(tmp_path, capsys):
+    # the unit circle starts at max F = 1
+    cfg = sphere_config(tmp_path)
+    out = tmp_path / "r"
+    assert run_cli("flow", "--config", cfg, "--out", str(out), "--stop-max-f", "0.5") == 1
+    assert "must exceed the initial max F" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flow_stop_factor_not_above_one_exit_1(tmp_path, capsys):
+    cfg = sphere_config(tmp_path, stop_factor=1.0)
+    out = tmp_path / "r"
+    assert run_cli("flow", "--config", cfg, "--out", str(out)) == 1
+    assert "stop_max_f_factor must exceed 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flow_bad_config_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("flow", "--config", str(bad)) == 1
     missing = tmp_path / "missing.json"
     assert run_cli("flow", "--config", str(missing)) == 1
+    unknown_speed = sphere_config(tmp_path, speed="nonsense")
+    assert run_cli("flow", "--config", unknown_speed, "--out", str(tmp_path / "r")) == 1
+    assert not (tmp_path / "r").exists()
 
 
 # ---------------------------------------------------------------------------

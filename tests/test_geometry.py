@@ -13,8 +13,8 @@ from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, area,
                                   radii, recenter, scale, support_from_points,
                                   tangent_plane_diagnostic, translate)
 
-from oracles import (axi_derivs_dct, curve_derivs_complex,
-                     ellipse_curvature_parametric,
+from oracles import (axi_derivs_dct, ball_curvature_field_sweep,
+                     curve_derivs_complex, ellipse_curvature_parametric,
                      ellipsoid_curvatures_parametric, fd_derivs_even,
                      fd_derivs_periodic, principal_radii_reference,
                      random_convex_axisym, random_convex_curve)
@@ -204,6 +204,39 @@ def test_field_refinement_second_order():
     d1 = np.abs(k64 - k128[::2]).max()
     d2 = np.abs(k128 - k256[::2]).max()
     assert d2 <= d1 / 2.5  # ~O(N^-2) between nested grids
+
+
+def _assert_witnesses_replay(b, fld):
+    for w, k in ((fld.witness_lower, fld.k_lower), (fld.witness_upper, fld.k_upper)):
+        for x in np.flatnonzero(w[:, 0] >= 0):
+            iy, iphi = w[x]
+            assert 0 <= iphi <= b.N // 2
+            azimuth = 2.0 * np.pi * iphi / b.N if b.mode == AXISYMMETRIC else 0.0
+            assert ball_curvature_pair(b, x, iy, azimuth) == pytest.approx(k[x], rel=1e-12)
+
+
+def test_field_matches_torus_sweep():
+    # the two-candidate azimuth search equals the O(N^3) sweep up to rounding;
+    # chords down to the separation SEP_FACTOR * dtheta * r amplify it by N^2
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(23)
+    bodies = [make_ellipsoid(N, 1.0, c) for N in (64, 129, 256, 511) for c in (1.5, 0.4)]
+    bodies += [ConvexBody(mode=AXISYMMETRIC,
+                          h=random_convex_axisym(rng, N=int(rng.integers(33, 160))))
+               for _ in range(10)]
+    for b in bodies:
+        fld, ref = ball_curvature_field(b), ball_curvature_field_sweep(b)
+        assert np.array_equal(fld.kappa, ref.kappa)
+        bound = 0.05 * b.N**2 * eps * np.abs(ref.kappa).max()
+        assert np.abs(fld.k_lower - ref.k_lower).max() <= bound
+        assert np.abs(fld.k_upper - ref.k_upper).max() <= bound
+        _assert_witnesses_replay(b, fld)
+    for _ in range(10):
+        b = ConvexBody(mode=CURVE, h=random_convex_curve(rng, N=int(rng.integers(48, 257))))
+        fld, ref = ball_curvature_field(b), ball_curvature_field_sweep(b)
+        for name in ("k_lower", "k_upper", "witness_lower", "witness_upper", "kappa"):
+            assert np.array_equal(getattr(fld, name), getattr(ref, name)), name
+        _assert_witnesses_replay(b, fld)
 
 
 def test_field_global_radius_bounds():

@@ -7,9 +7,9 @@ from noncollapse.errors import RunTooShort
 from noncollapse.flow import FlowConfig, build_speed, run
 from noncollapse.geometry import (CURVE, ball_curvature_field, make_ellipse,
                                   make_sphere, scale)
-from noncollapse.monitor import (CSV_COLUMNS, assert_trend, eta_default,
-                                 monitor_rows, phi, ratios, roundness,
-                                 run_verdicts, write_monitor_csv)
+from noncollapse.monitor import (CSV_COLUMNS, assert_trend, monitor_rows,
+                                 ratios, roundness, run_verdicts,
+                                 write_monitor_csv)
 
 
 @pytest.fixture(scope="module")
@@ -64,46 +64,6 @@ def test_ratios_bracket_one_on_convex_bodies():
 
 
 # ---------------------------------------------------------------------------
-# phi
-# ---------------------------------------------------------------------------
-
-def test_phi_euclidean_passthrough():
-    s = [0.3, 0.4, 0.5]
-    assert np.allclose(phi(s, 0, 123.0), s)
-
-
-def test_phi_spherical_zero_series():
-    t = np.linspace(0, 2, 40)
-    out = phi(np.ones_like(t), 1, 1.0, times=t)
-    assert np.abs(out).max() < 1e-12
-
-
-def test_phi_hyperbolic_constancy():
-    # series built so the transform is exactly constant c
-    eta, c = 1.0, 0.37
-    t = np.linspace(0, 3, 50)
-    series = 1.0 / eta + c * np.exp(2 * eta * t)
-    out = phi(series, -1, eta, times=t)
-    assert np.abs(out - c).max() < 1e-12
-
-
-def test_phi_requires_positive_eta():
-    with pytest.raises(ValueError):
-        phi([1, 2, 3], 1, 0.0)
-
-
-def test_eta_default():
-    sp = build_speed("harmonic", "axisymmetric")
-    kappas = np.array([[1.0, 2.0], [0.5, 0.5], [3.0, 1.0]])
-    eta = eta_default(1, sp, kappas)
-    assert eta == pytest.approx(sp.grad_many(kappas).sum(axis=1).max(), rel=1e-12)
-    assert eta >= 1.0 - 1e-12  # concave speeds keep tr(grad) >= 1
-    assert eta_default(-1, sp) == 1.0
-    with pytest.raises(ValueError):
-        eta_default(1, sp)
-
-
-# ---------------------------------------------------------------------------
 # assert_trend
 # ---------------------------------------------------------------------------
 
@@ -144,7 +104,6 @@ def test_monitor_rows_sphere(sphere_run):
     for r in rows:
         assert r.min_ratio_lower == pytest.approx(1.0, abs=1e-10)
         assert r.max_ratio_upper == pytest.approx(1.0, abs=1e-10)
-        assert r.phi == r.min_ratio_lower
         assert r.hausdorff_rescaled is not None
         assert r.hausdorff_rescaled < 1e-6
         assert r.t_hat_lo <= r.t_hat_hi + 1e-15
