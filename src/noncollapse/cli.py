@@ -153,6 +153,7 @@ def cmd_flow(args) -> int:
         refinement_delta_radii_ratio=deltas.get("radii_ratio", 0.0))
     verdicts["config"] = cfg.to_dict()
     verdicts["refinement_deltas"] = deltas
+    verdicts["counters"] = fr.counters
     _write_json(os.path.join(out, "verdicts.json"), verdicts)
 
     manifest.wall_time_s = round(time.perf_counter() - t0, 3)
@@ -174,7 +175,7 @@ def refinement_deltas(cfg: FlowConfig, speed) -> dict:
 
     def measure(b):
         fld = geometry.ball_curvature_field(b)
-        ext = ratios_of(b, fld, speed)
+        ext = ratios_of(fld, speed)
         rep = geometry.radii(b)
         return ext.min_ratio_lower, rep.r_plus / rep.r_minus
 

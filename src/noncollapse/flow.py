@@ -6,7 +6,12 @@ CFL-limited step.  A run records snapshots, radii, and the extinction-time
 interval [t + r_minus^2/2, t + r_plus^2/2] read off the avoidance bounds.
 
 The top spatial mode saturates the parabolic bound, so the effective RK4
-stability requirement is cfl * pi^2 <= 2.785; keep cfl at or below 0.25.
+stability requirement is cfl * pi^2 <= 2.785: FlowConfig refuses a cfl above
+CFL_MAX = 2.785 / pi^2 (about 0.282), and the committed configs use 0.25.
+The principal radii of each stage come from geometry's kernel, a cached
+dense operator up to geometry.DENSE_MAX_N grid points and one stacked
+Fourier transform pair above; the speed of an accepted step is reused as the
+next step's first stage.
 
 Curve-mode note: in one curvature variable, degree-one homogeneity plus the
 normalisation force f(kappa) = kappa, so every curve run is curve shortening
@@ -32,6 +37,10 @@ REACHED_T_END = "ReachedTEnd"
 CONVEXITY_LOST = "ConvexityLost"
 STEP_UNDERFLOW = "StepUnderflow"
 
+# RK4's stability interval on the negative real axis is [-2.785, 0] and the
+# top mode of the support equation has eigenvalue -cfl * pi^2
+CFL_MAX = 2.785 / np.pi**2
+
 
 @dataclass
 class FlowConfig:
@@ -47,8 +56,8 @@ class FlowConfig:
     recenter: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.cfl <= 0.5:
-            raise ValueError("cfl must lie in (0, 0.5]")
+        if not 0.0 < self.cfl <= CFL_MAX:
+            raise ValueError(f"cfl must lie in (0, 2.785/pi^2 = {CFL_MAX:.4f}]")
         if self.stop_max_f is not None and not self.stop_max_f > 0.0:
             raise ValueError("stop_max_f must be positive")
         if self.stop_max_f_factor is not None and not self.stop_max_f_factor > 1.0:
@@ -105,9 +114,12 @@ def _speed_of_radii(r: np.ndarray, speed: SpeedFunction) -> np.ndarray:
 
 
 def _rk4(ws: _Workspace, h: np.ndarray, speed: SpeedFunction, dt: float,
-         r0: Optional[np.ndarray] = None) -> np.ndarray:
-    r = ws.radii(h) if r0 is None else r0
-    k1 = -_speed_of_radii(r, speed)
+         r0: Optional[np.ndarray] = None, F0: Optional[np.ndarray] = None) -> np.ndarray:
+    """One RK4 step from h; r0 and F0, when given, are the radii and the
+    speed at h."""
+    if F0 is None:
+        F0 = _speed_of_radii(ws.radii(h) if r0 is None else r0, speed)
+    k1 = -F0
     k2 = -_speed_of_radii(ws.radii(h + (0.5 * dt) * k1), speed)
     k3 = -_speed_of_radii(ws.radii(h + (0.5 * dt) * k2), speed)
     k4 = -_speed_of_radii(ws.radii(h + dt * k3), speed)
@@ -159,6 +171,19 @@ class FlowRun:
     t_hat_hi: list = dc_field(default_factory=list)
     termination: str = ""
     steps: int = 0
+    rk4_attempts: int = 0          # RK4 steps tried, rolled back or bisected included
+    rollbacks: int = 0             # dt halvings after a step lost convexity or domain
+    dt_refreshes: int = 0          # evaluations of the stable step
+    bisection_iterations: int = 0  # RK4 steps of the final bisection onto max F
+    dt_min: Optional[float] = None  # smallest and largest step taken, the final
+    dt_max: Optional[float] = None  # step bisected onto max F left out
+
+    @property
+    def counters(self) -> dict:
+        return {"steps": self.steps, "rk4_attempts": self.rk4_attempts,
+                "rollbacks": self.rollbacks, "dt_refreshes": self.dt_refreshes,
+                "bisection_iterations": self.bisection_iterations,
+                "dt_min": self.dt_min, "dt_max": self.dt_max}
 
     @property
     def t_hat(self) -> float:
@@ -228,6 +253,7 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
     t = body.t
     offset = body.center_offset
     r = ws.radii(h)
+    F = None  # speed at h, known once a step has been accepted
 
     def as_body(hh, tt):
         return ConvexBody(mode=config_mode, h=hh, t=tt, center_offset=offset)
@@ -240,6 +266,7 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
         if dt_cached is None or dt_age >= 8:
             dt_cached = 0.995 * _dt_of(ws, r, speed, config.cfl)
             dt_age = 0
+            run_.dt_refreshes += 1
         dt = dt_cached
         dt_age += 1
         if config.t_end is not None:
@@ -254,8 +281,9 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
 
         h_new = None
         while dt >= floor:
+            run_.rk4_attempts += 1
             try:
-                h_try = _rk4(ws, h, speed, dt, r0=r)
+                h_try = _rk4(ws, h, speed, dt, r0=r, F0=F)
                 r_try = ws.radii(h_try)
                 if r_try.min() <= 0.0:
                     raise ConvexityLost("lost convexity")
@@ -264,12 +292,13 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
             except (ConvexityLost, DomainError):
                 dt *= 0.5
                 dt_cached = None
+                run_.rollbacks += 1
         if h_new is None:
             run_.termination = CONVEXITY_LOST
             break
 
-        fmax = float(_speed_of_radii(r_new, speed).max())
-        if fmax >= stop_f:
+        F_new = _speed_of_radii(r_new, speed)
+        if float(F_new.max()) >= stop_f:
             # bisect the final step onto the threshold
             h_best, dt_best = h_new, dt
             lo_dt, hi_dt = 0.0, dt
@@ -277,8 +306,10 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
                 mid = 0.5 * (lo_dt + hi_dt)
                 if mid <= 0.0 or mid == lo_dt or mid == hi_dt:
                     break
+                run_.rk4_attempts += 1
+                run_.bisection_iterations += 1
                 try:
-                    h_try = _rk4(ws, h, speed, mid, r0=r)
+                    h_try = _rk4(ws, h, speed, mid, r0=r, F0=F)
                     r_try = ws.radii(h_try)
                     if r_try.min() <= 0.0:
                         raise ConvexityLost("lost convexity")
@@ -298,9 +329,11 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
             run_.termination = REACHED_MAX_F
             break
 
-        h, r = h_new, r_new
+        h, r, F = h_new, r_new, F_new
         t += dt
         run_.steps += 1
+        run_.dt_min = dt if run_.dt_min is None else min(run_.dt_min, dt)
+        run_.dt_max = dt if run_.dt_max is None else max(run_.dt_max, dt)
         steps_since_sample += 1
         if config.t_end is not None and t >= config.t_end:
             sample(as_body(h, t))
@@ -310,6 +343,7 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
             b = sample(as_body(h, t))
             h, t, offset = b.h, b.t, b.center_offset
             r = ws.radii(h)
+            F = None
             steps_since_sample = 0
 
     if run_.termination in (CONVEXITY_LOST, STEP_UNDERFLOW):

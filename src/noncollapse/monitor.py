@@ -37,7 +37,7 @@ class RatioExtremes:
     argmax_index: int
 
 
-def ratios(body: ConvexBody, fld: BallCurvatureField, speed: SpeedFunction) -> RatioExtremes:
+def ratios(fld: BallCurvatureField, speed: SpeedFunction) -> RatioExtremes:
     F = speed.value_many(fld.kappa)
     if F.min() <= 0.0:
         raise DomainError("speed must be positive on the body")
@@ -141,7 +141,7 @@ def monitor_rows(run: FlowRun, speed: SpeedFunction,
         )
         if fields:
             fld = ball_curvature_field(body)
-            ext = ratios(body, fld, speed)
+            ext = ratios(fld, speed)
             row.min_ratio_lower = ext.min_ratio_lower
             row.max_ratio_upper = ext.max_ratio_upper
             if not fld.diagonal_lower(ext.argmin_index):

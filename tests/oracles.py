@@ -201,6 +201,34 @@ def principal_radii_reference(mode, h):
     return np.stack([r1, r2], axis=1)
 
 
+def principal_radii_three_transform(mode, h):
+    """(N, n) principal radii by one rfft of the (even-extended) samples and
+    one irfft per derivative: the reference for geometry._Workspace.radii,
+    which stacks the inverse transforms above DENSE_MAX_N and applies a dense
+    operator up to it."""
+    N = h.size
+    if mode == "curve":
+        nfft = N
+        H = np.fft.rfft(h)
+    else:
+        nfft = 2 * (N - 1)
+        H = np.fft.rfft(np.concatenate([h, h[-2:0:-1]]))
+    m = np.arange(nfft // 2 + 1, dtype=float)
+    d1 = 1j * m
+    if nfft % 2 == 0:
+        d1[-1] = 0.0
+    r1 = np.fft.irfft(-(m * m) * H, nfft)[:N] + h
+    if mode == "curve":
+        return r1[:, None]
+    th = np.pi * np.arange(N) / (N - 1)
+    h1 = np.fft.irfft(d1 * H, nfft)
+    r2 = np.empty_like(r1)
+    r2[1:-1] = np.cos(th[1:-1]) / np.sin(th[1:-1]) * h1[1 : N - 1] + h[1:-1]
+    r2[0] = r1[0]
+    r2[-1] = r1[-1]
+    return np.stack([r1, r2], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Reference ball-curvature field: the direct sweep over every grid pair, with
 # the axisymmetric y running over the full (theta, phi) torus (O(N^3))
@@ -252,7 +280,7 @@ def ball_curvature_field_sweep(body):
                 w_upper[x] = (j_hi, 0)
             else:
                 k_upper[x] = kmax_diag
-        return BallCurvatureField(k_lower, k_upper, w_lower, w_upper, kappa)
+        return BallCurvatureField(k_lower, k_upper, w_lower, w_upper, kappa, pts)
 
     n_phi = N
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -288,4 +316,4 @@ def ball_curvature_field_sweep(body):
             w_upper[x] = divmod(flat_hi, n_phi)
         else:
             k_upper[x] = kmax_diag
-    return BallCurvatureField(k_lower, k_upper, w_lower, w_upper, kappa)
+    return BallCurvatureField(k_lower, k_upper, w_lower, w_upper, kappa, pts)

@@ -58,8 +58,8 @@ def ellipsoid_suite():
 
         body_n = build_body(_ellipsoid_cfg(speed, 256, "full", 1).body)
         body_2n = build_body(_ellipsoid_cfg(speed, 511, "full", 1).body)
-        lo_n = ratios(body_n, ball_curvature_field(body_n), sp).min_ratio_lower
-        lo_2n = ratios(body_2n, ball_curvature_field(body_2n), sp).min_ratio_lower
+        lo_n = ratios(ball_curvature_field(body_n), sp).min_ratio_lower
+        lo_2n = ratios(ball_curvature_field(body_2n), sp).min_ratio_lower
         rep_n, rep_2n = radii(body_n), radii(body_2n)
         out[speed] = {
             "run": fr, "rows": rows, "run2": fr2, "rows2": rows2,

@@ -114,6 +114,8 @@ def test_flow_sphere_run_directory(tmp_path):
     head = (out / "monitor.csv").read_text().splitlines()[0]
     assert head == ("t,maxF,minF,r_plus,r_minus,min_ratio_lower,max_ratio_upper,"
                     "hausdorff_rescaled,T_hat_lo,T_hat_hi,diag_residual")
+    counters = verdicts["counters"]
+    assert counters["steps"] >= 1 and counters["rollbacks"] == 0
     snaps = sorted((out / "snapshots").iterdir())
     assert len(snaps) >= 3
     snap = json.loads(snaps[0].read_text())
@@ -163,6 +165,15 @@ def test_flow_flag_out_of_range_exit_1(tmp_path, capsys, flag, value):
     out = tmp_path / "r"
     assert run_cli("flow", "--config", cfg, "--out", str(out), flag, value) == 1
     assert "error: bad config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flow_cfl_above_rk4_limit_exit_1(tmp_path, capsys):
+    # RK4 is stable for cfl * pi^2 <= 2.785, that is cfl <= 0.282
+    cfg = sphere_config(tmp_path)
+    out = tmp_path / "r"
+    assert run_cli("flow", "--config", cfg, "--out", str(out), "--cfl", "0.3") == 1
+    assert "cfl must lie in" in capsys.readouterr().err
     assert not out.exists()
 
 

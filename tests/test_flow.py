@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from noncollapse.errors import ConvexityLost
-from noncollapse.flow import (CONVEXITY_LOST, REACHED_MAX_F, REACHED_T_END,
+from noncollapse.flow import (CFL_MAX, CONVEXITY_LOST, REACHED_MAX_F, REACHED_T_END,
                               FlowConfig, build_body, build_speed, run,
                               stable_dt, step)
 from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, area,
@@ -115,6 +115,21 @@ def test_run_rejects_nonconvex_initial():
         run(cfg)
 
 
+def test_run_counters_sphere():
+    # a shrinking sphere never loses convexity: every RK4 attempt is a step
+    # or a step of the final bisection onto the max-F threshold
+    fr = run(sphere_cfg(AXISYMMETRIC, 48, stop_factor=20.0))
+    c = fr.counters
+    assert fr.termination == REACHED_MAX_F
+    assert c["steps"] == fr.steps > 0
+    assert c["rollbacks"] == 0
+    assert c["bisection_iterations"] > 0
+    assert c["rk4_attempts"] == c["steps"] + c["bisection_iterations"]
+    assert 0.0 < c["dt_min"] <= c["dt_max"]
+    # the stable step is refreshed every 8 steps
+    assert c["dt_refreshes"] == (c["steps"] + 7) // 8
+
+
 def test_parabolic_rescaling_invariance():
     # run from s*h0 matches the unscaled run under (t, h) -> (s^2 t, s h)
     s = 1.7
@@ -177,6 +192,9 @@ def test_config_validation():
         FlowConfig(speed="mean", body={}, cfl=0.0)
     with pytest.raises(ValueError):
         FlowConfig(speed="mean", body={}, cfl=0.6)
+    with pytest.raises(ValueError):
+        FlowConfig(speed="mean", body={}, cfl=0.3)
+    assert FlowConfig(speed="mean", body={}, cfl=CFL_MAX).cfl * np.pi**2 == pytest.approx(2.785)
     with pytest.raises(ValueError):
         FlowConfig(speed="mean", body={}, monitor="everything")
     with pytest.raises(ValueError):

@@ -11,12 +11,14 @@ from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, area,
                                   make_ellipsoid, make_sphere,
                                   principal_curvatures, principal_radii,
                                   radii, recenter, scale, support_from_points,
-                                  tangent_plane_diagnostic, translate)
+                                  _workspace, tangent_plane_diagnostic,
+                                  translate)
 
 from oracles import (axi_derivs_dct, ball_curvature_field_sweep,
                      curve_derivs_complex, ellipse_curvature_parametric,
                      ellipsoid_curvatures_parametric, fd_derivs_even,
                      fd_derivs_periodic, principal_radii_reference,
+                     principal_radii_three_transform,
                      random_convex_axisym, random_convex_curve)
 
 
@@ -66,6 +68,47 @@ def test_spectral_kernel_matches_reference(mode, N):
         for got, want in zip(derivs(b.h), reference(b.h)):
             assert np.abs(got - want).max() <= tol
         assert np.abs(principal_radii(b) - principal_radii_reference(mode, b.h)).max() <= tol
+
+
+# The dense operator rounds with the variation of h; the three-transform
+# reference with max|h| (its worst measured constant against an extended-
+# precision kernel is 3.4, axisymmetric N = 128, where the transform length
+# 254 = 2 * 127 has a large prime factor).  The dense result itself measured
+# within 0.8 N^2 eps max|h| of the extended-precision kernel.  Measured
+# worst constant on the bodies below: 1.7 (axisymmetric), 0.42 (curve).
+DENSE_C = 4.0
+
+
+def _support_samples(mode, N, rng, axis_ratios, n_random):
+    """Ellipsoids (ellipses) with the given axis ratios, then random bodies."""
+    if mode == AXISYMMETRIC:
+        return ([make_ellipsoid(N, 1.0, q).h for q in axis_ratios]
+                + [3.0 * random_convex_axisym(rng, N=N) for _ in range(n_random)])
+    return ([make_ellipse(N, 1.0, q).h for q in axis_ratios]
+            + [3.0 * random_convex_curve(rng, N=N) for _ in range(n_random)])
+
+
+@pytest.mark.parametrize("mode", [AXISYMMETRIC, CURVE])
+def test_radii_kernel_paths_match_three_transform_reference(mode):
+    rng = np.random.default_rng(7)
+    # above DENSE_MAX_N: one rfft and one stacked irfft, the same arithmetic
+    for N in ([257, 511] if mode == AXISYMMETRIC else [512]):
+        ws = _workspace(mode, N)
+        assert ws.dense is None
+        for h in _support_samples(mode, N, rng, (1.5,), 1):
+            assert np.array_equal(ws.radii(h), principal_radii_three_transform(mode, h))
+    # up to DENSE_MAX_N: the dense operator, within rounding
+    for N in (96, 128, 129, 256):
+        ws = _workspace(mode, N)
+        assert ws.dense is not None
+        # applied to h - mean(h), the operator gives a sphere's radii exactly
+        n = 1 if mode == CURVE else 2
+        assert np.array_equal(ws.radii(np.full(N, 3.0)), np.full((N, n), 3.0))
+        for h in _support_samples(mode, N, rng, (1.5, 4.0), 5):
+            tol = DENSE_C * N * N * np.finfo(float).eps * np.abs(h).max()
+            got = ws.radii(h)
+            assert got.shape == (N, n)
+            assert np.abs(got - principal_radii_three_transform(mode, h)).max() <= tol
 
 
 def test_embed_unit_circle():
@@ -365,6 +408,7 @@ def test_hausdorff_center_outside():
 def test_tangent_diagnostic_ellipse():
     b = make_ellipse(512, 1.0, 2.0)
     fld = ball_curvature_field(b)
+    assert np.array_equal(fld.points, embed(b)[0])
     res = tangent_plane_diagnostic(b, fld, 128)
     assert res <= 1e-3
 

@@ -28,7 +28,7 @@ def sphere_run():
 
 def test_ratios_sphere_exactly_one():
     b = make_sphere(CURVE, 96, 2.0)
-    ext = ratios(b, ball_curvature_field(b), build_speed("mean", CURVE))
+    ext = ratios(ball_curvature_field(b), build_speed("mean", CURVE))
     assert ext.min_ratio_lower == pytest.approx(1.0, abs=1e-12)
     assert ext.max_ratio_upper == pytest.approx(1.0, abs=1e-12)
 
@@ -37,7 +37,7 @@ def test_ratios_two_computations_agree():
     b = make_ellipse(256, 1.0, 2.0)
     sp = build_speed("mean", CURVE)
     fld = ball_curvature_field(b)
-    ext = ratios(b, fld, sp)
+    ext = ratios(fld, sp)
     # independent recomputation through the recorded witnesses
     from noncollapse.geometry import principal_radii
     F = sp.value_many(1.0 / principal_radii(b))
@@ -50,16 +50,16 @@ def test_ratios_two_computations_agree():
 def test_ratios_scale_invariant():
     b = make_ellipse(128, 1.0, 2.0)
     sp = build_speed("mean", CURVE)
-    e1 = ratios(b, ball_curvature_field(b), sp)
+    e1 = ratios(ball_curvature_field(b), sp)
     b2 = scale(b, 3.7)
-    e2 = ratios(b2, ball_curvature_field(b2), sp)
+    e2 = ratios(ball_curvature_field(b2), sp)
     assert e2.min_ratio_lower == pytest.approx(e1.min_ratio_lower, rel=1e-10)
     assert e2.max_ratio_upper == pytest.approx(e1.max_ratio_upper, rel=1e-10)
 
 
 def test_ratios_bracket_one_on_convex_bodies():
     b = make_ellipse(128, 1.0, 1.6)
-    ext = ratios(b, ball_curvature_field(b), build_speed("mean", CURVE))
+    ext = ratios(ball_curvature_field(b), build_speed("mean", CURVE))
     assert ext.min_ratio_lower <= 1.0 + 1e-12 <= ext.max_ratio_upper + 2e-12
 
 
