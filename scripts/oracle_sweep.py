@@ -19,12 +19,12 @@ from noncollapse.speeds import parse_speed  # noqa: E402
 CATALOG = ["mean", "harmonic", "sigma-ratio:2", "sigma-root:2", "power:-1", "power:0.5"]
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=2000)
     ap.add_argument("--dims", type=int, nargs="+", default=[2, 3])
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     print(f"{'speed':<14}{'n':>3}  {'interior min/tol':>18}  {'boundary min/tol':>18}")
     for spec in CATALOG:

@@ -10,12 +10,9 @@ from .errors import (CenterOutside, ConvexityLost, DegenerateSpectrum,
 from .speeds import (ArithmeticMean, CertReport, DualSpeed, HarmonicMean,
                      PowerMean, SigmaRatio, SigmaRoot, SpeedFunction, certify,
                      matrix_eval, matrix_hess_form, parse_speed)
-from .oracle import (BoundarySample, InteriorSample, OracleVerdict,
-                     boundary_closed_sup, boundary_form, boundary_suite,
-                     brute_force_boundary, counterexample_search,
-                     evaluate_boundary, evaluate_interior, interior_gap,
-                     interior_suite, optimal_lambda,
-                     q_second_derivative_check)
+from .oracle import (BoundarySample, InteriorSample, boundary_suite,
+                     brute_force_boundary, counterexample_search, interior_gap,
+                     interior_suite, optimal_lambda, q_second_derivative_check)
 from .geometry import (BallCurvatureField, ConvexBody, RadiiReport, area,
                        ball_curvature_field, ball_curvature_pair, embed,
                        hausdorff_to_unit_sphere, make_ellipse, make_ellipsoid,

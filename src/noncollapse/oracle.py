@@ -15,9 +15,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateSpectrum, SingularShift
-from .speeds import GAP_TOL, SpeedFunction, hess_form_terms, matrix_eval
+from .speeds import GAP_TOL, SpeedFunction, hess_form_terms, matrix_eval, sum_terms
 
 _SHIFT_FLOOR = 1e-12
+
+
+def _trial_rngs(seed: int, trials):
+    """One Generator per (seed, trial): any trial replays from its index alone."""
+    return (np.random.default_rng((seed, t)) for t in trials)
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +126,36 @@ def q_second_derivative_check(f: SpeedFunction, a, z, k: float):
     return lhs, rhs
 
 
-def _interior_draw(f: SpeedFunction, rng: np.random.Generator):
-    """Raw (A, b, k), b the diagonal of B: log-uniform spectra in [1e-2, 1e2];
-    A conjugated by a random rotation; k uniform in [0, 0.9 min eig).
-    Nonnegative shifts only: the estimate is provably false for k < 0 (see
-    the harmonic-mean counterexample test)."""
-    n = f.n
-    a = 10.0 ** rng.uniform(-2.0, 2.0, n)
-    b = 10.0 ** rng.uniform(-2.0, 2.0, n)
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    Q = Q * np.sign(np.diag(R))
-    A = (Q * a) @ Q.T
-    A = 0.5 * (A + A.T)
-    k = rng.uniform(0.0, 0.9 * min(a.min(), b.min()))
+def _interior_draws(n: int, rngs, m: int):
+    """Stacked raw (A, b, k) of one interior trial for each of m Generators,
+    b the diagonal of B: log-uniform spectra in [1e-2, 1e2]; A conjugated by
+    a random rotation; k uniform in [0, 0.9 min eig).  Each Generator draws
+    the standard doubles of a, then b, the Gaussian matrix, then the double
+    of k; the scaling, QR, rotation and shift run on the stack (uniform(lo,
+    hi) is lo + (hi - lo) times the same double).  Nonnegative shifts only:
+    the estimate is provably false for k < 0 (see the harmonic-mean
+    counterexample test)."""
+    U = np.empty((m, 2 * n))
+    G = np.empty((m, n, n))
+    r = np.empty(m)
+    for i, rng in enumerate(rngs):
+        rng.random(out=U[i])
+        rng.standard_normal(out=G[i])
+        r[i] = rng.random()
+    ab = 10.0 ** (-2.0 + 4.0 * U)
+    a, b = ab[:, :n], ab[:, n:]
+    Q, R = np.linalg.qr(G)
+    Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    A = (Q * a[:, None, :]) @ Q.transpose(0, 2, 1)
+    A = 0.5 * (A + A.transpose(0, 2, 1))
+    k = 0.9 * np.minimum(a.min(axis=1), b.min(axis=1)) * r
     return A, b, k
+
+
+def _interior_draw(f: SpeedFunction, rng: np.random.Generator):
+    """The (A, b, k) of one interior trial; see _interior_draws."""
+    A, b, k = _interior_draws(f.n, [rng], 1)
+    return A[0], b[0], float(k[0])
 
 
 def sample_interior(f: SpeedFunction, rng: np.random.Generator) -> InteriorSample:
@@ -177,61 +198,60 @@ class BoundarySample:
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
         self.B = np.asarray(self.B, dtype=float)
-        n = self.f.n
-        if self.lam.shape != (n,) or self.B.shape != (n, n):
-            raise ValueError("lam must be length n, B must be n x n")
-        if self.lam.min() <= 0.0:
-            raise ValueError("lam must lie in the positive cone")
-        if np.any(np.diff(self.lam) < 0.0) or self.lam[0] > self.lam.min():
-            raise ValueError("lam must be ascending with lam[0] the smallest")
-        if self.B[0, 0] != 0.0:
-            raise ValueError("B[0,0] must be exactly 0")
-        if np.abs(self.B - self.B.T).max() > 0.0:
-            raise ValueError("B must be symmetric")
+        _check_boundary(self.f.n, self.lam[None], self.B[None])
+
+
+def _check_boundary(n: int, lam: np.ndarray, B: np.ndarray) -> None:
+    """The BoundarySample conditions on stacked lam (m, n) and B (m, n, n)."""
+    if lam.shape[1:] != (n,) or B.shape[1:] != (n, n) or len(lam) != len(B):
+        raise ValueError("lam must be length n, B must be n x n")
+    if np.any(lam <= 0.0):
+        raise ValueError("lam must lie in the positive cone")
+    if np.any(np.diff(lam, axis=1) < 0.0):
+        raise ValueError("lam must be ascending with lam[0] the smallest")
+    if np.any(B[:, 0, 0] != 0.0):
+        raise ValueError("B[0,0] must be exactly 0")
+    if np.any(np.abs(B - B.transpose(0, 2, 1)) > 0.0):
+        raise ValueError("B must be symmetric")
+
+
+def _boundary_terms_many(f: SpeedFunction, lam: np.ndarray, B: np.ndarray,
+                         on_degenerate: str = "perturb"):
+    """(values, tolerance scales, closed-form sup parts) of stacked samples
+    lam (m, n), B (m, n, n), from one assembly of their terms: the hess-form
+    terms of the matrix lift, then the resolvent sum
+    2 sum_{p, q >= 1} g_p B_pq^2 / (lam_q - lam_0).  The scale is 1 + the
+    largest term magnitude.
+
+    A sample whose lam[q] - lam[0] is below GAP_TOL relative is nudged apart
+    (continuity in the spectrum) and its perturbed value reported; with
+    on_degenerate="raise" that is a DegenerateSpectrum when B[:, q] is nonzero."""
+    m, n = lam.shape
+    tol = GAP_TOL * (1.0 + np.abs(lam[:, 0]))
+    bad = lam[:, 1:] - lam[:, :1] < tol[:, None]
+    if on_degenerate == "raise":
+        hit = bad & np.any(B[:, :, 1:] != 0.0, axis=1)
+        if hit.any():
+            i = int(np.flatnonzero(hit.any(axis=1))[0])
+            raise DegenerateSpectrum("lam[q] - lam[0] below gap tolerance at "
+                                     f"q={(np.flatnonzero(bad[i]) + 1).tolist()}")
+    lam = np.where(bad.any(axis=1)[:, None], lam + np.arange(n) * 10.0 * tol[:, None], lam)
+
+    g = f.grad_many(lam)
+    T = hess_form_terms(lam, B, g, f.hess_many(lam))
+    R = 2.0 * g[:, :, None] / (lam[:, None, 1:] - lam[:, :1, None]) * B[:, :, 1:] ** 2
+    # a leading 0 column keeps n = 1 (no resolvent terms) well defined
+    sup = sum_terms(np.concatenate([np.zeros((m, 1)), R.reshape(m, -1)], axis=1))
+    scale = 1.0 + np.maximum(np.abs(T).max(axis=1), np.abs(sup))
+    return sum_terms(T) + sup, scale, sup
 
 
 def _boundary_terms(s: BoundarySample, on_degenerate: str = "perturb"):
-    """(value, tolerance scale, closed-form sup part) of one sample, from one
-    assembly of its terms: the hess-form terms of the matrix lift, then the
-    resolvent sum.  The scale is 1 + the largest term magnitude."""
-    lam = s.lam
-    n = s.f.n
-    gaps = lam[1:] - lam[0]
-    tol = GAP_TOL * (1.0 + abs(lam[0]))
-    if np.any(gaps < tol):
-        bad = np.where(gaps < tol)[0] + 1
-        if on_degenerate == "raise" and np.any(s.B[:, bad] != 0.0):
-            raise DegenerateSpectrum(f"lam[q] - lam[0] below gap tolerance at q={bad.tolist()}")
-        # continuity in the spectrum: nudge the eigenvalues apart and report
-        # the perturbed value
-        lam = lam + np.arange(n) * 10.0 * tol
-
-    g = s.f.grad(lam)
-    terms = hess_form_terms(lam, s.B, g, s.f.hess(lam))
-    sup_part = 0.0
-    for p in range(n):
-        for q in range(1, n):
-            if s.B[p, q] != 0.0:
-                sup_part += 2.0 * g[p] / (lam[q] - lam[0]) * s.B[p, q] ** 2
-    terms.append(sup_part)
-    return float(sum(terms)), 1.0 + max(abs(t) for t in terms), float(sup_part)
-
-
-def boundary_form(s: BoundarySample, on_degenerate: str = "perturb") -> float:
-    """hess-form + divided differences + resolvent terms; >= 0 for
-    inverse-concave speeds, with near-zero only when the first row of B is
-    near zero."""
-    return _boundary_terms(s, on_degenerate)[0]
-
-
-def boundary_scale(s: BoundarySample) -> float:
-    """Tolerance scale: 1 + magnitude of the largest assembled term."""
-    return _boundary_terms(s)[1]
-
-
-def boundary_closed_sup(s: BoundarySample) -> float:
-    """Closed-form supremum contribution 2 sum g_p B_pq^2 / (lam_q - lam_0)."""
-    return _boundary_terms(s)[2]
+    """(value, tolerance scale, closed-form sup part) of one sample; see
+    _boundary_terms_many.  The value is >= 0 for inverse-concave speeds,
+    near zero only when the first row of B is near zero."""
+    value, scale, sup = _boundary_terms_many(s.f, s.lam[None], s.B[None], on_degenerate)
+    return float(value[0]), float(scale[0]), float(sup[0])
 
 
 def boundary_bracket(s: BoundarySample, L) -> float:
@@ -287,58 +307,23 @@ def brute_force_boundary(s: BoundarySample, restarts: int = 8, seed: int = 0) ->
     return float(best)
 
 
+def _boundary_draws(n: int, rngs, m: int):
+    """Stacked (lam, B) of one boundary trial for each of m Generators:
+    ascending log-uniform eigenvalues in [1e-2, 1e2] and a symmetrised
+    standard normal B with B[0,0] = 0 (draw order as in _interior_draws)."""
+    U = np.empty((m, n))
+    G = np.empty((m, n, n))
+    for i, rng in enumerate(rngs):
+        rng.random(out=U[i])
+        rng.standard_normal(out=G[i])
+    B = 0.5 * (G + G.transpose(0, 2, 1))
+    B[:, 0, 0] = 0.0
+    return np.sort(10.0 ** (-2.0 + 4.0 * U), axis=1), B
+
+
 def sample_boundary(f: SpeedFunction, rng: np.random.Generator) -> BoundarySample:
-    n = f.n
-    lam = np.sort(10.0 ** rng.uniform(-2.0, 2.0, n))
-    B = rng.standard_normal((n, n))
-    B = 0.5 * (B + B.T)
-    B[0, 0] = 0.0
-    return BoundarySample(lam=lam, B=B, f=f)
-
-
-# ---------------------------------------------------------------------------
-# Per-sample verdicts
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OracleVerdict:
-    """One evaluated sample: the inequality value, the bound it was checked
-    against, the closed-form optimiser, and (boundary only, on request) the
-    brute-force cross-value, which the closed form must dominate."""
-
-    value: float
-    lower_bound_checked: float
-    optimizer: np.ndarray
-    brute_force_value: Optional[float] = None
-
-    def __post_init__(self):
-        if self.brute_force_value is not None:
-            tol = 1e-9 * (1.0 + abs(self.value))
-            if self.value < self.brute_force_value - tol - abs(self.lower_bound_checked):
-                raise AssertionError(
-                    f"closed form {self.value} below brute force {self.brute_force_value}")
-
-    @property
-    def passed(self) -> bool:
-        return self.value >= self.lower_bound_checked
-
-
-def evaluate_interior(s: InteriorSample) -> OracleVerdict:
-    return OracleVerdict(value=interior_gap(s),
-                         lower_bound_checked=-1e-7 * interior_scale(s),
-                         optimizer=optimal_lambda(s.A, s.B, s.k))
-
-
-def evaluate_boundary(s: BoundarySample, brute_force: bool = False) -> OracleVerdict:
-    n = s.f.n
-    lam = s.lam
-    L = np.zeros((n, n))
-    denom = lam[1:] - lam[0]
-    L[:, 1:] = s.B[:, 1:] / denom[None, :]
-    value, scale, sup_cf = _boundary_terms(s)
-    bf = brute_force_boundary(s) + (value - sup_cf) if brute_force else None
-    return OracleVerdict(value=value, lower_bound_checked=-1e-7 * scale,
-                         optimizer=L, brute_force_value=bf)
+    lam, B = _boundary_draws(f.n, [rng], 1)
+    return BoundarySample(lam=lam[0], B=B[0], f=f)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +334,7 @@ def interior_suite(f: SpeedFunction, trials: int, seed: int = 0) -> dict:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
-    draws = [_interior_draw(f, np.random.default_rng((seed, t))) for t in range(trials)]
-    A = np.stack([d[0] for d in draws])
-    b = np.stack([d[1] for d in draws])
-    k = np.array([d[2] for d in draws])
+    A, b, k = _interior_draws(f.n, _trial_rngs(seed, range(trials)), trials)
     gaps, scales = interior_gaps_batched(f, A, b, k)
     scaled = gaps / (1e-7 * scales)
     worst = int(np.argmin(scaled))
@@ -379,11 +361,11 @@ def boundary_suite(f: SpeedFunction, trials: int, seed: int = 0) -> dict:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
-    samples = [sample_boundary(f, np.random.default_rng((seed, t))) for t in range(trials)]
-    values, scales = np.array([_boundary_terms(s)[:2] for s in samples]).T
+    lam, B = _boundary_draws(f.n, _trial_rngs(seed, range(trials)), trials)
+    _check_boundary(f.n, lam, B)
+    values, scales, _ = _boundary_terms_many(f, lam, B)
     scaled = values / (1e-7 * scales)
     worst = int(np.argmin(scaled))
-    s = samples[worst]
     report = {
         "proposition": "2.5",
         "speed": f.name,
@@ -395,23 +377,35 @@ def boundary_suite(f: SpeedFunction, trials: int, seed: int = 0) -> dict:
         "runtime_ms": round(1000.0 * (time.perf_counter() - t0), 3),
     }
     if scaled[worst] < -1.0:
-        report["witness"] = {"lam": s.lam.tolist(), "B": s.B.tolist()}
+        report["witness"] = {"lam": lam[worst].tolist(), "B": B[worst].tolist()}
     return report
+
+
+_SEARCH_CHUNK = 1024
 
 
 def counterexample_search(f: SpeedFunction, trials: int, seed: int = 0,
                           threshold: float = -1e-4) -> Optional[dict]:
-    """First interior sample with gap below threshold, or None."""
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        s = sample_interior(f, rng)
-        gap = interior_gap(s)
-        if gap < threshold:
-            return {
-                "trial": t,
-                "gap": float(gap),
-                "A": s.A.tolist(),
-                "B_diag": np.diag(s.B).tolist(),
-                "k": s.k,
-            }
+    """First interior trial with gap below threshold, or None.
+
+    Trials are screened in chunks by the batched gaps, keeping every trial
+    within 1e-6 scale of the threshold; interior_gap of the sample decides.
+    The two gaps differ by rounding only: for the sampler's spectra in
+    [1e-2, 1e2] and k <= 0.9 min eig their terms stay below about 1e7, so
+    the difference is some 1e-8, well inside the screen."""
+    for start in range(0, trials, _SEARCH_CHUNK):
+        chunk = range(start, min(start + _SEARCH_CHUNK, trials))
+        A, b, k = _interior_draws(f.n, _trial_rngs(seed, chunk), len(chunk))
+        gaps, scales = interior_gaps_batched(f, A, b, k)
+        for i in np.flatnonzero(gaps < threshold + 1e-6 * scales):
+            s = InteriorSample(A=A[i], B=np.diag(b[i]), k=float(k[i]), f=f)
+            gap = interior_gap(s)
+            if gap < threshold:
+                return {
+                    "trial": chunk[i],
+                    "gap": float(gap),
+                    "A": s.A.tolist(),
+                    "B_diag": b[i].tolist(),
+                    "k": s.k,
+                }
     return None

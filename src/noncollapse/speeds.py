@@ -6,8 +6,10 @@ matrix lifts (eigenvalue functions of symmetric matrices) and the
 sampling-based concavity / inverse-concavity certifier live here as module
 functions.
 
-Batch entry points ``value_many`` / ``grad_many`` take an (m, n) array of
-cone points and are what the flow engine calls per grid sweep.
+Batch entry points ``value_many`` / ``grad_many`` / ``hess_many`` take an
+(m, n) array of cone points: the flow engine calls the first two per grid
+sweep, the oracles and the certifier the third on stacked samples.  The
+scalar ``value`` / ``grad`` / ``hess`` are their one-row cases.
 """
 from __future__ import annotations
 
@@ -54,16 +56,29 @@ def _elem_batch(Z: np.ndarray) -> np.ndarray:
     return E
 
 
-def _elem_without(Z: np.ndarray, skip: int) -> np.ndarray:
-    cols = [j for j in range(Z.shape[1]) if j != skip]
+def _elem_without(Z: np.ndarray, *skip: int) -> np.ndarray:
+    cols = [j for j in range(Z.shape[1]) if j not in skip]
     return _elem_batch(Z[:, cols])
 
 
-def _e_subset(z: np.ndarray, k: int) -> float:
-    """e_k of the entries of z; 0 outside 0 <= k <= len(z)."""
-    if k < 0 or k > z.size:
-        return 0.0
-    return _elem_batch(z[None, :])[0, k]
+def _e_col(E: np.ndarray, k: int) -> np.ndarray:
+    """Column e_k of an _elem_batch table; 0 outside 0 <= k <= its degree."""
+    return E[:, k] if 0 <= k < E.shape[1] else np.zeros(E.shape[0])
+
+
+def _without_one(Z: np.ndarray, k: int) -> np.ndarray:
+    """(m, n): e_k of each row of Z with entry i left out, in column i."""
+    return np.stack([_e_col(_elem_without(Z, i), k) for i in range(Z.shape[1])], axis=1)
+
+
+def _without_two(Z: np.ndarray, k: int) -> np.ndarray:
+    """(m, n, n): e_k of each row of Z with entries i != j left out; 0 for i = j."""
+    m, n = Z.shape
+    out = np.zeros((m, n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[:, i, j] = out[:, j, i] = _e_col(_elem_without(Z, i, j), k)
+    return out
 
 
 class SpeedFunction:
@@ -78,8 +93,8 @@ class SpeedFunction:
             raise AssertionError(f"{self.name}: value at ones is {v!r}, not 1")
 
     # -- batch interface --------------------------------------------------------
-    # _v/_g assume a validated (m, n) positive array; value_many/grad_many
-    # validate first.  Hot loops that have already established positivity
+    # _v/_g/_h assume a validated (m, n) positive array; the *_many entry
+    # points validate first.  Hot loops that have already established positivity
     # (the flow engine) may call _v/_g directly.
     def _v(self, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -87,11 +102,18 @@ class SpeedFunction:
     def _g(self, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _h(self, Z: np.ndarray) -> np.ndarray:
+        """(m, n, n) Hessians of the rows of Z."""
+        raise NotImplementedError
+
     def value_many(self, Z) -> np.ndarray:
         return self._v(_cone_batch(Z, self.n))
 
     def grad_many(self, Z) -> np.ndarray:
         return self._g(_cone_batch(Z, self.n))
+
+    def hess_many(self, Z) -> np.ndarray:
+        return self._h(_cone_batch(Z, self.n))
 
     # -- scalar interface -----------------------------------------------------
     def value(self, z) -> float:
@@ -103,7 +125,8 @@ class SpeedFunction:
         return self.grad_many(z[None, :])[0]
 
     def hess(self, z) -> np.ndarray:
-        raise NotImplementedError
+        z = _cone_point(z, self.n)
+        return self.hess_many(z[None, :])[0]
 
     def trace_grad(self, z) -> float:
         """Sum of the gradient entries, i.e. tr of the matrix derivative."""
@@ -133,9 +156,8 @@ class ArithmeticMean(SpeedFunction):
     def _g(self, Z):
         return np.full_like(Z, 1.0 / self.n)
 
-    def hess(self, z):
-        _cone_point(z, self.n)
-        return np.zeros((self.n, self.n))
+    def _h(self, Z):
+        return np.zeros((Z.shape[0], self.n, self.n))
 
 
 class PowerMean(SpeedFunction):
@@ -162,20 +184,18 @@ class PowerMean(SpeedFunction):
             return f[:, None] / (self.n * Z)
         return (np.power(Z, self.p - 1.0) / self.n) * np.power(f, 1.0 - self.p)[:, None]
 
-    def hess(self, z):
-        z = _cone_point(z, self.n)
-        f = self.value(z)
+    def _h(self, Z):
+        f = self._v(Z)[:, None]
         p, n = self.p, self.n
+        diag = np.arange(n)
         if p == 0.0:
-            H = f / (n * n * np.outer(z, z))
-            H[np.diag_indices(n)] -= f / (n * z**2)
+            H = f[:, :, None] / (n * n * (Z[:, :, None] * Z[:, None, :]))
+            H[:, diag, diag] -= f / (n * Z**2)
             return H
-        gpow = np.power(z, p - 1.0)
-        H = (p - 1.0) * (
-            np.diag(np.power(z, p - 2.0)) * (f ** (1.0 - p)) / n
-            - np.outer(gpow, gpow) * (f ** (1.0 - 2.0 * p)) / (n * n)
-        )
-        return H
+        gpow = np.power(Z, p - 1.0)
+        H = -(gpow[:, :, None] * gpow[:, None, :]) * (f ** (1.0 - 2.0 * p))[:, :, None] / (n * n)
+        H[:, diag, diag] += np.power(Z, p - 2.0) * (f ** (1.0 - p)) / n
+        return (p - 1.0) * H
 
 
 class HarmonicMean(PowerMean):
@@ -216,30 +236,20 @@ class SigmaRatio(SpeedFunction):
             G[:, i] = self.c * (ui * v - u * vi) / v**2
         return G
 
-    def hess(self, z):
-        z = _cone_point(z, self.n)
-        n, k, c = self.n, self.k, self.c
-        u, v = _e_subset(z, k), _e_subset(z, k - 1)
-        ui = np.empty(n)
-        vi = np.empty(n)
-        for i in range(n):
-            zi = np.delete(z, i)
-            ui[i] = _e_subset(zi, k - 1)
-            vi[i] = _e_subset(zi, k - 2)
-        H = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    uij = vij = 0.0
-                else:
-                    zij = np.delete(z, [i, j])
-                    uij = _e_subset(zij, k - 2)
-                    vij = _e_subset(zij, k - 3)
-                H[i, j] = c * (
-                    (uij * v + ui[i] * vi[j] - ui[j] * vi[i] - u * vij) / v**2
-                    - 2.0 * vi[j] * (ui[i] * v - u * vi[i]) / v**3
-                )
-        return H
+    def _h(self, Z):
+        # with u = e_k, v = e_{k-1}, and subscripts for entries left out:
+        # H_ij = c [(u_ij v + u_i v_j - u_j v_i - u v_ij)/v^2
+        #           - 2 v_j (u_i v - u v_i)/v^3], u_ii = v_ii = 0
+        k, c = self.k, self.c
+        E = _elem_batch(Z)
+        u, v = E[:, k, None, None], E[:, k - 1, None, None]
+        ui, vi = _without_one(Z, k - 1), _without_one(Z, k - 2)
+        uij, vij = _without_two(Z, k - 2), _without_two(Z, k - 3)
+        return c * (
+            (uij * v + ui[:, :, None] * vi[:, None, :] - ui[:, None, :] * vi[:, :, None]
+             - u * vij) / v**2
+            - 2.0 * vi[:, None, :] * (ui[:, :, None] * v - u * vi[:, :, None]) / v**3
+        )
 
 
 class SigmaRoot(SpeedFunction):
@@ -265,20 +275,14 @@ class SigmaRoot(SpeedFunction):
             G[:, i] = _elem_without(Z, i)[:, k - 1]
         return (self.c / k) * u[:, None] ** (1.0 / k - 1.0) * G
 
-    def hess(self, z):
-        z = _cone_point(z, self.n)
-        n, k, c = self.n, self.k, self.c
-        u = _e_subset(z, k)
-        ui = np.array([_e_subset(np.delete(z, i), k - 1) for i in range(n)])
-        H = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                uij = 0.0 if i == j else _e_subset(np.delete(z, [i, j]), k - 2)
-                H[i, j] = (c / k) * (
-                    (1.0 / k - 1.0) * u ** (1.0 / k - 2.0) * ui[i] * ui[j]
-                    + u ** (1.0 / k - 1.0) * uij
-                )
-        return H
+    def _h(self, Z):
+        k, c = self.k, self.c
+        u = _elem_batch(Z)[:, k, None, None]
+        ui = _without_one(Z, k - 1)
+        return (c / k) * (
+            (1.0 / k - 1.0) * u ** (1.0 / k - 2.0) * ui[:, :, None] * ui[:, None, :]
+            + u ** (1.0 / k - 1.0) * _without_two(Z, k - 2)
+        )
 
 
 class DualSpeed(SpeedFunction):
@@ -299,15 +303,18 @@ class DualSpeed(SpeedFunction):
         g = self.base._g(Z)
         return g * Z**2 / f[:, None] ** 2
 
-    def hess(self, y):
-        y = _cone_point(y, self.n)
-        z = 1.0 / y
-        f = self.base.value(z)
-        g = self.base.grad(z)
-        H = self.base.hess(z)
-        gz2 = g * z**2
-        out = 2.0 * np.outer(gz2, gz2) / f**3 - H * np.outer(z**2, z**2) / f**2
-        out[np.diag_indices(self.n)] -= 2.0 * g * z**3 / f**2
+    def _h(self, Y):
+        Z = 1.0 / Y
+        f = self.base._v(Z)[:, None]
+        g = self.base._g(Z)
+        H = self.base._h(Z)
+        gz2 = g * Z**2
+        z2 = Z**2
+        F = f[:, :, None]
+        out = (2.0 * (gz2[:, :, None] * gz2[:, None, :]) / F**3
+               - H * (z2[:, :, None] * z2[:, None, :]) / F**2)
+        diag = np.arange(self.n)
+        out[:, diag, diag] -= 2.0 * g * Z**3 / f**2
         return out
 
     def dual(self) -> SpeedFunction:
@@ -348,35 +355,42 @@ def matrix_eval(f: SpeedFunction, A) -> tuple[float, np.ndarray]:
 
 
 def hess_form_terms(lam: np.ndarray, B: np.ndarray, g: np.ndarray,
-                    H: np.ndarray) -> list:
-    """Terms of the second-derivative quadratic form of a matrix lift with
-    gradient g and Hessian H at eigenvalues lam, B in the eigenbasis:
-    d^T H d for the diagonal d of B, then coef_pq B_pq^2 for each nonzero
-    off-diagonal B_pq in row order.  The divided difference
+                    H: np.ndarray) -> np.ndarray:
+    """Terms of the second-derivative quadratic forms of a matrix lift, one
+    row per sample: lam (m, n) eigenvalues, B (m, n, n) in the eigenbasis,
+    g (m, n) and H (m, n, n) the speed's gradient and Hessian at lam.
+
+    Column 0 is d^T H d for the diagonal d of B; then coef_pq B_pq^2 for
+    p != q in row order (0 where B_pq = 0).  The divided difference
     coef_pq = (g_p - g_q)/(lam_p - lam_q) switches to its analytic limit
     H_pp - H_pq when the gap is below GAP_TOL relative."""
-    d = np.diag(B)
-    terms = [float(d @ H @ d)]
-    n = lam.size
-    for p in range(n):
-        for q in range(n):
-            if p == q or B[p, q] == 0.0:
-                continue
-            gap = lam[p] - lam[q]
-            if abs(gap) < GAP_TOL * (1.0 + abs(lam[p])):
-                coef = H[p, p] - H[p, q]
-            else:
-                coef = (g[p] - g[q]) / gap
-            terms.append(coef * B[p, q] ** 2)
-    return terms
+    n = lam.shape[1]
+    d = np.diagonal(B, axis1=1, axis2=2)
+    gap = lam[:, :, None] - lam[:, None, :]
+    near = np.abs(gap) < GAP_TOL * (1.0 + np.abs(lam))[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(near, np.diagonal(H, axis1=1, axis2=2)[:, :, None] - H,
+                        (g[:, :, None] - g[:, None, :]) / gap)
+    off = ~np.eye(n, dtype=bool)
+    return np.concatenate([np.einsum("mi,mij,mj->m", d, H, d)[:, None],
+                           (coef * B**2)[:, off]], axis=1)
+
+
+def sum_terms(T: np.ndarray) -> np.ndarray:
+    """Row sums of a term table, added left to right (the order the scalar
+    form used, so a sum of sums is reproducible to the bit)."""
+    total = T[:, 0].copy()
+    for j in range(1, T.shape[1]):
+        total += T[:, j]
+    return total
 
 
 def matrix_hess_form(f: SpeedFunction, lam, B) -> float:
     """Second-derivative quadratic form of the matrix lift at eigenvalues lam
     (B expressed in the eigenbasis of A); see hess_form_terms."""
-    lam = _cone_point(lam, f.n)
-    return float(sum(hess_form_terms(lam, np.asarray(B, dtype=float), f.grad(lam),
-                                     f.hess(lam))))
+    lam = _cone_point(lam, f.n)[None, :]
+    B = np.asarray(B, dtype=float)[None, :, :]
+    return float(sum_terms(hess_form_terms(lam, B, f.grad_many(lam), f.hess_many(lam)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +432,8 @@ def sample_cone_point(rng: np.random.Generator, n: int) -> np.ndarray:
     return z
 
 
-def _psd_tol(M: np.ndarray) -> float:
-    return 1e-8 * (1.0 + np.abs(M).max())
+def _psd_tol(M: np.ndarray) -> np.ndarray:
+    return 1e-8 * (1.0 + np.abs(M).max(axis=(1, 2)))
 
 
 def certify(f: SpeedFunction, property: str, trials: int = 2000, seed: int = 0) -> CertReport:
@@ -428,52 +442,51 @@ def certify(f: SpeedFunction, property: str, trials: int = 2000, seed: int = 0) 
 
     Inverse-concavity checks both the shifted-Hessian criterion
     hess + 2 diag(grad/z) >= 0 and concavity of the dual at dual points;
-    either failing refutes with a witness.
+    either failing refutes with a witness.  Points are drawn per (seed,
+    trial) and checked as one stack; the witness is the last sample that
+    lowers the running minimum margin below its own -tol.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if property not in ("concave", "inverse-concave", "monotone", "homogeneous"):
         raise ValueError(f"unknown property {property!r}")
 
-    dual = f.dual() if property == "inverse-concave" else None
-    worst = np.inf
-    witness = None
-    witness_eig = None
-
+    Z = np.empty((trials, f.n))
+    s = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
-        z = sample_cone_point(rng, f.n)
-        if property == "concave":
-            H = f.hess(z)
-            margin = float(-np.linalg.eigvalsh(H)[-1])
-            tol = _psd_tol(H)
-        elif property == "inverse-concave":
-            M = f.hess(z) + 2.0 * np.diag(f.grad(z) / z)
-            m1 = float(np.linalg.eigvalsh(M)[0])
-            Hd = dual.hess(1.0 / z)
-            m2 = float(-np.linalg.eigvalsh(Hd)[-1])
-            margin = min(m1, m2)
-            tol = max(_psd_tol(M), _psd_tol(Hd))
-        elif property == "monotone":
-            margin = float(f.grad(z).min())
-            tol = 0.0
-        else:  # homogeneous
-            s = 10.0 ** rng.uniform(-2.0, 2.0)
-            fz = f.value(z)
-            margin = -abs(f.value(s * z) - s * fz) / (s * fz)
-            tol = 1e-9
-        if margin < worst:
-            worst = margin
-            if margin < -tol:
-                witness = z.tolist()
-                witness_eig = margin
+        Z[t] = sample_cone_point(rng, f.n)
+        if property == "homogeneous":
+            s[t] = 10.0 ** rng.uniform(-2.0, 2.0)
 
-    verdict = "certified-on-samples" if witness is None else "refuted"
+    if property == "concave":
+        H = f.hess_many(Z)
+        margin = -np.linalg.eigvalsh(H)[:, -1]
+        tol = _psd_tol(H)
+    elif property == "inverse-concave":
+        M = f.hess_many(Z)
+        diag = np.arange(f.n)
+        M[:, diag, diag] += 2.0 * (f.grad_many(Z) / Z)
+        Hd = f.dual().hess_many(1.0 / Z)
+        margin = np.minimum(np.linalg.eigvalsh(M)[:, 0], -np.linalg.eigvalsh(Hd)[:, -1])
+        tol = np.maximum(_psd_tol(M), _psd_tol(Hd))
+    elif property == "monotone":
+        margin = f.grad_many(Z).min(axis=1)
+        tol = 0.0
+    else:  # homogeneous
+        fz = f.value_many(Z)
+        margin = -np.abs(f.value_many(s[:, None] * Z) - s * fz) / (s * fz)
+        tol = 1e-9
+
+    # running[t] is the minimum margin before sample t (NaN margins skipped)
+    running = np.fmin.accumulate(np.concatenate(([np.inf], margin)))
+    hits = np.flatnonzero((margin < running[:-1]) & (margin < -tol))
+    w = int(hits[-1]) if hits.size else None
     return CertReport(
         property=property,
         samples_tested=trials,
-        min_eigen_seen=float(worst),
-        verdict=verdict,
-        witness=witness,
-        witness_eigenvalue=witness_eig,
+        min_eigen_seen=float(running[-1]),
+        verdict="certified-on-samples" if w is None else "refuted",
+        witness=None if w is None else Z[w].tolist(),
+        witness_eigenvalue=None if w is None else float(margin[w]),
     )

@@ -151,54 +151,55 @@ def random_convex_axisym(rng, N=65, modes=5, strength=0.3):
 
 
 # ---------------------------------------------------------------------------
-# Reference spectral derivatives (independent of the library's rfft kernel)
+# Reference spectral derivatives: a direct DFT in extended precision
+# (np.longdouble), independent of the library's rfft kernel and far more
+# accurate than any float64 transform
 # ---------------------------------------------------------------------------
 
-def axi_derivs_dct(h):
-    """(h', h'') of an even sample on the closed [0, pi] grid through a DCT-I
-    cosine series and a DST-I for the odd derivative."""
-    import scipy.fft
+_PI_LD = 4 * np.arctan(np.longdouble(1))
 
-    M = h.size
-    c = scipy.fft.dct(h, type=1) / (M - 1)
-    c[0] *= 0.5
-    c[-1] *= 0.5
-    m = np.arange(M)
-    y = -(m**2) * c
-    y[0] *= 2.0
-    y[-1] *= 2.0
-    h2 = scipy.fft.dct(y, type=1) / 2.0
-    h1 = np.zeros(M)
-    s = -(m * c)[1 : M - 1]  # sin-mode M-1 vanishes on this grid
-    if M > 2:
-        h1[1 : M - 1] = scipy.fft.dst(s, type=1) / 2.0
+
+def _derivs_extended(mode, h):
+    """(h', h'') in np.longdouble of the samples h: the curve's periodic
+    samples, or the closed [0, pi] grid through its even extension.  Direct
+    DFT of length L, derivative multipliers i*m and -m^2, the unmatched
+    Nyquist mode of an even L kept in h'' only (as the rfft kernel does)."""
+    h = np.asarray(h, dtype=np.longdouble)
+    N = h.size
+    x = h if mode == "curve" else np.concatenate([h, h[-2:0:-1]])
+    L = x.size
+    K = (L - 1) // 2
+    m = np.arange(1, K + 1)
+    # angles reduced in integers first: 2 pi (m l mod L) / L
+    fwd = 2 * _PI_LD * (np.outer(m, np.arange(L)) % L) / L
+    a, b = np.cos(fwd) @ x, np.sin(fwd) @ x
+    inv = 2 * _PI_LD * (np.outer(np.arange(N), m) % L) / L
+    c, s = np.cos(inv), np.sin(inv)
+    h1 = -(2 / np.longdouble(L)) * (s @ (m * a) - c @ (m * b))
+    h2 = -(2 / np.longdouble(L)) * (c @ (m * m * a) + s @ (m * m * b))
+    if L % 2 == 0:
+        nyq = x @ np.where(np.arange(L) % 2 == 0, 1, -1).astype(np.longdouble)
+        h2 -= (L // 2) ** 2 * nyq * np.where(np.arange(N) % 2 == 0, 1, -1) / L
     return h1, h2
 
 
-def curve_derivs_complex(h):
-    """(h', h'') of a periodic sample through the full complex FFT; the
-    unmatched Nyquist mode of an even N contributes to h'' only."""
-    import scipy.fft
-
-    N = h.size
-    k = scipy.fft.fftfreq(N, 1.0 / N)
-    H = scipy.fft.fft(h)
-    d1 = 1j * k
-    if N % 2 == 0:
-        d1[N // 2] = 0.0
-    return scipy.fft.ifft(d1 * H).real, scipy.fft.ifft(-(k**2) * H).real
+def spectral_derivs_extended(mode, h):
+    """(h', h'') of the extended-precision reference, rounded to float64."""
+    return tuple(d.astype(float) for d in _derivs_extended(mode, h))
 
 
 def principal_radii_reference(mode, h):
-    """(N, n) principal radii from the reference derivatives."""
+    """(N, n) principal radii from the extended-precision derivatives,
+    rounded to float64 once at the end."""
+    h1, h2 = _derivs_extended(mode, h)
+    hl = np.asarray(h, dtype=np.longdouble)
+    r1 = h2 + hl
     if mode == "curve":
-        return (curve_derivs_complex(h)[1] + h)[:, None]
-    h1, h2 = axi_derivs_dct(h)
-    th = np.pi * np.arange(h.size) / (h.size - 1)
-    r1 = h2 + h
+        return r1.astype(float)[:, None]
+    th = _PI_LD * np.arange(h.size) / (h.size - 1)
     r2 = r1.copy()
-    r2[1:-1] = h1[1:-1] * np.cos(th[1:-1]) / np.sin(th[1:-1]) + h[1:-1]
-    return np.stack([r1, r2], axis=1)
+    r2[1:-1] = h1[1:-1] * np.cos(th[1:-1]) / np.sin(th[1:-1]) + hl[1:-1]
+    return np.stack([r1, r2], axis=1).astype(float)
 
 
 def principal_radii_three_transform(mode, h):
@@ -317,3 +318,213 @@ def ball_curvature_field_sweep(body):
         else:
             k_upper[x] = kmax_diag
     return BallCurvatureField(k_lower, k_upper, w_lower, w_upper, kappa, pts)
+
+
+# ---------------------------------------------------------------------------
+# Per-sample references for the batched speed Hessians, the boundary terms,
+# the draws and the certifier (the loops the library replaced by stacked
+# arrays; same formulas, evaluated one point at a time)
+# ---------------------------------------------------------------------------
+
+def _e_subset(z, k):
+    """e_k of the entries of z; 0 outside 0 <= k <= len(z)."""
+    from noncollapse.speeds import _elem_batch
+
+    if k < 0 or k > z.size:
+        return 0.0
+    return _elem_batch(z[None, :])[0, k]
+
+
+def hess_reference(f, z):
+    """Hessian of a catalog speed (or its dual) at one cone point, from the
+    per-entry closed forms with np.delete subsets."""
+    from noncollapse.speeds import (ArithmeticMean, DualSpeed, PowerMean,
+                                    SigmaRatio, SigmaRoot)
+
+    z = np.asarray(z, dtype=float)
+    n = f.n
+    if isinstance(f, ArithmeticMean):
+        return np.zeros((n, n))
+    if isinstance(f, PowerMean):
+        fz = f.value(z)
+        p = f.p
+        if p == 0.0:
+            H = fz / (n * n * np.outer(z, z))
+            H[np.diag_indices(n)] -= fz / (n * z**2)
+            return H
+        gpow = np.power(z, p - 1.0)
+        return (p - 1.0) * (
+            np.diag(np.power(z, p - 2.0)) * (fz ** (1.0 - p)) / n
+            - np.outer(gpow, gpow) * (fz ** (1.0 - 2.0 * p)) / (n * n)
+        )
+    if isinstance(f, SigmaRatio):
+        k, c = f.k, f.c
+        u, v = _e_subset(z, k), _e_subset(z, k - 1)
+        ui = np.empty(n)
+        vi = np.empty(n)
+        for i in range(n):
+            zi = np.delete(z, i)
+            ui[i] = _e_subset(zi, k - 1)
+            vi[i] = _e_subset(zi, k - 2)
+        H = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    uij = vij = 0.0
+                else:
+                    zij = np.delete(z, [i, j])
+                    uij = _e_subset(zij, k - 2)
+                    vij = _e_subset(zij, k - 3)
+                H[i, j] = c * (
+                    (uij * v + ui[i] * vi[j] - ui[j] * vi[i] - u * vij) / v**2
+                    - 2.0 * vi[j] * (ui[i] * v - u * vi[i]) / v**3
+                )
+        return H
+    if isinstance(f, SigmaRoot):
+        k, c = f.k, f.c
+        u = _e_subset(z, k)
+        ui = np.array([_e_subset(np.delete(z, i), k - 1) for i in range(n)])
+        H = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                uij = 0.0 if i == j else _e_subset(np.delete(z, [i, j]), k - 2)
+                H[i, j] = (c / k) * (
+                    (1.0 / k - 1.0) * u ** (1.0 / k - 2.0) * ui[i] * ui[j]
+                    + u ** (1.0 / k - 1.0) * uij
+                )
+        return H
+    if isinstance(f, DualSpeed):
+        x = 1.0 / z
+        fx = f.base.value(x)
+        g = f.base.grad(x)
+        H = hess_reference(f.base, x)
+        gx2 = g * x**2
+        out = 2.0 * np.outer(gx2, gx2) / fx**3 - H * np.outer(x**2, x**2) / fx**2
+        out[np.diag_indices(n)] -= 2.0 * g * x**3 / fx**2
+        return out
+    raise TypeError(f"no reference Hessian for {f!r}")
+
+
+def hess_form_terms_reference(lam, B, g, H):
+    """d^T H d for the diagonal d of B, then coef_pq B_pq^2 for each nonzero
+    off-diagonal B_pq in row order; coef_pq the divided difference, or its
+    limit H_pp - H_pq below the relative GAP_TOL."""
+    from noncollapse.speeds import GAP_TOL
+
+    d = np.diag(B)
+    terms = [float(d @ H @ d)]
+    n = lam.size
+    for p in range(n):
+        for q in range(n):
+            if p == q or B[p, q] == 0.0:
+                continue
+            gap = lam[p] - lam[q]
+            if abs(gap) < GAP_TOL * (1.0 + abs(lam[p])):
+                coef = H[p, p] - H[p, q]
+            else:
+                coef = (g[p] - g[q]) / gap
+            terms.append(coef * B[p, q] ** 2)
+    return terms
+
+
+def boundary_terms_reference(s, on_degenerate="perturb"):
+    """(value, scale, closed-form sup part) of one BoundarySample by the
+    per-sample term loop."""
+    from noncollapse.errors import DegenerateSpectrum
+    from noncollapse.speeds import GAP_TOL
+
+    lam = s.lam
+    n = s.f.n
+    gaps = lam[1:] - lam[0]
+    tol = GAP_TOL * (1.0 + abs(lam[0]))
+    if np.any(gaps < tol):
+        bad = np.where(gaps < tol)[0] + 1
+        if on_degenerate == "raise" and np.any(s.B[:, bad] != 0.0):
+            raise DegenerateSpectrum(f"lam[q] - lam[0] below gap tolerance at q={bad.tolist()}")
+        lam = lam + np.arange(n) * 10.0 * tol
+    g = s.f.grad(lam)
+    terms = hess_form_terms_reference(lam, s.B, g, hess_reference(s.f, lam))
+    sup_part = 0.0
+    for p in range(n):
+        for q in range(1, n):
+            if s.B[p, q] != 0.0:
+                sup_part += 2.0 * g[p] / (lam[q] - lam[0]) * s.B[p, q] ** 2
+    terms.append(sup_part)
+    return float(sum(terms)), 1.0 + max(abs(t) for t in terms), float(sup_part)
+
+
+def interior_draw_reference(n, rng):
+    """(A, b, k) of one interior trial, drawn and assembled one trial at a time."""
+    a = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    b = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    Q = Q * np.sign(np.diag(R))
+    A = (Q * a) @ Q.T
+    A = 0.5 * (A + A.T)
+    k = rng.uniform(0.0, 0.9 * min(a.min(), b.min()))
+    return A, b, k
+
+
+def boundary_draw_reference(n, rng):
+    """(lam, B) of one boundary trial, drawn one trial at a time."""
+    lam = np.sort(10.0 ** rng.uniform(-2.0, 2.0, n))
+    B = rng.standard_normal((n, n))
+    B = 0.5 * (B + B.T)
+    B[0, 0] = 0.0
+    return lam, B
+
+
+def counterexample_search_reference(f, trials, seed=0, threshold=-1e-4):
+    """First interior trial with gap below threshold, by the per-sample loop."""
+    from noncollapse.oracle import InteriorSample, interior_gap
+
+    for t in range(trials):
+        A, b, k = interior_draw_reference(f.n, np.random.default_rng((seed, t)))
+        s = InteriorSample(A=A, B=np.diag(b), k=k, f=f)
+        gap = interior_gap(s)
+        if gap < threshold:
+            return {"trial": t, "gap": float(gap), "A": s.A.tolist(),
+                    "B_diag": np.diag(s.B).tolist(), "k": s.k}
+    return None
+
+
+def certify_reference(f, property, trials=2000, seed=0):
+    """certify's report as a dict, by the per-sample loop: the witness is the
+    last sample that lowers the running minimum below its own tolerance."""
+    from noncollapse import speeds
+
+    dual = f.dual() if property == "inverse-concave" else None
+    worst = np.inf
+    witness = None
+    witness_eig = None
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        z = speeds.sample_cone_point(rng, f.n)
+        if property == "concave":
+            H = f.hess(z)
+            margin = float(-np.linalg.eigvalsh(H)[-1])
+            tol = 1e-8 * (1.0 + np.abs(H).max())
+        elif property == "inverse-concave":
+            M = f.hess(z) + 2.0 * np.diag(f.grad(z) / z)
+            m1 = float(np.linalg.eigvalsh(M)[0])
+            Hd = dual.hess(1.0 / z)
+            m2 = float(-np.linalg.eigvalsh(Hd)[-1])
+            margin = min(m1, m2)
+            tol = max(1e-8 * (1.0 + np.abs(M).max()), 1e-8 * (1.0 + np.abs(Hd).max()))
+        elif property == "monotone":
+            margin = float(f.grad(z).min())
+            tol = 0.0
+        else:
+            s = 10.0 ** rng.uniform(-2.0, 2.0)
+            fz = f.value(z)
+            margin = -abs(f.value(s * z) - s * fz) / (s * fz)
+            tol = 1e-9
+        if margin < worst:
+            worst = margin
+            if margin < -tol:
+                witness = z.tolist()
+                witness_eig = margin
+    return {"property": property, "samples_tested": trials,
+            "min_eigen_seen": float(worst),
+            "verdict": "certified-on-samples" if witness is None else "refuted",
+            "witness": witness, "witness_eigenvalue": witness_eig}

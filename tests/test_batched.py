@@ -1,0 +1,226 @@
+"""Each stacked fast path against its per-sample reference in oracles.py:
+the batched Hessians, boundary terms, trial draws, certify and the
+counterexample search.  Tolerances are multiples of eps times a stated
+scale; draws and certify reports must be identical."""
+import itertools
+
+import numpy as np
+import pytest
+
+from noncollapse import speeds
+from noncollapse.errors import DegenerateSpectrum
+from noncollapse.oracle import (BoundarySample, _boundary_draws,
+                                _boundary_terms_many, _interior_draws,
+                                boundary_suite, counterexample_search)
+from noncollapse.speeds import GAP_TOL, SpeedFunction, certify, parse_speed
+
+from oracles import (boundary_draw_reference, boundary_terms_reference,
+                     certify_reference, counterexample_search_reference,
+                     hess_reference, interior_draw_reference)
+
+EPS = np.finfo(float).eps
+CATALOG = ["mean", "harmonic", "sigma-ratio:2", "sigma-root:2", "power:-1",
+           "power:0.5", "power:0", "power:-2", "power:2", "sigma-ratio:1",
+           "sigma-ratio:3", "sigma-root:3", "sigma-ratio:5", "sigma-root:5"]
+
+
+def catalog(n):
+    specs = [s for s in CATALOG if not (s.startswith("sigma") and int(s.split(":")[1]) > n)]
+    return [parse_speed(s, n) for s in specs]
+
+
+def _rngs(seed, m):
+    return (np.random.default_rng((seed, t)) for t in range(m))
+
+
+# ---------------------------------------------------------------------------
+# Hessians
+# ---------------------------------------------------------------------------
+
+# Entry (i, j) of a degree-one homogeneous speed's Hessian is assembled from
+# terms of size at most about f(z) / (z_i z_j); the batched closed forms
+# evaluate the same formulas, with vectorised powers that may differ from the
+# scalar ones in the last bit.  Measured worst: 4.6 eps f / (z_i z_j) on the
+# points below, 6.0 over 1000 log-uniform points per speed and dual.
+HESS_C = 16.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_batched_hessians_match_reference(n):
+    rng = np.random.default_rng(n)
+    Z = 10.0 ** rng.uniform(-3.0, 3.0, (300, n))
+    # near-equal entries at 1e-6 relative: one pair per row, then whole rows
+    Z[::3, 1] = Z[::3, 0] * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, Z[::3].shape[0]))
+    Z[1::3] = Z[1::3, :1] * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, Z[1::3].shape))
+    for f in catalog(n):
+        for g in (f, f.dual()):
+            H = g.hess_many(Z)
+            scale = g.value_many(Z)[:, None, None] / (Z[:, :, None] * Z[:, None, :])
+            for i, z in enumerate(Z):
+                err = np.abs(H[i] - hess_reference(g, z)) / scale[i]
+                assert err.max() <= HESS_C * EPS, (g.name, z, err.max() / EPS)
+            assert np.array_equal(g.hess(Z[0]), H[0])
+
+
+# ---------------------------------------------------------------------------
+# Boundary terms
+# ---------------------------------------------------------------------------
+
+# The resolvent sum and the hess-form terms are added in the scalar order;
+# only d^T H d (einsum against a matrix-vector product) and the Hessians
+# round differently.  Measured worst: 0.99 eps scale on the samples below,
+# 1.13 over 300 drawn samples per speed; scale = 1 + the largest term
+# magnitude of the reference.
+BOUNDARY_C = 4.0
+
+
+def _boundary_stack(n, m, seed):
+    """Drawn samples, then a quarter with lam[1] - lam[0] below GAP_TOL
+    (the perturb path) and about a third of the B entries set to exact 0."""
+    lam, B = _boundary_draws(n, _rngs(seed, m), m)
+    lam[::4, 1] = lam[::4, 0] * (1.0 + 1e-9)
+    lam = np.sort(lam, axis=1)
+    zero = np.random.default_rng(seed).uniform(size=B.shape) < 0.3
+    B[zero | zero.transpose(0, 2, 1)] = 0.0
+    B[:, 0, 0] = 0.0
+    return lam, B
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_batched_boundary_terms_match_reference(n):
+    m = 120
+    lam, B = _boundary_stack(n, m, seed=40 + n)
+    assert np.any(lam[:, 1] - lam[:, 0] < GAP_TOL * (1.0 + lam[:, 0]))
+    assert np.any(B[:, 0, 1:] == 0.0)
+    for f in catalog(n):
+        values, scales, sups = _boundary_terms_many(f, lam, B)
+        for i in range(m):
+            ref = boundary_terms_reference(BoundarySample(lam=lam[i], B=B[i], f=f))
+            bound = BOUNDARY_C * EPS * ref[1]
+            assert abs(values[i] - ref[0]) <= bound, (f.name, i)
+            assert abs(scales[i] - ref[1]) <= bound, (f.name, i)
+            assert abs(sups[i] - ref[2]) <= bound, (f.name, i)
+
+
+def test_batched_boundary_terms_raise_like_reference():
+    f = parse_speed("harmonic", 3)
+    lam, B = _boundary_stack(3, 40, seed=50)
+    raised = []
+    for i in range(40):
+        try:
+            boundary_terms_reference(BoundarySample(lam=lam[i], B=B[i], f=f), "raise")
+        except DegenerateSpectrum:
+            raised.append(i)
+            with pytest.raises(DegenerateSpectrum):
+                _boundary_terms_many(f, lam[i:i + 1], B[i:i + 1], "raise")
+        else:
+            _boundary_terms_many(f, lam[i:i + 1], B[i:i + 1], "raise")
+    assert raised
+    with pytest.raises(DegenerateSpectrum):
+        _boundary_terms_many(f, lam, B, "raise")
+
+
+def test_boundary_suite_witness_is_the_reference_argmin():
+    f = parse_speed("power:-2", 3)
+    trials, seed = 400, 61
+    rep = boundary_suite(f, trials=trials, seed=seed)
+    refs = []
+    for t in range(trials):
+        lam, B = boundary_draw_reference(3, np.random.default_rng((seed, t)))
+        refs.append((lam, B) + boundary_terms_reference(BoundarySample(lam=lam, B=B, f=f)))
+    worst = min(refs, key=lambda r: r[2] / (1e-7 * r[3]))
+    assert rep["witness"] == {"lam": worst[0].tolist(), "B": worst[1].tolist()}
+    assert abs(rep["min_value"] - worst[2]) <= BOUNDARY_C * EPS * worst[3]
+
+
+# ---------------------------------------------------------------------------
+# Draws
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_batched_draws_bit_identical(n):
+    m = 300
+    A, b, k = _interior_draws(n, _rngs(71, m), m)
+    lam, B = _boundary_draws(n, _rngs(72, m), m)
+    for t in range(m):
+        A_ref, b_ref, k_ref = interior_draw_reference(n, np.random.default_rng((71, t)))
+        assert np.array_equal(A[t], A_ref)
+        assert np.array_equal(b[t], b_ref)
+        assert k[t] == k_ref
+        lam_ref, B_ref = boundary_draw_reference(n, np.random.default_rng((72, t)))
+        assert np.array_equal(lam[t], lam_ref)
+        assert np.array_equal(B[t], B_ref)
+
+
+# ---------------------------------------------------------------------------
+# certify
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("prop", ["concave", "inverse-concave", "monotone", "homogeneous"])
+def test_certify_matches_per_sample_loop(prop):
+    for n in (2, 3):
+        for f in catalog(n):
+            assert certify(f, prop, trials=150, seed=81).to_dict() == \
+                certify_reference(f, prop, trials=150, seed=81), (f.name, n)
+
+
+class _ScriptedHessian(SpeedFunction):
+    """Not a speed: Hessian diag(z_0 - 1, -z_1), so each margin and its
+    tolerance 1e-8 (1 + max|H|) are set by the point."""
+
+    n = 2
+    name = "scripted"
+
+    def _v(self, Z):
+        return Z.mean(axis=1)
+
+    def _g(self, Z):
+        return np.full_like(Z, 0.5)
+
+    def _h(self, Z):
+        H = np.zeros((len(Z), 2, 2))
+        H[:, 0, 0] = Z[:, 0] - 1.0
+        H[:, 1, 1] = -Z[:, 1]
+        return H
+
+
+@pytest.mark.parametrize("points, witness", [
+    # margins 0, -1e-3 (witness), -5e-3 (new minimum, inside its 1e-2
+    # tolerance), -2e-3 (not a new minimum): the earlier sample stays
+    ([(1.0, 1.0), (1.001, 0.5), (1.005, 1e6), (1.002, 1.0)], [1.001, 0.5]),
+    # ... until a later, deeper minimum falls below its own tolerance
+    ([(1.0, 1.0), (1.001, 0.5), (1.005, 1e6), (1.01, 0.5)], [1.01, 0.5]),
+])
+def test_certify_witness_is_last_running_minimum_below_its_tolerance(
+        monkeypatch, points, witness):
+    f = _ScriptedHessian()
+    reports = []
+    for run in (certify, certify_reference):
+        script = itertools.cycle(points)
+        monkeypatch.setattr(speeds, "sample_cone_point",
+                            lambda rng, n: np.array(next(script)))
+        rep = run(f, "concave", trials=len(points), seed=0)
+        reports.append(rep if isinstance(rep, dict) else rep.to_dict())
+    assert reports[0] == reports[1]
+    assert reports[0]["verdict"] == "refuted"
+    assert reports[0]["witness"] == witness
+    assert reports[0]["min_eigen_seen"] == pytest.approx(-0.01 if witness[0] == 1.01 else -0.005)
+
+
+# ---------------------------------------------------------------------------
+# Counterexample search
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec, trials, seed, threshold", [
+    ("power:-2", 3000, 0, -1e-4),     # witness in the first chunk
+    ("power:-2", 3000, 1, -5.0),      # first witness at trial 1965, second chunk
+    ("harmonic", 2100, 0, -1e-4),     # inverse-concave: no witness in three chunks
+])
+def test_counterexample_search_matches_per_sample_loop(spec, trials, seed, threshold):
+    f = parse_speed(spec, 2)
+    got = counterexample_search(f, trials=trials, seed=seed, threshold=threshold)
+    assert got == counterexample_search_reference(f, trials, seed=seed, threshold=threshold)
+    if spec == "harmonic":
+        assert got is None
+    else:
+        assert got is not None and got["gap"] < threshold

@@ -288,3 +288,23 @@ def test_flow_rerun_byte_identical(tmp_path):
         if rel == "manifest.json":
             continue  # records wall time by design
         assert filecmp.cmp(files1[rel], files2[rel], shallow=False), rel
+
+
+# ---------------------------------------------------------------------------
+# experiment scripts
+# ---------------------------------------------------------------------------
+
+def test_oracle_sweep_script_smoke(capsys):
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "oracle_sweep.py")
+    spec = importlib.util.spec_from_file_location("oracle_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main(["--trials", "50", "--dims", "2"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].split() == ["speed", "n", "interior", "min/tol", "boundary", "min/tol"]
+    rows = [ln.split() for ln in lines[1:] if ln.strip() and not ln.startswith("negative")]
+    assert [r[0] for r in rows] == script.CATALOG
+    assert all(r[1] == "2" and float(r[2]) >= -1.0 and float(r[3]) >= -1.0 for r in rows)
+    assert lines[-1].startswith("negative control power:-2: gap")

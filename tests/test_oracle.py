@@ -3,9 +3,8 @@ import pytest
 from scipy.optimize import minimize
 
 from noncollapse.errors import DegenerateSpectrum, SingularShift
-from noncollapse.oracle import (BoundarySample, InteriorSample,
-                                _interior_draw, boundary_bracket, boundary_closed_sup,
-                                boundary_form, boundary_scale, boundary_suite,
+from noncollapse.oracle import (BoundarySample, InteriorSample, _boundary_terms,
+                                _interior_draw, boundary_bracket, boundary_suite,
                                 brute_force_boundary, counterexample_search,
                                 interior_bracket, interior_gap, interior_scale,
                                 interior_suite, optimal_lambda,
@@ -213,21 +212,22 @@ def test_identity_rhs_psd_at_zero_shift(spec):
 def test_boundary_form_zero_tensor():
     f = HarmonicMean(3)
     s = BoundarySample(lam=np.array([1.0, 2.0, 3.0]), B=np.zeros((3, 3)), f=f)
-    assert boundary_form(s) == 0.0
+    assert _boundary_terms(s)[0] == 0.0
 
 
 def test_boundary_form_mean_by_hand():
     f = ArithmeticMean(2)
     s = BoundarySample(lam=np.array([1.0, 2.0]),
                        B=np.array([[0.0, 1.0], [1.0, 0.0]]), f=f)
-    assert boundary_form(s) == pytest.approx(1.0, abs=1e-14)
+    assert _boundary_terms(s)[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_boundary_form_harmonic_trials_nonnegative():
     f = HarmonicMean(3)
     for t in range(1000):
         s = sample_boundary(f, np.random.default_rng((7, t)))
-        assert boundary_form(s) >= -1e-8 * boundary_scale(s)
+        value, scale, _ = _boundary_terms(s)
+        assert value >= -1e-8 * scale
 
 
 def test_boundary_form_equality_probe():
@@ -236,7 +236,7 @@ def test_boundary_form_equality_probe():
     f = HarmonicMean(2)
     lam1, lam2 = 1e-3, 1.0
     s = BoundarySample(lam=np.array([lam1, lam2]), B=np.diag([0.0, 1.0]), f=f)
-    v = boundary_form(s)
+    v = _boundary_terms(s)[0]
     assert v >= -1e-12
     assert v < 1e-6
     assert v == pytest.approx(8 * lam1**3 / ((lam1 + lam2) ** 3 * (lam2 - lam1)),
@@ -250,10 +250,10 @@ def test_boundary_form_first_row_terms_strictly_positive():
     B0 = np.zeros((3, 3))
     B0[1, 2] = B0[2, 1] = rng.standard_normal()
     B0[1, 1], B0[2, 2] = rng.standard_normal(2)
-    base = boundary_form(BoundarySample(lam=lam, B=B0, f=f))
+    base = _boundary_terms(BoundarySample(lam=lam, B=B0, f=f))[0]
     B1 = B0.copy()
     B1[0, 1] = B1[1, 0] = 0.7
-    with_row = boundary_form(BoundarySample(lam=lam, B=B1, f=f))
+    with_row = _boundary_terms(BoundarySample(lam=lam, B=B1, f=f))[0]
     # divided difference and resolvent telescope: the (0,1) entry contributes
     # exactly 2 g_1/(lam_1 - lam_0) b^2
     g = f.grad(lam)
@@ -268,10 +268,10 @@ def test_boundary_form_degenerate_spectrum_paths():
     B = np.array([[0.0, 1.0], [1.0, 0.0]])
     s = BoundarySample(lam=lam, B=B, f=f)
     with pytest.raises(DegenerateSpectrum):
-        boundary_form(s, on_degenerate="raise")
-    v = boundary_form(s)  # perturb-and-report path
+        _boundary_terms(s, on_degenerate="raise")
+    v, scale, _ = _boundary_terms(s)  # perturb-and-report path
     assert np.isfinite(v)
-    assert v >= -1e-8 * boundary_scale(s)
+    assert v >= -1e-8 * scale
 
 
 def test_boundary_form_is_hess_form_plus_closed_sup():
@@ -280,7 +280,8 @@ def test_boundary_form_is_hess_form_plus_closed_sup():
         for t in range(40):
             s = sample_boundary(f, np.random.default_rng((13, t)))
             assert (s.lam[1:] - s.lam[0]).min() > GAP_TOL * (1.0 + s.lam[0])
-            assert boundary_form(s) == matrix_hess_form(f, s.lam, s.B) + boundary_closed_sup(s)
+            value, _, sup = _boundary_terms(s)
+            assert value == matrix_hess_form(f, s.lam, s.B) + sup
 
 
 def test_boundary_sample_validation():
@@ -306,8 +307,9 @@ def test_brute_force_matches_closed_form_mean_example():
     f = ArithmeticMean(2)
     s = BoundarySample(lam=np.array([1.0, 2.0]),
                        B=np.array([[0.0, 1.0], [1.0, 0.0]]), f=f)
-    assert brute_force_boundary(s) == pytest.approx(boundary_closed_sup(s), rel=1e-9)
-    assert boundary_closed_sup(s) == pytest.approx(1.0, abs=1e-14)
+    sup = _boundary_terms(s)[2]
+    assert brute_force_boundary(s) == pytest.approx(sup, rel=1e-9)
+    assert sup == pytest.approx(1.0, abs=1e-14)
 
 
 def test_brute_force_matches_closed_form_random():
@@ -316,7 +318,7 @@ def test_brute_force_matches_closed_form_random():
         s = sample_boundary(f, np.random.default_rng((9, t)))
         if (s.lam[1:] - s.lam[0]).min() < 1e-3 * (1 + s.lam[0]):
             continue
-        cf = boundary_closed_sup(s)
+        cf = _boundary_terms(s)[2]
         bf = brute_force_boundary(s)
         assert abs(bf - cf) <= 1e-6 * (1 + abs(cf))
 
@@ -324,7 +326,7 @@ def test_brute_force_matches_closed_form_random():
 def test_closed_form_lambda_dominates_random_boundary():
     f = HarmonicMean(3)
     s = sample_boundary(f, np.random.default_rng(10))
-    cf = boundary_closed_sup(s)
+    cf = _boundary_terms(s)[2]
     rng = np.random.default_rng(11)
     for _ in range(10_000):
         L = rng.standard_normal((3, 3))
@@ -350,26 +352,32 @@ def test_batched_gaps_match_scalar_path():
 
 
 def test_oracle_verdicts():
-    from noncollapse.oracle import evaluate_boundary, evaluate_interior
-
+    # one evaluated sample per estimate: the value, the bound it is checked
+    # against (-1e-7 scale), the closed-form optimiser, and for the boundary
+    # the brute-force cross-value, which the closed form must dominate
     f = HarmonicMean(2)
     s = InteriorSample(A=np.diag([2.0, 3.0]), B=np.diag([4.0, 5.0]), k=1.0, f=f)
-    v = evaluate_interior(s)
-    assert v.passed
-    assert v.value == pytest.approx(56 / 45, abs=1e-12)
-    assert np.allclose(v.optimizer, np.diag([1 / 3, 1 / 2]))
-    assert v.brute_force_value is None
+    v = interior_gap(s)
+    assert v >= -1e-7 * interior_scale(s)
+    assert v == pytest.approx(56 / 45, abs=1e-12)
+    assert np.allclose(optimal_lambda(s.A, s.B, s.k), np.diag([1 / 3, 1 / 2]))
 
     bs = BoundarySample(lam=np.array([1.0, 2.0]),
                         B=np.array([[0.0, 1.0], [1.0, 0.0]]),
                         f=ArithmeticMean(2))
-    bv = evaluate_boundary(bs, brute_force=True)
-    assert bv.passed
-    assert bv.value == pytest.approx(1.0, abs=1e-12)
-    assert bv.brute_force_value == pytest.approx(bv.value, rel=1e-8)
+    value, scale, sup = _boundary_terms(bs)
+    bound = -1e-7 * scale
+    assert value >= bound
+    assert value == pytest.approx(1.0, abs=1e-12)
+    bf = brute_force_boundary(bs) + (value - sup)
+    assert value >= bf - 1e-9 * (1.0 + abs(value)) - abs(bound)
+    assert bf == pytest.approx(value, rel=1e-8)
     # optimiser entries: B[k,q]/(lam_q - lam_0) with a dead first column
-    assert bv.optimizer[0, 1] == pytest.approx(1.0)
-    assert bv.optimizer[1, 1] == pytest.approx(0.0)
+    L = np.zeros((2, 2))
+    L[:, 1:] = bs.B[:, 1:] / (bs.lam[1:] - bs.lam[0])[None, :]
+    assert L[0, 1] == pytest.approx(1.0)
+    assert L[1, 1] == pytest.approx(0.0)
+    assert boundary_bracket(bs, L) == pytest.approx(sup, rel=1e-12)
 
 
 def test_interior_suite_report_shape():
