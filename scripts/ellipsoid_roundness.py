@@ -4,7 +4,7 @@ more speeds: evolve until max F grows by the requested factor, monitor the
 ball-curvature ratios, and print the roundness gates.
 
 Example:
-    python scripts/ellipsoid_roundness.py --speeds sigma-ratio:2 harmonic \
+    python scripts/ellipsoid_roundness.py --speeds sigma-ratio:2 mean \
         --grid 128 --growth 30 --out runs/
 """
 import argparse
@@ -23,7 +23,7 @@ from noncollapse.monitor import (monitor_rows, run_verdicts,  # noqa: E402
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--speeds", nargs="+", default=["sigma-ratio:2", "harmonic"])
+    ap.add_argument("--speeds", nargs="+", default=["sigma-ratio:2", "mean"])
     ap.add_argument("--a", type=float, default=1.0)
     ap.add_argument("--c", type=float, default=1.5)
     ap.add_argument("--grid", type=int, default=128)

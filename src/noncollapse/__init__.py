@@ -16,9 +16,9 @@ from .oracle import (BoundarySample, InteriorSample, boundary_suite,
 from .geometry import (BallCurvatureField, ConvexBody, RadiiReport, area,
                        ball_curvature_field, ball_curvature_pair, embed,
                        hausdorff_to_unit_sphere, make_ellipse, make_ellipsoid,
-                       make_sphere, principal_curvatures, radii, recenter,
-                       scale, tangent_plane_diagnostic, translate)
-from .flow import FlowConfig, FlowRun, build_body, build_speed, run, stable_dt, step
+                       make_sphere, radii, recenter, scale,
+                       tangent_plane_diagnostic, translate)
+from .flow import FlowConfig, FlowRun, build_body, build_speed, run
 from .monitor import (MonitorRow, RatioExtremes, TrendVerdict, assert_trend,
                       monitor_rows, ratios, roundness, run_verdicts,
                       write_monitor_csv)

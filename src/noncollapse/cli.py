@@ -1,8 +1,11 @@
 """Batch entry point: certify / oracle / flow / report subcommands.
 
-Outputs are machine readable (JSON reports, CSV time series) and, for fixed
-(config, seed, version), byte-identical across reruns; manifest.json is the
-one exception since it records wall time.
+Outputs are machine readable (JSON reports, CSV time series) and
+byte-identical across reruns: for fixed (arguments, seed, version) from
+certify and oracle, for fixed (config, version) from flow, which draws no
+random numbers.  manifest.json is the one exception since it records wall
+time.  A flow config with a key that is not a FlowConfig field (such as
+seed or recenter, which older configs carried) is refused as a bad config.
 """
 from __future__ import annotations
 
@@ -52,14 +55,13 @@ def _write_json(path: str, obj) -> None:
 class RunManifest:
     command: str
     config: Optional[str]
-    seed: int
     out_dir: str
     version: str
     wall_time_s: Optional[float] = None
 
     def write(self, path: str) -> None:
         _write_json(path, {
-            "command": self.command, "config": self.config, "seed": self.seed,
+            "command": self.command, "config": self.config,
             "output_directory": self.out_dir, "tool_version": self.version,
             "wall_time_s": self.wall_time_s,
         })
@@ -111,7 +113,7 @@ def cmd_oracle(args) -> int:
 def cmd_flow(args) -> int:
     try:
         cfg = FlowConfig.from_json(args.config)
-        flags = {"cfl": args.cfl, "stop_max_f": args.stop_max_f, "seed": args.seed}
+        flags = {"cfl": args.cfl, "stop_max_f": args.stop_max_f}
         if args.grid is not None:
             flags["body"] = dict(cfg.body, N=args.grid)
         # replace() runs the config validation again on the overridden values
@@ -130,12 +132,14 @@ def cmd_flow(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
+    if args.seed is not None:
+        print("note: flow ignores --seed: the flow draws no random numbers", file=sys.stderr)
     out = args.out or "run-out"
     os.makedirs(out, exist_ok=True)
     os.makedirs(os.path.join(out, "snapshots"), exist_ok=True)
     t0 = time.perf_counter()
-    manifest = RunManifest(command="flow", config=args.config, seed=cfg.seed,
-                           out_dir=out, version=__version__)
+    manifest = RunManifest(command="flow", config=args.config, out_dir=out,
+                           version=__version__)
     manifest.write(os.path.join(out, "manifest.json"))
 
     fr = run_flow(cfg, speed=speed, body=body)
@@ -151,7 +155,7 @@ def cmd_flow(args) -> int:
         fr, rows,
         refinement_delta_ratio_lower=deltas.get("ratio_lower", 0.0),
         refinement_delta_radii_ratio=deltas.get("radii_ratio", 0.0))
-    verdicts["config"] = cfg.to_dict()
+    verdicts["config"] = dataclasses.asdict(cfg)
     verdicts["refinement_deltas"] = deltas
     verdicts["counters"] = fr.counters
     _write_json(os.path.join(out, "verdicts.json"), verdicts)
@@ -281,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--grid", type=int, help="override body N")
     fl.add_argument("--cfl", type=float)
     fl.add_argument("--stop-max-f", type=float, dest="stop_max_f")
-    fl.add_argument("--seed", type=int)
+    # kept so that callers passing one seed to every subcommand keep working
+    fl.add_argument("--seed", type=int, help="ignored, with a note on stderr")
     fl.set_defaults(fn=cmd_flow)
 
     r = sub.add_parser("report", help="summarise one or more run directories")

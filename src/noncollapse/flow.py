@@ -1,9 +1,13 @@
 """Evolve a convex body by an outward-normal speed via its support function.
 
 The normal velocity -F(kappa) becomes dh/dt = -f(kappa(h)) on the support
-samples; stepping is classical 4-stage explicit Runge-Kutta with a
-CFL-limited step.  A run records snapshots, radii, and the extinction-time
-interval [t + r_minus^2/2, t + r_plus^2/2] read off the avoidance bounds.
+samples; run() is the one stepping path: classical 4-stage explicit
+Runge-Kutta with a CFL-limited step, a convexity check on every step (a
+failed step is retried at half the step) and the final step bisected onto
+the max-F stop.  Every snapshot moves the support origin to the in-center
+and records the body, its radii, and the extinction-time interval
+[t + r_minus^2/2, t + r_plus^2/2] read off the avoidance bounds.  The flow
+draws no random numbers: a config alone fixes a run.
 
 The top spatial mode saturates the parabolic bound, so the effective RK4
 stability requirement is cfl * pi^2 <= 2.785: FlowConfig refuses a cfl above
@@ -28,8 +32,7 @@ import numpy as np
 
 from .errors import ConvexityLost, DomainError
 from .geometry import (AXISYMMETRIC, CURVE, ConvexBody, _Workspace, _workspace,
-                       make_ellipse, make_ellipsoid, make_sphere, radii,
-                       recenter)
+                       make_ellipse, make_ellipsoid, make_sphere, recenter)
 from .speeds import SpeedFunction, parse_speed
 
 REACHED_MAX_F = "ReachedMaxF"
@@ -51,9 +54,7 @@ class FlowConfig:
     stop_max_f: Optional[float] = None         # absolute threshold on max F
     stop_max_f_factor: Optional[float] = None  # or a multiple of the initial max F
     snapshot_every: int = 100
-    seed: int = 0
     monitor: str = "full"                      # "full" | "radii"
-    recenter: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= CFL_MAX:
@@ -69,17 +70,9 @@ class FlowConfig:
 
     @staticmethod
     def from_json(path: str) -> "FlowConfig":
+        """Load a config; a key that is not a field raises TypeError naming it."""
         with open(path) as fh:
             return FlowConfig(**json.load(fh))
-
-    def to_dict(self) -> dict:
-        return {
-            "speed": self.speed, "body": self.body, "cfl": self.cfl,
-            "t_end": self.t_end, "stop_max_f": self.stop_max_f,
-            "stop_max_f_factor": self.stop_max_f_factor,
-            "snapshot_every": self.snapshot_every, "seed": self.seed,
-            "monitor": self.monitor, "recenter": self.recenter,
-        }
 
 
 def build_body(spec: dict) -> ConvexBody:
@@ -126,31 +119,11 @@ def _rk4(ws: _Workspace, h: np.ndarray, speed: SpeedFunction, dt: float,
     return h + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def step(body: ConvexBody, speed: SpeedFunction, dt: float) -> ConvexBody:
-    """One RK4 step of dh/dt = -f(kappa(h)); the result is convexity-checked."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    ws = _workspace(body.mode, body.N)
-    h_new = _rk4(ws, body.h, speed, dt)
-    if ws.radii(h_new).min() <= 0.0:
-        raise ConvexityLost(f"step to t={body.t + dt} lost convexity")
-    return ConvexBody(mode=body.mode, h=h_new, t=body.t + dt,
-                      center_offset=body.center_offset)
-
-
 def _dt_of(ws: _Workspace, r: np.ndarray, speed: SpeedFunction, cfl: float) -> float:
-    g = speed._g(1.0 / r)
-    return float(cfl * ws.dth * ws.dth * (r.min(axis=1) ** 2).min() / g.max())
-
-
-def stable_dt(body: ConvexBody, speed: SpeedFunction, cfl: float) -> float:
     """cfl * dtheta^2 * min r_min^2 / max lambda_max(dF): parabolic bound for
     the support-function equation (kappa enters through -kappa^2 h'')."""
-    ws = _workspace(body.mode, body.N)
-    r = ws.radii(body.h)
-    if r.min() <= 0.0:
-        raise ConvexityLost("cannot size a step for a nonconvex body")
-    return _dt_of(ws, r, speed, cfl)
+    g = speed._g(1.0 / r)
+    return float(cfl * ws.dth * ws.dth * (r.min(axis=1) ** 2).min() / g.max())
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +202,14 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
 
     def sample(b: ConvexBody) -> ConvexBody:
         F = _speed_of_radii(ws.radii(b.h), speed)
-        if config.recenter:
-            b, rep = recenter(b)
-            center_abs = b.center_offset
-        else:
-            rep = radii(b)
-            center_abs = b.center_offset + rep.in_center
+        b, rep = recenter(b)
         run_.times.append(b.t)
         run_.snapshots.append(b)
         run_.max_f.append(float(F.max()))
         run_.min_f.append(float(F.min()))
         run_.r_plus.append(rep.r_plus)
         run_.r_minus.append(rep.r_minus)
-        run_.in_centers.append(np.array(center_abs))
+        run_.in_centers.append(np.array(b.center_offset))
         run_.t_hat_lo.append(b.t + 0.5 * rep.r_minus**2)
         run_.t_hat_hi.append(b.t + 0.5 * rep.r_plus**2)
         return b
@@ -258,8 +226,8 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
     def as_body(hh, tt):
         return ConvexBody(mode=config_mode, h=hh, t=tt, center_offset=offset)
 
-    # stable_dt drifts by ~1e-5 relative per step, so refresh it every few
-    # steps with a small margin instead of every step
+    # the stable step drifts by ~1e-5 relative per step, so refresh it every
+    # few steps with a small margin instead of every step
     dt_cached = None
     dt_age = 0
     while True:

@@ -160,8 +160,11 @@ class _Workspace:
         return np.fft.rfft(np.concatenate([h, h[-2:0:-1]]))
 
     def derivs(self, h: np.ndarray):
-        """(h', h'') on the grid."""
-        H = self._spectrum(h)
+        """(h', h'') on the grid.  Like the dense radii path it transforms h
+        less its mean, which the derivatives annihilate, so the rounding that
+        the m^2 multiplier amplifies scales with the variation of h, not
+        with its size."""
+        H = self._spectrum(h - h.sum() / self.N)
         h1 = np.fft.irfft(self.d1 * H, self.nfft)[: self.N]
         h2 = np.fft.irfft(self.d2 * H, self.nfft)[: self.N]
         if self.mode == AXISYMMETRIC:
@@ -225,11 +228,6 @@ def check_convex(body: ConvexBody) -> np.ndarray:
     return r
 
 
-def principal_curvatures(body: ConvexBody) -> np.ndarray:
-    """(N, n) principal curvatures 1/r_i."""
-    return 1.0 / check_convex(body)
-
-
 # ---------------------------------------------------------------------------
 # Embedding
 # ---------------------------------------------------------------------------
@@ -253,11 +251,6 @@ def embed(body: ConvexBody):
     the meridian at azimuth 0)."""
     check_convex(body)
     return _points(body), body.directions()
-
-
-def support_from_points(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Support values of a point cloud: max_j <p_j, z> per direction."""
-    return (points @ directions.T).max(axis=0)
 
 
 def area(body: ConvexBody) -> float:

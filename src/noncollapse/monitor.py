@@ -27,6 +27,7 @@ from .geometry import (BallCurvatureField, ConvexBody, ball_curvature_field,
 from .speeds import SpeedFunction
 
 SLACK_FLOOR = 1e-6  # absolute measurement-noise floor for interval/refinement checks
+RATIO_SLACK_FLOOR = 1e-4  # absolute floor of the ball-ratio and radii-ratio trend slacks
 
 
 @dataclass
@@ -56,18 +57,15 @@ def ratios(fld: BallCurvatureField, speed: SpeedFunction) -> RatioExtremes:
 @dataclass
 class TrendVerdict:
     series: str
-    claim: str                       # "non-decreasing" | "non-increasing" | "converges-to"
+    claim: str                       # "non-decreasing" | "non-increasing" | "sandwich"
     slack_used: float
     passed: bool
     worst_violation: tuple           # (t or index, amount)
-    limit: Optional[float] = None
-    tail_tol: Optional[float] = None
 
     def to_dict(self) -> dict:
         return {
             "series": self.series,
-            "claim": self.claim if self.limit is None
-            else f"converges-to({self.limit:g}, {self.tail_tol:g})",
+            "claim": self.claim,
             "slack_used": self.slack_used,
             "pass": self.passed,
             "worst_violation": list(self.worst_violation),
@@ -75,33 +73,21 @@ class TrendVerdict:
 
 
 def assert_trend(series: Sequence[float], claim: str, slack: float,
-                 name: str = "series", times: Optional[Sequence[float]] = None,
-                 limit: Optional[float] = None, tail_tol: Optional[float] = None) -> TrendVerdict:
-    """Check a monotonicity or convergence claim against successive samples."""
+                 name: str = "series", times: Optional[Sequence[float]] = None) -> TrendVerdict:
+    """Check a monotonicity claim against successive samples."""
+    if claim not in ("non-decreasing", "non-increasing"):
+        raise ValueError(f"unknown claim {claim!r}")
     s = np.asarray(series, dtype=float)
     if s.size < 3:
         raise ValueError("need at least 3 samples")
     t = np.arange(s.size, dtype=float) if times is None else np.asarray(times, dtype=float)
-    if claim in ("non-decreasing", "non-increasing"):
-        diffs = np.diff(s)
-        viol = -diffs if claim == "non-decreasing" else diffs
-        i = int(np.argmax(viol))
-        worst = float(viol[i])
-        return TrendVerdict(series=name, claim=claim, slack_used=slack,
-                            passed=bool(worst <= slack),
-                            worst_violation=(float(t[i + 1]), worst))
-    if claim == "converges-to":
-        if limit is None or tail_tol is None:
-            raise ValueError("converges-to needs limit and tail_tol")
-        tail = max(1, s.size // 5)
-        dev = np.abs(s[-tail:] - limit)
-        i = int(np.argmax(dev))
-        worst = float(dev[i])
-        return TrendVerdict(series=name, claim=claim, slack_used=slack,
-                            passed=bool(worst <= tail_tol + slack),
-                            worst_violation=(float(t[s.size - tail + i]), worst),
-                            limit=limit, tail_tol=tail_tol)
-    raise ValueError(f"unknown claim {claim!r}")
+    diffs = np.diff(s)
+    viol = -diffs if claim == "non-decreasing" else diffs
+    i = int(np.argmax(viol))
+    worst = float(viol[i])
+    return TrendVerdict(series=name, claim=claim, slack_used=slack,
+                        passed=bool(worst <= slack),
+                        worst_violation=(float(t[i + 1]), worst))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +179,10 @@ class RoundnessReport:
     sandwich_worst: float          # worst signed violation in the squared domain
 
 
-def roundness(run: FlowRun, rows: Optional[Sequence[MonitorRow]] = None) -> RoundnessReport:
-    """Rescaled-roundness series for a run that terminated at the max-F stop.
+def roundness(run: FlowRun, rows: Sequence[MonitorRow]) -> RoundnessReport:
+    """Rescaled-roundness series for a run that terminated at the max-F stop;
+    rows are its monitor_rows, whose Hausdorff column it reads (an empty
+    cell reads as NaN).
 
     The sandwich r_minus <= sqrt(2(T_hat - t)) <= r_plus is checked in the
     squared domain with slack = the final interval width (T_hat is only known
@@ -220,15 +208,8 @@ def roundness(run: FlowRun, rows: Optional[Sequence[MonitorRow]] = None) -> Roun
     hi_viol = (rem - rp**2).max()
     worst = float(max(lo_viol, hi_viol))
 
-    if rows is not None and all(r.hausdorff_rescaled is not None for r in rows):
-        hd = np.array([r.hausdorff_rescaled for r in rows])
-    else:
-        hd = np.full(m, np.nan)
-        for i, body in enumerate(run.snapshots):
-            if s[i] > 0.0:
-                center_local = p - body.center_offset
-                rescaled = ConvexBody(mode=body.mode, h=body.h / s[i], t=body.t)
-                hd[i] = hausdorff_to_unit_sphere(rescaled, center_local / s[i])
+    hd = np.array([np.nan if r.hausdorff_rescaled is None else r.hausdorff_rescaled
+                   for r in rows])
 
     with np.errstate(divide="ignore", invalid="ignore"):
         return RoundnessReport(
@@ -248,7 +229,6 @@ def roundness(run: FlowRun, rows: Optional[Sequence[MonitorRow]] = None) -> Roun
 # ---------------------------------------------------------------------------
 
 def run_verdicts(run: FlowRun, rows: Sequence[MonitorRow],
-                 slack_floor: float = 1e-4,
                  refinement_delta_ratio_lower: float = 0.0,
                  refinement_delta_radii_ratio: float = 0.0) -> dict:
     """Trend verdicts and improvement gates for one run.
@@ -265,10 +245,10 @@ def run_verdicts(run: FlowRun, rows: Sequence[MonitorRow],
         lower = [r.min_ratio_lower for r in rows]
         upper = [r.max_ratio_upper for r in rows]
         verdicts.append(assert_trend(
-            lower, "non-decreasing", slack_floor + refinement_delta_ratio_lower,
+            lower, "non-decreasing", RATIO_SLACK_FLOOR + refinement_delta_ratio_lower,
             name="min_ratio_lower", times=t))
         verdicts.append(assert_trend(
-            upper, "non-increasing", slack_floor + refinement_delta_ratio_lower,
+            upper, "non-increasing", RATIO_SLACK_FLOOR + refinement_delta_ratio_lower,
             name="max_ratio_upper", times=t))
         gates["delta_lower_final"] = 1.0 - lower[-1]
         gates["eps_upper_final"] = upper[-1] - 1.0
@@ -278,7 +258,7 @@ def run_verdicts(run: FlowRun, rows: Sequence[MonitorRow],
             run.r_plus, "non-increasing", SLACK_FLOOR, name="r_plus", times=t))
         rr = np.asarray(run.r_plus) / np.asarray(run.r_minus)
         verdicts.append(assert_trend(
-            rr, "non-increasing", slack_floor + refinement_delta_radii_ratio,
+            rr, "non-increasing", RATIO_SLACK_FLOOR + refinement_delta_radii_ratio,
             name="radii_ratio", times=t))
         gates["eps_radii_ratio_final"] = float(rr[-1] - 1.0)
 

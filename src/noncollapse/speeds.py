@@ -132,11 +132,6 @@ class SpeedFunction:
         """Sum of the gradient entries, i.e. tr of the matrix derivative."""
         return float(self.grad(z).sum())
 
-    def dual_value(self, y) -> float:
-        """Value of the dual speed f*(y) = 1 / f(1/y_1, ..., 1/y_n)."""
-        y = _cone_point(y, self.n)
-        return 1.0 / self.value(1.0 / y)
-
     def dual(self) -> "SpeedFunction":
         return DualSpeed(self)
 

@@ -35,6 +35,12 @@ def gate(num, name, ok, detail=""):
 # Ellipsoid runs shared by criteria 6 and 7
 # ---------------------------------------------------------------------------
 
+# Two distinct two-sided speeds (concave and inverse-concave).  In two
+# variables sigma-ratio:2 is the harmonic mean, so pairing it with harmonic
+# would run one flow twice; the arithmetic mean differs off the umbilics.
+FIXTURE_SPEEDS = ("sigma-ratio:2", "mean")
+
+
 def _ellipsoid_cfg(speed, N, monitor, snapshot_every):
     return FlowConfig(speed=speed,
                       body={"mode": "axisymmetric", "N": N,
@@ -48,7 +54,7 @@ def ellipsoid_suite():
     """Two speeds at N=256 (full monitor) plus nested-grid N=511 refinements
     (radii monitor), with the t=0 discretisation deltas for the slack model."""
     out = {"wall": {}}
-    for speed in ("sigma-ratio:2", "harmonic"):
+    for speed in FIXTURE_SPEEDS:
         t0 = time.perf_counter()
         fr = run(_ellipsoid_cfg(speed, 256, "full", 3000))
         sp = build_speed(speed, "axisymmetric")
@@ -188,9 +194,16 @@ def test_criterion_5_sphere_exactness():
 # 6. Exterior ratio monotone along ellipsoid runs
 # ---------------------------------------------------------------------------
 
+def test_fixture_speeds_distinct():
+    # at the non-umbilic kappa = (1, 2): 2 * 1 * 2 / 3 against (1 + 2) / 2
+    a, b = (parse_speed(name, 2).value([1.0, 2.0]) for name in FIXTURE_SPEEDS)
+    assert a == pytest.approx(4 / 3, rel=1e-14)
+    assert b == pytest.approx(3 / 2, rel=1e-14)
+
+
 def test_criterion_6_ratio_monotone(ellipsoid_suite):
     details = []
-    for speed in ("sigma-ratio:2", "harmonic"):
+    for speed in FIXTURE_SPEEDS:
         data = ellipsoid_suite[speed]
         fr, rows = data["run"], data["rows"]
         growth = fr.max_f[-1] / fr.max_f[0]
@@ -214,7 +227,7 @@ def test_criterion_6_ratio_monotone(ellipsoid_suite):
 
 def test_criterion_7_roundness(ellipsoid_suite):
     details = []
-    for speed in ("sigma-ratio:2", "harmonic"):
+    for speed in FIXTURE_SPEEDS:
         data = ellipsoid_suite[speed]
         for key, rkey in (("run", "rows"), ("run2", "rows2")):
             fr, rows = data[key], data[rkey]
@@ -320,7 +333,7 @@ def test_criterion_10_determinism(tmp_path):
         "body": {"mode": "axisymmetric", "N": 48,
                  "shape": {"kind": "ellipsoid", "a": 1.0, "c": 1.3}},
         "cfl": 0.25, "stop_max_f_factor": 15.0, "snapshot_every": 300,
-        "seed": 3, "monitor": "full",
+        "monitor": "full",
     }
     cpath = tmp_path / "cfg.json"
     cpath.write_text(json.dumps(cfg))

@@ -1,11 +1,17 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from noncollapse.cli import main
+from noncollapse.flow import FlowConfig, build_body, build_speed
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+CONFIGS = os.path.join(ROOT, "configs")
 
 
 def run_cli(*argv):
@@ -21,7 +27,6 @@ def sphere_config(tmp_path, N=48, stop_factor=20.0, monitor="radii", mode="curve
         "cfl": 0.25,
         "stop_max_f_factor": stop_factor,
         "snapshot_every": 150,
-        "seed": 7,
         "monitor": monitor,
     }
     path = tmp_path / "config.json"
@@ -216,6 +221,50 @@ def test_flow_bad_config_exit_1(tmp_path):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("key, value", [("seed", 7), ("recenter", False)])
+def test_flow_config_with_removed_key_exit_1(tmp_path, capsys, key, value):
+    # the flow draws no random numbers and always recenters: a config that
+    # still sets either key is refused, not silently ignored
+    path = sphere_config(tmp_path)
+    with open(path) as fh:
+        cfg = json.load(fh)
+    cfg[key] = value
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    out = tmp_path / "r"
+    assert run_cli("flow", "--config", path, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "error: bad config" in err and repr(key) in err
+    assert not out.exists()
+
+
+def test_flow_seed_flag_has_no_effect(tmp_path, capsys):
+    # accepted for callers that pass one --seed to every subcommand; it
+    # changes no artifact and says so on stderr
+    cfg = sphere_config(tmp_path)
+    outs = [tmp_path / "plain", tmp_path / "seeded"]
+    assert run_cli("flow", "--config", cfg, "--out", str(outs[0])) == 0
+    assert "--seed" not in capsys.readouterr().err
+    assert run_cli("flow", "--config", cfg, "--out", str(outs[1]), "--seed", "1") == 0
+    assert "flow ignores --seed" in capsys.readouterr().err
+    files0, files1 = _tree_files(outs[0]), _tree_files(outs[1])
+    assert set(files0) == set(files1)
+    for rel in files0:
+        if rel != "manifest.json":
+            assert filecmp.cmp(files0[rel], files1[rel], shallow=False), rel
+    manifest = json.loads((outs[1] / "manifest.json").read_text())
+    assert "seed" not in manifest
+    assert "seed" not in json.loads((outs[1] / "verdicts.json").read_text())["config"]
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_committed_configs_load(name):
+    cfg = FlowConfig.from_json(os.path.join(CONFIGS, name))
+    body = build_body(cfg.body)
+    assert body.N == cfg.body["N"]
+    build_speed(cfg.speed, body.mode)
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
@@ -308,3 +357,18 @@ def test_oracle_sweep_script_smoke(capsys):
     assert [r[0] for r in rows] == script.CATALOG
     assert all(r[1] == "2" and float(r[2]) >= -1.0 and float(r[3]) >= -1.0 for r in rows)
     assert lines[-1].startswith("negative control power:-2: gap")
+
+
+# ---------------------------------------------------------------------------
+# benchmark tracer
+# ---------------------------------------------------------------------------
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracing.py wraps module-level names of the package; a renamed
+    # or deleted one fails here instead of only in a traced benchmark run
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c",
+                           "from tracing import Tracer; Tracer().install()"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -80,14 +80,6 @@ def test_trend_dip_detected():
     assert v.worst_violation == (2.0, pytest.approx(1e-3, rel=1e-9))
 
 
-def test_trend_converges_to():
-    series = list(np.linspace(2.0, 1.0, 40)) + [1.0] * 10
-    v = assert_trend(series, "converges-to", 0.0, limit=1.0, tail_tol=0.05)
-    assert v.passed
-    v2 = assert_trend(series, "converges-to", 0.0, limit=0.0, tail_tol=0.05)
-    assert not v2.passed
-
-
 def test_trend_needs_three_samples():
     with pytest.raises(ValueError):
         assert_trend([1.0, 2.0], "non-decreasing", 0.0)
@@ -128,7 +120,8 @@ def test_monitor_csv_schema(tmp_path, sphere_run):
 # ---------------------------------------------------------------------------
 
 def test_roundness_sphere(sphere_run):
-    rep = roundness(sphere_run)
+    rep = roundness(sphere_run, monitor_rows(sphere_run, build_speed("mean", CURVE),
+                                             fields=False))
     assert np.abs(rep.ratio - 1.0).max() < 1e-8
     finite = np.isfinite(rep.lower_rescaled)
     assert np.abs(rep.lower_rescaled[finite] - 1.0).max() < 1e-6
@@ -138,12 +131,22 @@ def test_roundness_sphere(sphere_run):
     assert np.nanmax(rep.hausdorff_rescaled) < 1e-6
 
 
+def test_roundness_reads_rows_hausdorff_column(sphere_run):
+    import copy
+    rows = monitor_rows(sphere_run, build_speed("mean", CURVE), fields=False)
+    rows[2] = copy.copy(rows[2])
+    rows[2].hausdorff_rescaled = None
+    hd = roundness(sphere_run, rows).hausdorff_rescaled
+    assert np.isnan(hd[2])
+    assert [hd[i] for i in (0, 1, 3)] == [rows[i].hausdorff_rescaled for i in (0, 1, 3)]
+
+
 def test_roundness_requires_maxf_termination(sphere_run):
     import copy
     short = copy.copy(sphere_run)
     short.termination = "ReachedTEnd"
     with pytest.raises(RunTooShort):
-        roundness(short)
+        roundness(short, [])
 
 
 def test_roundness_flags_synthetic_sandwich_violation(sphere_run):
@@ -151,7 +154,7 @@ def test_roundness_flags_synthetic_sandwich_violation(sphere_run):
     bad = copy.copy(sphere_run)
     bad.r_minus = list(bad.r_minus)
     bad.r_minus[3] = bad.r_plus[3] * 1.5  # impossible inradius
-    rep = roundness(bad)
+    rep = roundness(bad, monitor_rows(bad, build_speed("mean", CURVE), fields=False))
     assert not rep.sandwich_ok
     assert rep.sandwich_worst > 0
 
