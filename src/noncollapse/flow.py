@@ -9,9 +9,26 @@ and records the body, its radii, and the extinction-time interval
 [t + r_minus^2/2, t + r_plus^2/2] read off the avoidance bounds.  The flow
 draws no random numbers: a config alone fixes a run.
 
-The top spatial mode saturates the parabolic bound, so the effective RK4
-stability requirement is cfl * pi^2 <= 2.785: FlowConfig refuses a cfl above
-CFL_MAX = 2.785 / pi^2 (about 0.282), and the committed configs use 0.25.
+The stable step is per direction.  With r_i = 1/kappa_i and g = dF/dkappa,
+a perturbation u of h obeys, linearised, du/dt = sum_i g_i kappa_i^2 L_i u,
+where L_1 = d^2/dtheta^2 + 1 along the meridian (the whole operator of a
+curve) and L_2 = cot(theta) d/dtheta + 1 is its azimuthal analogue: first
+order off the poles and equal to L_1 at the poles, where g_1 = g_2.  Each
+direction's coefficient scales a top grid mode of eigenvalue about
+-(pi/dtheta)^2, so with a = max over points and directions of g_i kappa_i^2
+the step dt = cfl * dtheta^2 / a keeps dt * |lambda| at about cfl * pi^2.
+The top spatial mode saturates that bound on a sphere, where g_1 = g_2 = 1/2
+at every point (the eigenvalues of the linearised dense radii operator give
+dt * max|lambda| = cfl * pi^2 * N/(N-1) there, and 0.87 to 0.97 of cfl * pi^2
+on prolate and oblate ellipsoids under the mean and the harmonic mean), so
+RK4's interval [-2.785, 0] on the negative real axis requires
+cfl * pi^2 <= 2.785: FlowConfig refuses a cfl above CFL_MAX = 2.785 / pi^2
+(about 0.282), and the committed configs use 0.25.  Elsewhere a is at most
+max g / min r^2, the scalar stiffness that pairs the smallest radius
+anywhere with the largest speed derivative anywhere; the two agree on
+spheres, on curves (g = 1) and for the mean (g = 1/2), and there runs take
+the same steps under either.
+
 The principal radii of each stage come from geometry's kernel, a cached
 dense operator up to geometry.DENSE_MAX_N grid points and one stacked
 Fourier transform pair above; the speed of an accepted step is reused as the
@@ -120,10 +137,12 @@ def _rk4(ws: _Workspace, h: np.ndarray, speed: SpeedFunction, dt: float,
 
 
 def _dt_of(ws: _Workspace, r: np.ndarray, speed: SpeedFunction, cfl: float) -> float:
-    """cfl * dtheta^2 * min r_min^2 / max lambda_max(dF): parabolic bound for
-    the support-function equation (kappa enters through -kappa^2 h'')."""
+    """cfl * dtheta^2 / max over points and directions of g_i kappa_i^2, the
+    per-direction parabolic bound (see the module docstring).  It is taken as
+    the smallest cfl * dtheta^2 * r_i^2 / g_i, which for the mean (g = 1/2
+    everywhere) rounds exactly as the scalar cfl * dtheta^2 * min r^2 / g."""
     g = speed._g(1.0 / r)
-    return float(cfl * ws.dth * ws.dth * (r.min(axis=1) ** 2).min() / g.max())
+    return float((cfl * ws.dth * ws.dth * (r * r) / g).min())
 
 
 # ---------------------------------------------------------------------------

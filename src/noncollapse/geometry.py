@@ -25,6 +25,12 @@ AXISYMMETRIC = "axisymmetric"
 # fall to the diagonal extension
 SEP_FACTOR = 3.0
 
+# an off-diagonal ball curvature within this relative distance of the
+# principal curvature it is compared against is a tie, and the diagonal wins
+# it: y on x's own parallel circle gives exactly the azimuthal curvature,
+# which the two computations round apart by up to about 1e-11 relative
+DIAG_TIE_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ConvexBody:
@@ -315,8 +321,10 @@ def ball_curvature_field(body: ConvexBody) -> BallCurvatureField:
     farther from x than SEP_FACTOR grid spacings in arclength at x.  Closer
     pairs are covered by the diagonal extension, which contributes the
     principal curvatures at x; an off-diagonal extremum is reported only when
-    it is strictly below the smallest (k_lower) or above the largest
-    (k_upper) of them.
+    it is below the smallest (k_lower) or above the largest (k_upper) of them
+    by more than DIAG_TIE_RTOL relative.  A closer extremum is a tie, which
+    the diagonal wins, so rounding cannot decide whether a row has an
+    off-diagonal witness.
 
     Curve mode takes the extrema over the N x N pair matrix.  Axisymmetric
     mode fixes x at azimuth 0 and turns the meridian point y by the grid
@@ -390,7 +398,8 @@ def ball_curvature_field(body: ConvexBody) -> BallCurvatureField:
 def _extremes(kappa, pts, ok, k_lo, k_hi, m_lo, m_hi) -> BallCurvatureField:
     """Row extrema over admissible y of the (x, y) candidate values k_lo
     (minimum) and k_hi (maximum), with their azimuth indices m_lo and m_hi,
-    compared against the principal curvatures at x."""
+    compared against the principal curvatures at x: an extremum within
+    DIAG_TIE_RTOL of kappa_min (kappa_max) relative is the diagonal's."""
     rows = np.arange(kappa.shape[0])
     m_lo = np.broadcast_to(m_lo, ok.shape)
     m_hi = np.broadcast_to(m_hi, ok.shape)
@@ -401,8 +410,8 @@ def _extremes(kappa, pts, ok, k_lo, k_hi, m_lo, m_hi) -> BallCurvatureField:
     lo = lo[rows, y_lo]
     hi = hi[rows, y_hi]
     kmin, kmax = kappa.min(axis=1), kappa.max(axis=1)
-    off_lo = lo < kmin
-    off_hi = hi > kmax
+    off_lo = lo < kmin * (1.0 - DIAG_TIE_RTOL)
+    off_hi = hi > kmax * (1.0 + DIAG_TIE_RTOL)
     w_lower = np.where(off_lo[:, None], np.stack([y_lo, m_lo[rows, y_lo]], axis=1), -1)
     w_upper = np.where(off_hi[:, None], np.stack([y_hi, m_hi[rows, y_hi]], axis=1), -1)
     return BallCurvatureField(np.where(off_lo, lo, kmin), np.where(off_hi, hi, kmax),
@@ -480,8 +489,30 @@ def _in_ball_curve(h: np.ndarray, Z: np.ndarray):
                   b_ub=h, bounds=[(None, None)] * (dim + 1), method="highs")
     if not res.success:  # pragma: no cover - bounded by construction
         raise RuntimeError(f"in-center LP failed: {res.message}")
-    c0 = np.array(res.x[:dim])
-    return _polish_max_min(h, Z, c0)
+    c, v = _polish_max_min(h, Z, np.array(res.x[:dim]))
+    # the optimum is a segment when the largest circle touches two parallel
+    # support lines (antipodal grid directions, so N even) and can slide
+    # between them; which end the LP lands on is then decided by rounding, so
+    # take the segment's midpoint, as _in_ball_axi does
+    N = h.size
+    if N % 2:
+        return c, v
+    width = h + np.roll(h, -(N // 2))
+    j = int(np.argmin(width))
+    tol = 1e-10 * (1.0 + np.abs(h).max())
+    if 2.0 * v < width[j] - tol:
+        return c, v
+    e = np.array([-Z[j, 1], Z[j, 0]])  # along the two lines
+    # the centers c + s e whose every slack stays >= v - tol (s = 0 is one)
+    s_lo, s_hi = _line_range(h - Z @ c - (v - tol), Z @ e)
+    return c + 0.5 * (s_lo + s_hi) * e, v
+
+
+def _line_range(room: np.ndarray, u: np.ndarray):
+    """(lo, hi): the range of s with s * u_j <= room_j for every j with
+    |u_j| > 1e-13, the ends of a flat optimum along a line of centers."""
+    up, down = u > 1e-13, u < -1e-13
+    return (room[down] / u[down]).max(), (room[up] / u[up]).min()
 
 
 def _golden_max(fun, lo: float, hi: float, iters: int = 90):
@@ -525,15 +556,8 @@ def _in_ball_axi(h: np.ndarray, u: np.ndarray):
     # when the binding direction is nearly equatorial (u ~ 0) the optimum is a
     # flat interval; take its midpoint so symmetric bodies center exactly
     floor = best_v - 1e-10 * (1.0 + span)
-    lo, hi = -span, span
-    for j in range(h.size):
-        bound = (h[j] - floor) / u[j] if abs(u[j]) > 1e-13 else None
-        if bound is None:
-            continue
-        if u[j] > 0:
-            hi = min(hi, bound)
-        else:
-            lo = max(lo, bound)
+    lo, hi = _line_range(h - floor, u)
+    lo, hi = max(lo, -span), min(hi, span)
     if lo <= hi:
         c_mid = 0.5 * (lo + hi)
         v_mid = m(c_mid)

@@ -231,15 +231,29 @@ def principal_radii_three_transform(mode, h):
 
 
 # ---------------------------------------------------------------------------
+# Reference stable step: the scalar stiffness max g / min r^2
+# ---------------------------------------------------------------------------
+
+def dt_reference(ws, r, speed, cfl):
+    """cfl * dtheta^2 * min r^2 / max g: the scalar-stiffness step, which
+    pairs the smallest radius anywhere with the largest speed derivative
+    anywhere and which flow._dt_of (same signature) never undercuts."""
+    g = speed._g(1.0 / r)
+    return float(cfl * ws.dth * ws.dth * (r.min(axis=1) ** 2).min() / g.max())
+
+
+# ---------------------------------------------------------------------------
 # Reference ball-curvature field: the direct sweep over every grid pair, with
 # the axisymmetric y running over the full (theta, phi) torus (O(N^3))
 # ---------------------------------------------------------------------------
 
 def ball_curvature_field_sweep(body):
     """Exterior/interior ball curvatures by brute force.  Witnesses are the
-    first extremum in (y, phi) order, so either mirror azimuth may appear."""
-    from noncollapse.geometry import (CURVE, SEP_FACTOR, BallCurvatureField,
-                                      check_convex, embed)
+    first extremum in (y, phi) order, so either mirror azimuth may appear.
+    An extremum within DIAG_TIE_RTOL of the principal curvature is a tie,
+    which the diagonal wins, as in the library's field."""
+    from noncollapse.geometry import (CURVE, DIAG_TIE_RTOL, SEP_FACTOR,
+                                      BallCurvatureField, check_convex, embed)
 
     r = check_convex(body)
     kappa = 1.0 / r
@@ -271,12 +285,12 @@ def ball_curvature_field_sweep(body):
             else:
                 lo, hi = np.inf, -np.inf
                 j_lo = j_hi = -1
-            if lo < kmin_diag:
+            if lo < kmin_diag * (1.0 - DIAG_TIE_RTOL):
                 k_lower[x] = lo
                 w_lower[x] = (j_lo, 0)
             else:
                 k_lower[x] = kmin_diag
-            if hi > kmax_diag:
+            if hi > kmax_diag * (1.0 + DIAG_TIE_RTOL):
                 k_upper[x] = hi
                 w_upper[x] = (j_hi, 0)
             else:
@@ -307,12 +321,12 @@ def ball_curvature_field_sweep(body):
         else:
             lo, hi = np.inf, -np.inf
             flat_lo = flat_hi = 0
-        if lo < kmin_diag:
+        if lo < kmin_diag * (1.0 - DIAG_TIE_RTOL):
             k_lower[x] = lo
             w_lower[x] = divmod(flat_lo, n_phi)
         else:
             k_lower[x] = kmin_diag
-        if hi > kmax_diag:
+        if hi > kmax_diag * (1.0 + DIAG_TIE_RTOL):
             k_upper[x] = hi
             w_upper[x] = divmod(flat_hi, n_phi)
         else:

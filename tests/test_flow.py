@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from noncollapse import flow
 from noncollapse.errors import ConvexityLost
 from noncollapse.flow import (CFL_MAX, REACHED_MAX_F, REACHED_T_END, FlowConfig,
-                              build_body, build_speed, run)
-from noncollapse.geometry import AXISYMMETRIC, CURVE, area
+                              _dt_of, build_body, build_speed, run)
+from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, _workspace, area,
+                                  make_ellipse, make_ellipsoid, make_sphere)
+
+from oracles import dt_reference, random_convex_axisym, random_convex_curve
 
 
 def sphere_cfg(mode, N, stop_factor=100.0, **kw):
@@ -68,6 +72,121 @@ def test_stable_dt_quadruples_when_n_halves():
     d1 = run(t_end_cfg(sphere_body(CURVE, 256), 1e-3, cfl=0.1)).counters["dt_max"]
     d2 = run(t_end_cfg(sphere_body(CURVE, 128), 1e-3, cfl=0.1)).counters["dt_max"]
     assert d2 == pytest.approx(4 * d1, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the per-direction stable step against the scalar-stiffness reference
+# ---------------------------------------------------------------------------
+
+DT_SPEEDS = ("mean", "harmonic", "sigma-ratio:2", "sigma-root:2", "power:-2", "power:-8",
+             "power:0.5")
+
+
+def _steps(body, name, cfl=0.25):
+    """(per-direction step, reference step) of body under the named speed."""
+    ws = _workspace(body.mode, body.N)
+    r = ws.radii(body.h)
+    assert r.min() > 0.0
+    sp = build_speed(name, body.mode)
+    return _dt_of(ws, r, sp, cfl), dt_reference(ws, r, sp, cfl)
+
+
+def test_dt_never_below_reference_on_random_bodies():
+    # max_{x,i} g_i kappa_i^2 <= max g * max kappa^2, and both steps round
+    # monotonically in r and g, so the inequality holds without a tolerance;
+    # for the mean (g = 1/2 everywhere) the two round identically
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        N = int(rng.choice([33, 64, 65, 128, 257]))
+        if rng.uniform() < 0.5:
+            body = make_ellipsoid(N, 1.0, float(np.exp(rng.uniform(np.log(0.3), np.log(3.0)))))
+        else:
+            body = ConvexBody(mode=AXISYMMETRIC,
+                              h=random_convex_axisym(rng, N, strength=rng.uniform(0.1, 0.9)))
+        for name in DT_SPEEDS:
+            new, ref = _steps(body, name)
+            assert new >= ref, name
+            if name == "mean":
+                assert new == ref
+
+
+def test_dt_equals_reference_on_spheres_and_curves():
+    rng = np.random.default_rng(9)
+    bodies = [make_sphere(CURVE, 128, 0.7), make_sphere(AXISYMMETRIC, 65, 1.3),
+              make_sphere(AXISYMMETRIC, 257, 0.9), make_ellipse(256, 1.5, 1.0),
+              ConvexBody(mode=CURVE, h=random_convex_curve(rng, 128))]
+    for body in bodies:
+        for name in DT_SPEEDS:
+            if body.mode == CURVE and name.startswith("sigma"):
+                continue  # sigma_2 needs two curvatures
+            new, ref = _steps(body, name)
+            assert new == pytest.approx(ref, rel=1e-14), (body.mode, body.N, name)
+
+
+def test_dt_bounds_linearised_spectrum():
+    # frozen at h, a perturbation u obeys du/dt = J u with
+    # J = sum_i g_i kappa_i^2 dr_i/dh; the step keeps dt * |lambda| within
+    # cfl * pi^2 * N/(N-1), which a sphere's top mode attains
+    rng = np.random.default_rng(10)
+    bodies = [make_sphere(AXISYMMETRIC, N) for N in (33, 64)]
+    bodies += [make_ellipsoid(N, 1.0, c) for N in (64, 128) for c in (0.3, 1.5, 3.0)]
+    bodies += [ConvexBody(mode=AXISYMMETRIC, h=random_convex_axisym(rng, N, strength=0.9))
+               for N in (33, 65, 128)]
+    for body in bodies:
+        N = body.N
+        ws = _workspace(AXISYMMETRIC, N)
+        r = ws.radii(body.h)
+        dr = np.stack([ws.radii(e) for e in np.eye(N)], axis=2)  # radii are linear in h
+        for name in DT_SPEEDS:
+            sp = build_speed(name, AXISYMMETRIC)
+            a = sp._g(1.0 / r) / (r * r)
+            lam = np.linalg.eigvals(np.einsum("xi,xik->xk", a, dr))
+            q = np.abs(lam).max() * _dt_of(ws, r, sp, 1.0) / (np.pi**2 * N / (N - 1))
+            assert q <= 1.0, (N, name)
+            if np.ptp(body.h) == 0.0:
+                assert q > 0.99
+
+
+def test_dt_gain_on_ellipsoids():
+    # the ratios of the two steps at t = 0 that size the step counts
+    for N, c, name, gain in ((256, 1.5, "sigma-ratio:2", 1.92), (128, 1.5, "power:-2", 2.16),
+                             (128, 1.5, "mean", 1.0), (96, 0.3, "harmonic", 123.4)):
+        new, ref = _steps(make_ellipsoid(N, 1.0, c), name)
+        assert new / ref == pytest.approx(gain, rel=2e-3), (N, c, name)
+
+
+STABILITY_CASES = [(c, N, name) for c in (1.5, 0.3) for N in (64, 128)
+                   for name in ("harmonic", "power:-2", "mean")]
+
+
+@pytest.mark.parametrize("c,N,name", STABILITY_CASES)
+def test_per_direction_step_stable_at_cfl_max(c, N, name, monkeypatch):
+    # prolate and oblate ellipsoids to max F x3 at the largest cfl: no
+    # rollback, and where the reference-bound run is cheap the same result
+    # to 1e-8 relative (the oblate references take up to 123 times the steps)
+    cfg = FlowConfig(speed=name,
+                     body={"mode": AXISYMMETRIC, "N": N,
+                           "shape": {"kind": "ellipsoid", "a": 1.0, "c": c}},
+                     cfl=CFL_MAX, stop_max_f_factor=3.0, snapshot_every=10**9,
+                     monitor="radii")
+    fr = run(cfg)
+    assert fr.termination == REACHED_MAX_F
+    assert fr.counters["rollbacks"] == 0
+    if c == 0.3 and (N, name) != (64, "harmonic"):
+        return
+    monkeypatch.setattr(flow, "_dt_of", dt_reference)
+    ref = run(cfg)
+    assert ref.termination == REACHED_MAX_F
+    if name == "mean":
+        assert fr.steps == ref.steps
+        assert np.array_equal(fr.snapshots[-1].h, ref.snapshots[-1].h)
+    else:
+        assert fr.steps < ref.steps
+    for a, b in ((fr.times[-1], ref.times[-1]), (fr.t_hat, ref.t_hat),
+                 (fr.r_plus[-1], ref.r_plus[-1]), (fr.r_minus[-1], ref.r_minus[-1])):
+        assert a == pytest.approx(b, rel=1e-8, abs=0.0)
+    h, h_ref = fr.snapshots[-1].h, ref.snapshots[-1].h
+    assert np.abs(h - h_ref).max() <= 1e-8 * np.abs(h_ref).max()
 
 
 def test_area_loss_rate_curve_shortening():

@@ -386,6 +386,23 @@ def test_radii_ellipse():
     assert rep.r_minus <= rep.r_plus
 
 
+def test_curve_in_center_is_segment_midpoint():
+    # the polygon of an a/b = 1.5 ellipse's support lines has flat top and
+    # bottom edges along which the largest circle slides by O(dtheta); the
+    # in-center is the midpoint of that segment, the ellipse's center, and a
+    # 1e-12 change of h moves it by 1e-12 over the angle, O(dtheta), at which
+    # the stopping support lines meet the segment
+    rng = np.random.default_rng(15)
+    for N in (64, 128, 256):
+        for shift in ([0.0, 0.0], [0.3, -0.2]):
+            b = translate(make_ellipse(N, 1.5, 1.0), shift)
+            c = radii(b).in_center
+            assert np.abs(c - shift).max() < 1e-12
+            for _ in range(5):
+                moved = radii(ConvexBody(mode=CURVE, h=b.h + 1e-12 * rng.standard_normal(N)))
+                assert np.abs(moved.in_center - c).max() < N * 1e-12
+
+
 def test_radii_translated_sphere_recovers_center():
     b = translate(make_sphere(CURVE, 256, 1.0), [0.4, -0.2])
     rep = radii(b)

@@ -1,12 +1,13 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from noncollapse.errors import RunTooShort
 from noncollapse.flow import FlowConfig, build_speed, run
-from noncollapse.geometry import (CURVE, ball_curvature_field, make_ellipse,
-                                  make_sphere, scale)
+from noncollapse.geometry import (AXISYMMETRIC, CURVE, ball_curvature_field,
+                                  make_ellipse, make_sphere, scale)
 from noncollapse.monitor import (CSV_COLUMNS, assert_trend, monitor_rows,
                                  ratios, roundness, run_verdicts,
                                  write_monitor_csv)
@@ -99,6 +100,35 @@ def test_monitor_rows_sphere(sphere_run):
         assert r.hausdorff_rescaled is not None
         assert r.hausdorff_rescaled < 1e-6
         assert r.t_hat_lo <= r.t_hat_hi + 1e-15
+
+
+def test_diagonal_ties_survive_perturbation():
+    # on an oblate body the exterior minimum of many rows ties the azimuthal
+    # curvature (y on x's own parallel circle); a 1e-13 relative change of h
+    # must not move a diag_residual cell, or any row's witness, between the
+    # diagonal and off it
+    cfg = FlowConfig(speed="harmonic",
+                     body={"mode": AXISYMMETRIC, "N": 96,
+                           "shape": {"kind": "ellipsoid", "a": 1.0, "c": 0.5}},
+                     cfl=0.25, stop_max_f_factor=3.0, snapshot_every=300, monitor="full")
+    fr = run(cfg)
+    sp = build_speed("harmonic", AXISYMMETRIC)
+
+    def diagonal_rows(body):
+        fld = ball_curvature_field(body)
+        return np.concatenate([fld.witness_lower[:, 0] < 0, fld.witness_upper[:, 0] < 0])
+
+    cells = [r.diag_residual is None for r in monitor_rows(fr, sp)]
+    rows = [diagonal_rows(b) for b in fr.snapshots]
+    assert len(cells) > 10
+    rng = np.random.default_rng(96)
+    for _ in range(3):
+        snaps = [replace(b, h=b.h * (1.0 + 1e-13 * rng.standard_normal(b.N)))
+                 for b in fr.snapshots]
+        assert [r.diag_residual is None
+                for r in monitor_rows(replace(fr, snapshots=snaps), sp)] == cells
+        for b, d in zip(snaps, rows):
+            assert np.array_equal(diagonal_rows(b), d)
 
 
 def test_monitor_csv_schema(tmp_path, sphere_run):
