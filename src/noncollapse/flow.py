@@ -1,33 +1,47 @@
 """Evolve a convex body by an outward-normal speed via its support function.
 
 The normal velocity -F(kappa) becomes dh/dt = -f(kappa(h)) on the support
-samples; run() is the one stepping path: classical 4-stage explicit
-Runge-Kutta with a CFL-limited step, a convexity check on every step (a
-failed step is retried at half the step) and the final step bisected onto
-the max-F stop.  Every snapshot moves the support origin to the in-center
-and records the body, its radii, and the extinction-time interval
-[t + r_minus^2/2, t + r_plus^2/2] read off the avoidance bounds.  The flow
-draws no random numbers: a config alone fixes a run.
+samples; run() is the one stepping path: the exponential integrator ETDRK4
+(Cox & Matthews 2002) under step-doubling error control, a convexity check
+on every step (a failed step is retried at half the step) and the final
+step bisected onto the max-F stop.  Every snapshot moves the support origin
+to the in-center and records the body, its radii, and the extinction-time
+interval [t + r_minus^2/2, t + r_plus^2/2] read off the avoidance bounds.
+The flow draws no random numbers: a config alone fixes a run.
 
-The stable step is per direction.  With r_i = 1/kappa_i and g = dF/dkappa,
-a perturbation u of h obeys, linearised, du/dt = sum_i g_i kappa_i^2 L_i u,
-where L_1 = d^2/dtheta^2 + 1 along the meridian (the whole operator of a
-curve) and L_2 = cot(theta) d/dtheta + 1 is its azimuthal analogue: first
-order off the poles and equal to L_1 at the poles, where g_1 = g_2.  Each
-direction's coefficient scales a top grid mode of eigenvalue about
--(pi/dtheta)^2, so with a = max over points and directions of g_i kappa_i^2
-the step dt = cfl * dtheta^2 / a keeps dt * |lambda| at about cfl * pi^2.
-The top spatial mode saturates that bound on a sphere, where g_1 = g_2 = 1/2
-at every point (the eigenvalues of the linearised dense radii operator give
-dt * max|lambda| = cfl * pi^2 * N/(N-1) there, and 0.87 to 0.97 of cfl * pi^2
-on prolate and oblate ellipsoids under the mean and the harmonic mean), so
-RK4's interval [-2.785, 0] on the negative real axis requires
-cfl * pi^2 <= 2.785: FlowConfig refuses a cfl above CFL_MAX = 2.785 / pi^2
-(about 0.282), and the committed configs use 0.25.  Elsewhere a is at most
-max g / min r^2, the scalar stiffness that pairs the smallest radius
-anywhere with the largest speed derivative anywhere; the two agree on
-spheres, on curves (g = 1) and for the mean (g = 1/2), and there runs take
-the same steps under either.
+The stiffness is per direction.  With r_i = 1/kappa_i and g = dF/dkappa, a
+perturbation u of h obeys, linearised, du/dt = sum_i g_i kappa_i^2 L_i u,
+where L_1 = 1 + O_1 = d^2/dtheta^2 + 1 along the meridian (the whole
+operator of a curve) and L_2 = 1 + O_2 = cot(theta) d/dtheta + 1 is its
+azimuthal analogue: first order off the poles and equal to L_1 at the
+poles, where g_1 = g_2.  Each direction's coefficient scales a top grid mode
+of eigenvalue about -(pi/dtheta)^2, so with a = max over points and
+directions of g_i kappa_i^2 the stable step dt = cfl * dtheta^2 / a keeps
+dt * |lambda| at about cfl * pi^2 (_dt_of).  The top spatial mode saturates
+that bound on a sphere, where g_1 = g_2 = 1/2 at every point (the
+eigenvalues of the linearised dense radii operator give dt * max|lambda| =
+cfl * pi^2 * N/(N-1) there, and 0.87 to 0.97 of cfl * pi^2 on prolate and
+oblate ellipsoids under the mean and the harmonic mean), so classical RK4,
+whose interval on the negative real axis is [-2.785, 0], is stable at the
+stable step for cfl * pi^2 <= 2.785: FlowConfig refuses a cfl above
+CFL_MAX = 2.785 / pi^2 (about 0.282), and the committed configs use 0.25.
+
+ETDRK4 takes the linear part L = a * sum_i (1 + O_i) exactly and the rest,
+-F(kappa(h)) - L h, in four explicit stages.  L is diagonal in a closed-form
+basis of the grid (geometry._Eigenbasis): eigenvalues 1 - k^2 on the Fourier
+modes of a curve, 2 - k(k+1) on the Legendre polynomials P_k(cos theta) of
+an axisymmetric grid.  a is refreshed before every step.  An attempt takes
+one step and two half steps and keeps the half steps' result when the two
+differ by at most ETD_TOL relative to max |h|.  Steps come from a ladder of
+2^(j/RUNGS) stable steps, so their weights depend on j alone and a rescaled
+body takes the same steps.  The stable step sets the snapshot clock:
+snapshot_every counts stable steps (their trapezoid sum, steps clipped to
+land on each snapshot), so a config samples where RK4 at the stable step
+would, whatever steps the error control takes.  Where g_i kappa_i^2 varies
+strongly over the body the high modes of the explicit rest are barely
+damped and the error control keeps steps near the stable step: on an
+oblate c/a = 0.3 ellipsoid under power:-2, where it spans a factor 123, a
+run to max F x3 takes 2,484 accepted steps against RK4's 3,998.
 
 The principal radii of each stage come from geometry's kernel, a cached
 dense operator up to geometry.DENSE_MAX_N grid points and one stacked
@@ -42,14 +56,15 @@ axisymmetric mode.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConvexityLost, DomainError
-from .geometry import (AXISYMMETRIC, CURVE, ConvexBody, _Workspace, _workspace,
-                       make_ellipse, make_ellipsoid, make_sphere, recenter)
+from .geometry import (AXISYMMETRIC, CURVE, ConvexBody, _Eigenbasis, _Workspace,
+                       _workspace, make_ellipse, make_ellipsoid, make_sphere, recenter)
 from .speeds import SpeedFunction, parse_speed
 
 REACHED_MAX_F = "ReachedMaxF"
@@ -58,8 +73,17 @@ CONVEXITY_LOST = "ConvexityLost"
 STEP_UNDERFLOW = "StepUnderflow"
 
 # RK4's stability interval on the negative real axis is [-2.785, 0] and the
-# top mode of the support equation has eigenvalue -cfl * pi^2
+# top mode of the support equation has eigenvalue -cfl * pi^2 at the stable
+# step, the unit of the snapshot clock
 CFL_MAX = 2.785 / np.pi**2
+
+# step-doubling tolerance: one ETDRK4 step and two half steps may differ by
+# at most this, relative to max |h|
+ETD_TOL = 1e-12
+
+# the step-size ladder: a step takes 2^(j/RUNGS) stable-step units for an
+# integer j, so a rescaled body takes the same steps
+RUNGS = 4
 
 
 @dataclass
@@ -123,17 +147,64 @@ def _speed_of_radii(r: np.ndarray, speed: SpeedFunction) -> np.ndarray:
     return speed._v(1.0 / r)
 
 
-def _rk4(ws: _Workspace, h: np.ndarray, speed: SpeedFunction, dt: float,
-         r0: Optional[np.ndarray] = None, F0: Optional[np.ndarray] = None) -> np.ndarray:
-    """One RK4 step from h; r0 and F0, when given, are the radii and the
-    speed at h."""
-    if F0 is None:
-        F0 = _speed_of_radii(ws.radii(h) if r0 is None else r0, speed)
-    k1 = -F0
-    k2 = -_speed_of_radii(ws.radii(h + (0.5 * dt) * k1), speed)
-    k3 = -_speed_of_radii(ws.radii(h + (0.5 * dt) * k2), speed)
-    k4 = -_speed_of_radii(ws.radii(h + dt * k3), speed)
-    return h + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+# Taylor coefficients, by power of z, of the four weights of
+# _etd_coefficients that are series in z: phi_1(z/2)/2 = sum z^n/(2^(n+1) (n+1)!),
+# f1 = sum (n+1)^2 z^n/(n+3)!, f2 = sum (n+1) z^n/(n+3)! and
+# f3 = sum (1-n) z^n/(n+3)!; below |z| = 1, 18 terms leave less than 1/20!
+_TAYLOR = np.array([[0.5 ** (n + 1) / math.factorial(n + 1), (n + 1) ** 2 / math.factorial(n + 3),
+                     (n + 1) / math.factorial(n + 3), (1 - n) / math.factorial(n + 3)]
+                    for n in range(18)])
+
+
+def _etd_coefficients(z: np.ndarray) -> tuple:
+    """The diagonal weights of one ETDRK4 step, for z = dt times the linear
+    part's eigenvalues: (e^z, e^(z/2), phi_1(z/2)/2, f1, f2, f3), the last
+    four divided by dt (Cox & Matthews 2002).  Where |z| < 1 the
+    closed forms lose digits to cancellation (Kassam & Trefethen 2005), so
+    the Taylor series replaces them there."""
+    small = np.abs(z) < 1.0
+    zs = np.where(small, 1.0, z)
+    ez = np.exp(zs)
+    z3 = zs**3
+    q = np.expm1(0.5 * zs) / zs
+    f1 = (-4.0 - zs + ez * (4.0 - 3.0 * zs + zs * zs)) / z3
+    f2 = (2.0 + zs + ez * (zs - 2.0)) / z3
+    f3 = (-4.0 - 3.0 * zs - zs * zs + ez * (4.0 - zs)) / z3
+    zz = z[small]
+    acc = np.zeros((4, zz.size))
+    for coef in _TAYLOR[::-1]:
+        acc = acc * zz + coef[:, None]
+    for f, a in zip((q, f1, f2, f3), acc):
+        f[small] = a
+    return np.exp(z), np.exp(0.5 * z), q, f1, f2, f3
+
+
+def _speed_coefficients(ws: _Workspace, eig: _Eigenbasis, speed: SpeedFunction,
+                        h: np.ndarray) -> np.ndarray:
+    """Eigen-coefficients of -F at grid values h."""
+    return eig.forward(-_speed_of_radii(ws.radii(h), speed))
+
+
+def _rk4(ws: _Workspace, eig: _Eigenbasis, speed: SpeedFunction, dt: float, w: tuple,
+         lin: np.ndarray, c0: np.ndarray, n0: np.ndarray) -> np.ndarray:
+    """One exponential RK4 step (ETDRK4, Cox & Matthews 2002) of
+    dc/dt = lin * c + n(c) on eigen-coefficients c, n(c) the coefficients of
+    -F less lin * c; w = _etd_coefficients(dt * lin) and n0 = n(c0).
+    Returns the coefficients after dt."""
+    e, e2, q, f1, f2, f3 = w
+    q = dt * q
+
+    def n(c):
+        return _speed_coefficients(ws, eig, speed, eig.inverse(c)) - lin * c
+
+    e2c = e2 * c0
+    a = e2c + q * n0
+    na = n(a)
+    b = e2c + q * na
+    nb = n(b)
+    c = e2 * a + q * (2.0 * nb - n0)
+    nc = n(c)
+    return e * c0 + dt * (f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc)
 
 
 def _dt_of(ws: _Workspace, r: np.ndarray, speed: SpeedFunction, cfl: float) -> float:
@@ -163,17 +234,19 @@ class FlowRun:
     t_hat_hi: list = dc_field(default_factory=list)
     termination: str = ""
     steps: int = 0
-    rk4_attempts: int = 0          # RK4 steps tried, rolled back or bisected included
-    rollbacks: int = 0             # dt halvings after a step lost convexity or domain
-    dt_refreshes: int = 0          # evaluations of the stable step
-    bisection_iterations: int = 0  # RK4 steps of the final bisection onto max F
+    rk4_attempts: int = 0          # ETDRK4 steps: three per attempt, and the bisection's
+    rejected: int = 0              # attempts rejected by the step-doubling error control
+    rollbacks: int = 0             # step halvings after a stage lost convexity or domain
+    dt_refreshes: int = 0          # evaluations of the stable step, one before each step
+    bisection_iterations: int = 0  # ETDRK4 steps of the final bisection onto max F
     dt_min: Optional[float] = None  # smallest and largest step taken, the final
     dt_max: Optional[float] = None  # step bisected onto max F left out
 
     @property
     def counters(self) -> dict:
         return {"steps": self.steps, "rk4_attempts": self.rk4_attempts,
-                "rollbacks": self.rollbacks, "dt_refreshes": self.dt_refreshes,
+                "rejected": self.rejected, "rollbacks": self.rollbacks,
+                "dt_refreshes": self.dt_refreshes,
                 "bisection_iterations": self.bisection_iterations,
                 "dt_min": self.dt_min, "dt_max": self.dt_max}
 
@@ -206,9 +279,35 @@ def stop_threshold(config: FlowConfig, body: ConvexBody, speed: SpeedFunction) -
     return stop_f
 
 
+def _sample(run_: FlowRun, ws: _Workspace, speed: SpeedFunction, b: ConvexBody) -> ConvexBody:
+    """Record body b as a snapshot of run_, moved to its in-center."""
+    F = _speed_of_radii(ws.radii(b.h), speed)
+    b, rep = recenter(b)
+    run_.times.append(b.t)
+    run_.snapshots.append(b)
+    run_.max_f.append(float(F.max()))
+    run_.min_f.append(float(F.min()))
+    run_.r_plus.append(rep.r_plus)
+    run_.r_minus.append(rep.r_minus)
+    run_.in_centers.append(np.array(b.center_offset))
+    run_.t_hat_lo.append(b.t + 0.5 * rep.r_minus**2)
+    run_.t_hat_hi.append(b.t + 0.5 * rep.r_plus**2)
+    return b
+
+
+def _rungs(err: float) -> int:
+    """Ladder rungs by which the step may change after a step-doubling error
+    err: an ETDRK4 step's error scales as dt^5, and the next step aims at
+    0.9^5 ETD_TOL.  Negative after a rejection; at most one octave up."""
+    if err == 0.0:
+        return RUNGS
+    return min(RUNGS, math.floor(RUNGS * math.log2(0.9 * (ETD_TOL / err) ** 0.2)))
+
+
 def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
         body: Optional[ConvexBody] = None) -> FlowRun:
-    """Step until a termination condition, sampling every snapshot_every steps.
+    """Step until a termination condition, sampling every snapshot_every
+    stable-step units.
 
     The final step is bisected so a ReachedMaxF run lands on the threshold
     (relative 1e-9) instead of overshooting by one step.
@@ -217,98 +316,117 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
     speed = build_speed(config.speed, body.mode) if speed is None else speed
     ws = _workspace(body.mode, body.N)
     stop_f = stop_threshold(config, body, speed)
+    eig = ws.eigenbasis()
     run_ = FlowRun(config=config)
+    # dt * L over one stable step dt_unit, for L = a * sum_i (1 + O_i) and
+    # a = cfl * dtheta^2 / dt_unit
+    unit_z = config.cfl * ws.dth * ws.dth * eig.lam
+    recent = {}  # ETD weights of the last few ladder steps, by stable-step units
+
+    def weights(units: float, keep: bool) -> tuple:
+        w = recent.get(units)
+        if w is None:
+            w = _etd_coefficients(units * unit_z)
+            if keep:
+                recent[units] = w
+                if len(recent) > 8:
+                    del recent[next(iter(recent))]
+        return w
 
     def sample(b: ConvexBody) -> ConvexBody:
-        F = _speed_of_radii(ws.radii(b.h), speed)
-        b, rep = recenter(b)
-        run_.times.append(b.t)
-        run_.snapshots.append(b)
-        run_.max_f.append(float(F.max()))
-        run_.min_f.append(float(F.min()))
-        run_.r_plus.append(rep.r_plus)
-        run_.r_minus.append(rep.r_minus)
-        run_.in_centers.append(np.array(b.center_offset))
-        run_.t_hat_lo.append(b.t + 0.5 * rep.r_minus**2)
-        run_.t_hat_hi.append(b.t + 0.5 * rep.r_plus**2)
-        return b
+        return _sample(run_, ws, speed, b)
+
+    def step(dt, w, lin, c0, n0):
+        run_.rk4_attempts += 1
+        return _rk4(ws, eig, speed, dt, w, lin, c0, n0)
 
     body = sample(body)
-    steps_since_sample = 0
     config_mode = body.mode
-    h = body.h
-    t = body.t
-    offset = body.center_offset
+    h, t, offset = body.h, body.t, body.center_offset
+    c = eig.forward(h)
     r = ws.radii(h)
-    F = None  # speed at h, known once a step has been accepted
+    neg_f = _speed_coefficients(ws, eig, speed, h)  # coefficients of -F at h
+    dt_unit = _dt_of(ws, r, speed, config.cfl)
+    run_.dt_refreshes += 1
+    clock = 0.0  # stable-step units since the last snapshot
+    j = 0        # the next step tries 2^(j/RUNGS) stable-step units
+    failure = STEP_UNDERFLOW
 
     def as_body(hh, tt):
         return ConvexBody(mode=config_mode, h=hh, t=tt, center_offset=offset)
 
-    # the stable step drifts by ~1e-5 relative per step, so refresh it every
-    # few steps with a small margin instead of every step
-    dt_cached = None
-    dt_age = 0
     while True:
-        if dt_cached is None or dt_age >= 8:
-            dt_cached = 0.995 * _dt_of(ws, r, speed, config.cfl)
-            dt_age = 0
-            run_.dt_refreshes += 1
-        dt = dt_cached
-        dt_age += 1
-        if config.t_end is not None:
-            dt = min(dt, config.t_end - t)
-            if dt <= 0.0:
-                run_.termination = REACHED_T_END
-                break
-        floor = 1e-14 * max(1.0, t)
-        if dt < floor:
-            run_.termination = STEP_UNDERFLOW
+        if config.t_end is not None and config.t_end - t <= 0.0:
+            run_.termination = REACHED_T_END
             break
-
-        h_new = None
-        while dt >= floor:
-            run_.rk4_attempts += 1
-            try:
-                h_try = _rk4(ws, h, speed, dt, r0=r, F0=F)
-                r_try = ws.radii(h_try)
-                if r_try.min() <= 0.0:
-                    raise ConvexityLost("lost convexity")
-                h_new, r_new = h_try, r_try
+        lin = unit_z / dt_unit
+        n0 = neg_f - lin * c
+        floor = 1e-14 * max(1.0, t)
+        while True:
+            units = 2.0 ** (j / RUNGS)
+            lands = units >= config.snapshot_every - clock
+            if lands:
+                units = config.snapshot_every - clock
+            dt = units * dt_unit
+            ends = config.t_end is not None and t + dt >= config.t_end
+            if ends:
+                dt = config.t_end - t
+                units = dt / dt_unit
+            if dt < floor:
                 break
+            on_ladder = not (lands or ends)
+            try:
+                full = step(dt, weights(units, on_ladder), lin, c, n0)
+                w = weights(0.5 * units, on_ladder)
+                mid = step(0.5 * dt, w, lin, c, n0)
+                n_mid = _speed_coefficients(ws, eig, speed, eig.inverse(mid)) - lin * mid
+                c_new = step(0.5 * dt, w, lin, mid, n_mid)
+                h_new = eig.inverse(c_new)
+                r_new = ws.radii(h_new)
+                if r_new.min() <= 0.0:
+                    raise ConvexityLost("lost convexity")
             except (ConvexityLost, DomainError):
-                dt *= 0.5
-                dt_cached = None
+                j = min(j, math.floor(RUNGS * math.log2(units))) - RUNGS
                 run_.rollbacks += 1
-        if h_new is None:
-            run_.termination = CONVEXITY_LOST
+                failure = CONVEXITY_LOST
+                continue
+            err = float(np.abs(h_new - eig.inverse(full)).max() / np.abs(h_new).max())
+            if err > ETD_TOL:
+                j = min(j, math.floor(RUNGS * math.log2(units))) + _rungs(err)
+                run_.rejected += 1
+                failure = STEP_UNDERFLOW
+                continue
+            if on_ladder:
+                j += max(0, _rungs(err))
+            break
+        if dt < floor:
+            run_.termination = failure
             break
 
         F_new = _speed_of_radii(r_new, speed)
         if float(F_new.max()) >= stop_f:
-            # bisect the final step onto the threshold
+            # bisect the final step onto the threshold, one ETD step per trial
             h_best, dt_best = h_new, dt
             lo_dt, hi_dt = 0.0, dt
             for _ in range(80):
-                mid = 0.5 * (lo_dt + hi_dt)
-                if mid <= 0.0 or mid == lo_dt or mid == hi_dt:
+                mid_dt = 0.5 * (lo_dt + hi_dt)
+                if mid_dt <= 0.0 or mid_dt == lo_dt or mid_dt == hi_dt:
                     break
-                run_.rk4_attempts += 1
                 run_.bisection_iterations += 1
                 try:
-                    h_try = _rk4(ws, h, speed, mid, r0=r, F0=F)
+                    h_try = eig.inverse(step(mid_dt, weights(mid_dt / dt_unit, False), lin, c, n0))
                     r_try = ws.radii(h_try)
                     if r_try.min() <= 0.0:
                         raise ConvexityLost("lost convexity")
                 except (ConvexityLost, DomainError):
-                    hi_dt = mid
+                    hi_dt = mid_dt
                     continue
                 f_trial = float(_speed_of_radii(r_try, speed).max())
                 if f_trial < stop_f:
-                    lo_dt = mid
+                    lo_dt = mid_dt
                 else:
-                    h_best, dt_best = h_try, mid
-                    hi_dt = mid
+                    h_best, dt_best = h_try, mid_dt
+                    hi_dt = mid_dt
                     if f_trial < stop_f * (1.0 + 1e-9):
                         break
             run_.steps += 1
@@ -316,22 +434,31 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
             run_.termination = REACHED_MAX_F
             break
 
-        h, r, F = h_new, r_new, F_new
-        t += dt
+        h, c, r = h_new, c_new, r_new
+        neg_f = eig.forward(-F_new)
+        t = config.t_end if ends else t + dt
         run_.steps += 1
         run_.dt_min = dt if run_.dt_min is None else min(run_.dt_min, dt)
         run_.dt_max = dt if run_.dt_max is None else max(run_.dt_max, dt)
-        steps_since_sample += 1
-        if config.t_end is not None and t >= config.t_end:
+        if ends:
             sample(as_body(h, t))
             run_.termination = REACHED_T_END
             break
-        if steps_since_sample >= config.snapshot_every:
+        # the clock takes the trapezoid of 1/dt_unit over the step, while a
+        # landing step was sized by the rate at its start: the difference
+        # carries over to the next snapshot, by at most half an interval
+        dt_next = _dt_of(ws, r, speed, config.cfl)
+        run_.dt_refreshes += 1
+        clock += 0.5 * dt * (1.0 / dt_unit + 1.0 / dt_next)
+        dt_unit = dt_next
+        if lands or clock >= config.snapshot_every:
             b = sample(as_body(h, t))
             h, t, offset = b.h, b.t, b.center_offset
+            c = eig.forward(h)
             r = ws.radii(h)
-            F = None
-            steps_since_sample = 0
+            neg_f = _speed_coefficients(ws, eig, speed, h)
+            half = 0.5 * config.snapshot_every
+            clock = min(max(clock - config.snapshot_every, -half), half)
 
     if run_.termination in (CONVEXITY_LOST, STEP_UNDERFLOW):
         if not run_.times or run_.times[-1] < t:

@@ -2,10 +2,11 @@
 
 Two modes: closed curves in the plane (periodic grid) and axisymmetric
 surfaces in 3-space (polar-angle grid including the poles, differentiated
-through its even periodic extension); both use one cached Fourier kernel.
-The module computes embeddings, principal curvatures, interior/exterior
-ball-curvature fields, in/circumradius, and the Hausdorff distance to a unit
-sphere.
+through its even periodic extension); both use one cached Fourier kernel,
+and the flow steps in the closed-form eigenbasis of the linearised radii
+operator (_Eigenbasis).  The module computes embeddings, principal
+curvatures, interior/exterior ball-curvature fields, in/circumradius, and
+the Hausdorff distance to a unit sphere.
 """
 from __future__ import annotations
 
@@ -148,6 +149,7 @@ class _Workspace:
         self.d2 = -(m * m)
         # the radii need h'' and, for the azimuthal radius, h'
         self.mult = np.array([self.d2] if mode == CURVE else [self.d2, self.d1])
+        self._eigen = None
         self.dense = None
         if N <= DENSE_MAX_N:
             # column k holds the offsets r - h of the k-th unit vector, its
@@ -199,6 +201,106 @@ class _Workspace:
         self._offsets(h, r)
         r += h[:, None]
         return r
+
+    def eigenbasis(self) -> "_Eigenbasis":
+        """The closed-form eigenbasis of sum_i (1 + O_i), built on first use."""
+        if self._eigen is None:
+            self._eigen = _Eigenbasis(self.mode, self.N)
+        return self._eigen
+
+
+class _Eigenbasis:
+    """Eigenpairs of a grid's linearised radii operator sum_i (1 + O_i), O_i
+    the offsets r_i - h of _Workspace._offsets, in closed form.
+
+    Curve grids: 1 + d^2/dtheta^2 has eigenvalue 1 - k^2 on the real Fourier
+    modes, so the coefficients are rfft's.  Axisymmetric grids: the operator
+    is 2 plus the spherical Laplacian of axisymmetric functions, and it is
+    exact on the grid for polynomials in x = cos(theta) of degree below N
+    (the Nyquist mode's derivative vanishes at every node), so its
+    eigenvectors are the Legendre polynomials P_k(x_j), k < N, with
+    eigenvalues 2 - k(k+1).  P_k has the parity of k and the grid is
+    symmetric about the equator, so each transform splits into an even and
+    an odd half of about N/2 x N/2; coefficients are stored as [even k...,
+    odd k...].  forward(), the inverse of the Legendre matrix, is the DCT-I
+    of the grid values (their Chebyshev coefficients) followed by the
+    Chebyshev-to-Legendre conversion, built column by column from
+    T_{m+1} = 2x T_m - T_{m-1}: no matrix inverse and no matrix-matrix
+    product, and no storage beyond the two matrices kept."""
+
+    def __init__(self, mode: str, N: int):
+        self.mode = mode
+        self.N = N
+        if mode == CURVE:
+            k = np.arange(N // 2 + 1, dtype=float)
+            self.lam = 1.0 - k * k
+            return
+        M = N - 1
+        ne, no = self.ne, self.no = (N + 1) // 2, N // 2
+        k = np.arange(N, dtype=float)
+        lam = 2.0 - k * (k + 1.0)
+        self.lam = np.concatenate([lam[0::2], lam[1::2]])
+        th = np.pi * np.arange(ne) / M
+        x = np.cos(th)  # the nodes down to the equator; odd P_k vanish on it
+        self.v_e, self.v_o = np.empty((ne, ne)), np.empty((no, no))
+        # b_e, b_o: Legendre coefficients of the Chebyshev T_m, by parity
+        b_e, b_o = np.empty((ne, ne)), np.empty((no, no))
+        down = k[1:] / (2.0 * k[1:] - 1.0)          # x P_{k-1} -> P_k
+        up = (k[:-1] + 1.0) / (2.0 * k[:-1] + 3.0)  # x P_{k+1} -> P_k
+        p_prev, p = np.zeros(ne), np.ones(ne)
+        t_prev, t = np.zeros(N), np.zeros(N)
+        t[0] = 1.0
+        for m in range(N):
+            if m % 2 == 0:
+                self.v_e[:, m // 2] = p
+                b_e[:, m // 2] = t[0::2]
+            else:
+                self.v_o[:, m // 2] = p[:no]
+                b_o[:, m // 2] = t[1::2]
+            p_prev, p = p, ((2 * m + 1) * x * p - m * p_prev) / (m + 1)
+            xt = np.zeros(N)
+            xt[1:] = down * t[:-1]
+            xt[:-1] += up * t[1:]
+            t_prev, t = t, (2.0 if m else 1.0) * xt - t_prev
+        # forward() is B C, B the conversion and C the DCT-I c_m =
+        # (2/M) w_m sum_j w_j h_j cos(m theta_j) (w = 1/2 at the ends; on the
+        # half grid a mirrored node pair counts twice, the equator node
+        # once).  Row k of B C is then a DCT-I of row k of B: an rfft of its
+        # even extension, written back over the row, 16 rows at a time
+        w_node = np.full(ne, 2.0 / M)
+        w_node[0] = 1.0 / M
+        if N % 2:
+            w_node[-1] = 1.0 / M
+        for b, parity in ((b_e, 0), (b_o, 1)):
+            n = b.shape[0]
+            for lo in range(0, n, 16):
+                rows = b[lo : lo + 16]
+                g = np.zeros((rows.shape[0], N))
+                g[:, parity::2] = rows
+                spec = np.fft.rfft(np.concatenate([g, g[:, -2:0:-1]], axis=1), axis=1)
+                rows[:] = w_node[:n] * spec.real[:, :n]
+        self.inv_e, self.inv_o = b_e, b_o
+
+    def forward(self, h: np.ndarray) -> np.ndarray:
+        """Eigen-coefficients of grid values h."""
+        if self.mode == CURVE:
+            return np.fft.rfft(h)
+        hr = h[::-1]
+        return np.concatenate([self.inv_e @ (0.5 * (h[: self.ne] + hr[: self.ne])),
+                               self.inv_o @ (0.5 * (h[: self.no] - hr[: self.no]))])
+
+    def inverse(self, c: np.ndarray) -> np.ndarray:
+        """Grid values of eigen-coefficients c."""
+        if self.mode == CURVE:
+            return np.fft.irfft(c, self.N)
+        ne, no = self.ne, self.no
+        s = self.v_e @ c[:ne]
+        d = self.v_o @ c[ne:]
+        h = np.empty(self.N)
+        h[:ne] = s
+        h[:no] += d
+        h[ne:] = (s[:no] - d)[::-1]
+        return h
 
 
 _WORKSPACES: dict = {}

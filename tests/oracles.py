@@ -243,6 +243,148 @@ def dt_reference(ws, r, speed, cfl):
 
 
 # ---------------------------------------------------------------------------
+# Reference run: classical RK4 at the stable step, the library's stepper
+# before the exponential integrator
+# ---------------------------------------------------------------------------
+
+def rk4_step(ws, h, speed, dt, r0=None, F0=None):
+    """One classical RK4 step from h; r0 and F0, when given, are the radii
+    and the speed at h."""
+    from noncollapse.flow import _speed_of_radii
+
+    if F0 is None:
+        F0 = _speed_of_radii(ws.radii(h) if r0 is None else r0, speed)
+    k1 = -F0
+    k2 = -_speed_of_radii(ws.radii(h + (0.5 * dt) * k1), speed)
+    k3 = -_speed_of_radii(ws.radii(h + (0.5 * dt) * k2), speed)
+    k4 = -_speed_of_radii(ws.radii(h + dt * k3), speed)
+    return h + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def rk4_reference_run(config, speed=None, body=None, dt_of=None):
+    """flow.run with classical RK4: steps of 0.995 times dt_of (default
+    flow._dt_of, looked up at call time) refreshed every 8 steps, a step
+    halved when it loses convexity or domain, a snapshot every
+    snapshot_every steps and the final step bisected onto max F.  Its
+    stability needs cfl <= flow.CFL_MAX."""
+    from noncollapse import flow
+    from noncollapse.errors import ConvexityLost, DomainError
+    from noncollapse.geometry import ConvexBody, _workspace
+
+    dt_of = flow._dt_of if dt_of is None else dt_of
+    body = flow.build_body(config.body) if body is None else body
+    speed = flow.build_speed(config.speed, body.mode) if speed is None else speed
+    ws = _workspace(body.mode, body.N)
+    stop_f = flow.stop_threshold(config, body, speed)
+    run_ = flow.FlowRun(config=config)
+
+    def sample(b):
+        return flow._sample(run_, ws, speed, b)
+
+    body = sample(body)
+    steps_since_sample = 0
+    h, t, offset = body.h, body.t, body.center_offset
+    r = ws.radii(h)
+    F = None
+
+    def as_body(hh, tt):
+        return ConvexBody(mode=body.mode, h=hh, t=tt, center_offset=offset)
+
+    dt_cached = None
+    dt_age = 0
+    while True:
+        if dt_cached is None or dt_age >= 8:
+            dt_cached = 0.995 * dt_of(ws, r, speed, config.cfl)
+            dt_age = 0
+            run_.dt_refreshes += 1
+        dt = dt_cached
+        dt_age += 1
+        if config.t_end is not None:
+            dt = min(dt, config.t_end - t)
+            if dt <= 0.0:
+                run_.termination = flow.REACHED_T_END
+                break
+        floor = 1e-14 * max(1.0, t)
+        if dt < floor:
+            run_.termination = flow.STEP_UNDERFLOW
+            break
+
+        h_new = None
+        while dt >= floor:
+            run_.rk4_attempts += 1
+            try:
+                h_try = rk4_step(ws, h, speed, dt, r0=r, F0=F)
+                r_try = ws.radii(h_try)
+                if r_try.min() <= 0.0:
+                    raise ConvexityLost("lost convexity")
+                h_new, r_new = h_try, r_try
+                break
+            except (ConvexityLost, DomainError):
+                dt *= 0.5
+                dt_cached = None
+                run_.rollbacks += 1
+        if h_new is None:
+            run_.termination = flow.CONVEXITY_LOST
+            break
+
+        F_new = flow._speed_of_radii(r_new, speed)
+        if float(F_new.max()) >= stop_f:
+            h_best, dt_best = h_new, dt
+            lo_dt, hi_dt = 0.0, dt
+            for _ in range(80):
+                mid = 0.5 * (lo_dt + hi_dt)
+                if mid <= 0.0 or mid == lo_dt or mid == hi_dt:
+                    break
+                run_.rk4_attempts += 1
+                run_.bisection_iterations += 1
+                try:
+                    h_try = rk4_step(ws, h, speed, mid, r0=r, F0=F)
+                    r_try = ws.radii(h_try)
+                    if r_try.min() <= 0.0:
+                        raise ConvexityLost("lost convexity")
+                except (ConvexityLost, DomainError):
+                    hi_dt = mid
+                    continue
+                f_trial = float(flow._speed_of_radii(r_try, speed).max())
+                if f_trial < stop_f:
+                    lo_dt = mid
+                else:
+                    h_best, dt_best = h_try, mid
+                    hi_dt = mid
+                    if f_trial < stop_f * (1.0 + 1e-9):
+                        break
+            run_.steps += 1
+            sample(as_body(h_best, t + dt_best))
+            run_.termination = flow.REACHED_MAX_F
+            break
+
+        h, r, F = h_new, r_new, F_new
+        t += dt
+        run_.steps += 1
+        run_.dt_min = dt if run_.dt_min is None else min(run_.dt_min, dt)
+        run_.dt_max = dt if run_.dt_max is None else max(run_.dt_max, dt)
+        steps_since_sample += 1
+        if config.t_end is not None and t >= config.t_end:
+            sample(as_body(h, t))
+            run_.termination = flow.REACHED_T_END
+            break
+        if steps_since_sample >= config.snapshot_every:
+            b = sample(as_body(h, t))
+            h, t, offset = b.h, b.t, b.center_offset
+            r = ws.radii(h)
+            F = None
+            steps_since_sample = 0
+
+    if run_.termination in (flow.CONVEXITY_LOST, flow.STEP_UNDERFLOW):
+        if not run_.times or run_.times[-1] < t:
+            try:
+                sample(as_body(h, t))
+            except (ConvexityLost, DomainError):
+                pass
+    return run_
+
+
+# ---------------------------------------------------------------------------
 # Reference ball-curvature field: the direct sweep over every grid pair, with
 # the axisymmetric y running over the full (theta, phi) torus (O(N^3))
 # ---------------------------------------------------------------------------

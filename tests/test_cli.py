@@ -121,6 +121,8 @@ def test_flow_sphere_run_directory(tmp_path):
                     "hausdorff_rescaled,T_hat_lo,T_hat_hi,diag_residual")
     counters = verdicts["counters"]
     assert counters["steps"] >= 1 and counters["rollbacks"] == 0
+    # error-control rejections are counted apart from convexity rollbacks
+    assert counters["rejected"] >= 0
     snaps = sorted((out / "snapshots").iterdir())
     assert len(snaps) >= 3
     snap = json.loads(snaps[0].read_text())

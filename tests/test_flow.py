@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from noncollapse import flow
 from noncollapse.errors import ConvexityLost
 from noncollapse.flow import (CFL_MAX, REACHED_MAX_F, REACHED_T_END, FlowConfig,
-                              _dt_of, build_body, build_speed, run)
+                              _dt_of, _etd_coefficients, build_body, build_speed, run)
 from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, _workspace, area,
                                   make_ellipse, make_ellipsoid, make_sphere)
 
-from oracles import dt_reference, random_convex_axisym, random_convex_curve
+from oracles import (dt_reference, random_convex_axisym, random_convex_curve,
+                     rk4_reference_run)
 
 
 def sphere_cfg(mode, N, stop_factor=100.0, **kw):
@@ -60,18 +60,20 @@ def test_mode_consistency_on_sphere():
     assert np.abs(c - c[0]).max() < 1e-12
 
 
+def _unit_circle_dt(N, cfl):
+    ws = _workspace(CURVE, N)
+    h = make_sphere(CURVE, N).h
+    return _dt_of(ws, ws.radii(h), build_speed("mean", CURVE), cfl)
+
+
 def test_stable_dt_example_value():
-    # unit circle, curve shortening: r = 1 and f' = 1 at t = 0, so the first
-    # and largest step is the refresh margin 0.995 times cfl * dtheta^2
-    fr = run(t_end_cfg(sphere_body(CURVE, 256), 1e-3, cfl=0.1))
-    assert fr.counters["dt_max"] == pytest.approx(0.995 * 0.1 * (2 * np.pi / 256) ** 2,
-                                                  rel=1e-12)
+    # unit circle, curve shortening: r = 1 and f' = 1, so the stable step is
+    # cfl * dtheta^2
+    assert _unit_circle_dt(256, 0.1) == pytest.approx(0.1 * (2 * np.pi / 256) ** 2, rel=1e-12)
 
 
 def test_stable_dt_quadruples_when_n_halves():
-    d1 = run(t_end_cfg(sphere_body(CURVE, 256), 1e-3, cfl=0.1)).counters["dt_max"]
-    d2 = run(t_end_cfg(sphere_body(CURVE, 128), 1e-3, cfl=0.1)).counters["dt_max"]
-    assert d2 == pytest.approx(4 * d1, rel=1e-12)
+    assert _unit_circle_dt(128, 0.1) == pytest.approx(4 * _unit_circle_dt(256, 0.1), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -160,22 +162,22 @@ STABILITY_CASES = [(c, N, name) for c in (1.5, 0.3) for N in (64, 128)
 
 
 @pytest.mark.parametrize("c,N,name", STABILITY_CASES)
-def test_per_direction_step_stable_at_cfl_max(c, N, name, monkeypatch):
-    # prolate and oblate ellipsoids to max F x3 at the largest cfl: no
-    # rollback, and where the reference-bound run is cheap the same result
-    # to 1e-8 relative (the oblate references take up to 123 times the steps)
+def test_per_direction_step_stable_at_cfl_max(c, N, name):
+    # RK4 at the stable step: prolate and oblate ellipsoids to max F x3 at
+    # the largest cfl with no rollback, and where the scalar-bound run is
+    # cheap the same result to 1e-8 relative (the oblate scalar-bound runs
+    # take up to 123 times the steps)
     cfg = FlowConfig(speed=name,
                      body={"mode": AXISYMMETRIC, "N": N,
                            "shape": {"kind": "ellipsoid", "a": 1.0, "c": c}},
                      cfl=CFL_MAX, stop_max_f_factor=3.0, snapshot_every=10**9,
                      monitor="radii")
-    fr = run(cfg)
+    fr = rk4_reference_run(cfg)
     assert fr.termination == REACHED_MAX_F
     assert fr.counters["rollbacks"] == 0
     if c == 0.3 and (N, name) != (64, "harmonic"):
         return
-    monkeypatch.setattr(flow, "_dt_of", dt_reference)
-    ref = run(cfg)
+    ref = rk4_reference_run(cfg, dt_of=dt_reference)
     assert ref.termination == REACHED_MAX_F
     if name == "mean":
         assert fr.steps == ref.steps
@@ -187,6 +189,70 @@ def test_per_direction_step_stable_at_cfl_max(c, N, name, monkeypatch):
         assert a == pytest.approx(b, rel=1e-8, abs=0.0)
     h, h_ref = fr.snapshots[-1].h, ref.snapshots[-1].h
     assert np.abs(h - h_ref).max() <= 1e-8 * np.abs(h_ref).max()
+
+
+# ---------------------------------------------------------------------------
+# the exponential integrator against the RK4 reference
+# ---------------------------------------------------------------------------
+
+def _ellipsoid_cfg(name, N, c, growth):
+    return FlowConfig(speed=name,
+                      body={"mode": AXISYMMETRIC, "N": N,
+                            "shape": {"kind": "ellipsoid", "a": 1.0, "c": c}},
+                      cfl=0.25, stop_max_f_factor=growth, snapshot_every=400,
+                      monitor="radii")
+
+
+EQUIVALENCE_CASES = {
+    "sphere-curve": sphere_cfg(CURVE, 64),
+    "sphere-axisymmetric": sphere_cfg(AXISYMMETRIC, 64),
+    # the ellipsoid-step benchmark's ellipsoid and ellipsoid-monitor's ellipse
+    "ellipsoid-sigma2": _ellipsoid_cfg("sigma-ratio:2", 256, 1.5, 1.1),
+    "ellipse": FlowConfig(speed="mean",
+                          body={"mode": CURVE, "N": 256,
+                                "shape": {"kind": "ellipse", "a": 1.5, "b": 1.0}},
+                          cfl=0.25, stop_max_f_factor=1.05, snapshot_every=200,
+                          monitor="radii"),
+    # g_i kappa_i^2 spans a factor 123 on this body at t = 0
+    "oblate-power-2": _ellipsoid_cfg("power:-2", 96, 0.3, 3.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_etd_matches_rk4_reference(case):
+    # same snapshots, and the final t, T_hat, radii and h within 1e-9
+    # relative (measured: at most 7.3e-10, the ellipse's t)
+    cfg = EQUIVALENCE_CASES[case]
+    fr, ref = run(cfg), rk4_reference_run(cfg)
+    assert fr.termination == ref.termination == REACHED_MAX_F
+    assert fr.counters["rollbacks"] == 0
+    assert len(fr.times) == len(ref.times)
+    for a, b in ((fr.times[-1], ref.times[-1]), (fr.t_hat, ref.t_hat),
+                 (fr.r_plus[-1], ref.r_plus[-1]), (fr.r_minus[-1], ref.r_minus[-1])):
+        assert a == pytest.approx(b, rel=1e-9, abs=0.0)
+    h, h_ref = fr.snapshots[-1].h, ref.snapshots[-1].h
+    assert np.abs(h - h_ref).max() <= 1e-9 * np.abs(h_ref).max()
+    assert fr.steps < ref.steps
+
+
+def test_etd_weights_against_extended_precision():
+    # Cox & Matthews' closed forms in long double, where their cancellation
+    # costs at most |z|^-3 * 1e-19; the series side of |z| = 1 meets them.
+    # Positive z comes from the slowly growing modes k <= 1 only (f3 has a
+    # root near z = 3)
+    z = np.concatenate([-np.geomspace(0.1, 300.0, 40), np.geomspace(0.1, 2.0, 20)])
+    zl = z.astype(np.longdouble)
+    e = np.exp(zl)
+    want = (e, np.exp(zl / 2), np.expm1(zl / 2) / zl,
+            (-4 - zl + e * (4 - 3 * zl + zl * zl)) / zl**3,
+            (2 + zl + e * (zl - 2)) / zl**3,
+            (-4 - 3 * zl - zl * zl + e * (4 - zl)) / zl**3)
+    for got, ref in zip(_etd_coefficients(z), want):
+        assert np.abs((got - ref) / ref).max() <= 1e-14
+    # z = 0: classical RK4's weights 1/6, 2/6, 2/6, 1/6 as f1, 2 f2, 2 f2, f3
+    w0 = _etd_coefficients(np.zeros(1))
+    assert [float(w[0]) for w in w0] == pytest.approx([1, 1, 0.5, 1 / 6, 1 / 6, 1 / 6],
+                                                      rel=1e-15)
 
 
 def test_area_loss_rate_curve_shortening():
@@ -237,18 +303,19 @@ def test_run_rejects_nonconvex_initial():
 
 
 def test_run_counters_sphere():
-    # a shrinking sphere never loses convexity: every RK4 attempt is a step
-    # or a step of the final bisection onto the max-F threshold
+    # a shrinking sphere never loses convexity: every attempt, accepted or
+    # rejected by the error control, takes one ETDRK4 step and two half
+    # steps, and the final bisection one per iteration
     fr = run(sphere_cfg(AXISYMMETRIC, 48, stop_factor=20.0))
     c = fr.counters
     assert fr.termination == REACHED_MAX_F
     assert c["steps"] == fr.steps > 0
     assert c["rollbacks"] == 0
     assert c["bisection_iterations"] > 0
-    assert c["rk4_attempts"] == c["steps"] + c["bisection_iterations"]
+    assert c["rk4_attempts"] == 3 * (c["steps"] + c["rejected"]) + c["bisection_iterations"]
     assert 0.0 < c["dt_min"] <= c["dt_max"]
-    # the stable step is refreshed every 8 steps
-    assert c["dt_refreshes"] == (c["steps"] + 7) // 8
+    # the stable step is evaluated once before each accepted step
+    assert c["dt_refreshes"] == c["steps"]
 
 
 def test_parabolic_rescaling_invariance():

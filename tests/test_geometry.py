@@ -11,7 +11,7 @@ from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, area,
                                   hausdorff_to_unit_sphere, make_ellipse,
                                   make_ellipsoid, make_sphere,
                                   principal_radii, radii, recenter, scale,
-                                  _workspace, tangent_plane_diagnostic,
+                                  _Workspace, _workspace, tangent_plane_diagnostic,
                                   translate)
 
 from oracles import (ball_curvature_field_sweep, ellipse_curvature_parametric,
@@ -133,6 +133,38 @@ def test_radii_kernel_paths_match_three_transform_reference(mode):
             got = ws.radii(h)
             assert got.shape == (N, n)
             assert np.abs(got - principal_radii_three_transform(mode, h)).max() <= tol
+
+
+@pytest.mark.parametrize("mode", [AXISYMMETRIC, CURVE])
+def test_eigenbasis_diagonalises_radii_operator(mode):
+    # the principal radii are linear in h, so sum_i r_i(v) applies
+    # sum_i (1 + O_i) to v: every basis vector is an eigenvector to that
+    # operator's rounding (N^2 eps |lambda|), with the closed-form eigenvalue
+    # (Nyquist modes included), and the two transforms invert each other
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    for N in (8, 9, 64, 65, 256, 511):
+        ws = _Workspace(mode, N)
+        assert ws._eigen is None  # built on first use only
+        eig = ws.eigenbasis()
+        if mode == CURVE:
+            k = np.arange(N // 2 + 1)
+            units = [np.eye(k.size)[i] * z for i in range(k.size) for z in (1.0, 1j)]
+            lam = [1.0 - i * i for i in k for _ in (1.0, 1j)]
+        else:
+            k = np.concatenate([np.arange(0, N, 2), np.arange(1, N, 2)])
+            units = list(np.eye(N))
+            lam = 2.0 - k * (k + 1.0)
+        assert np.array_equal(np.repeat(eig.lam, 2) if mode == CURVE else eig.lam,
+                              np.asarray(lam, dtype=float))
+        for c, lam_k in zip(units, lam):
+            v = eig.inverse(c)
+            if not v.any():
+                continue  # the sine of the Nyquist mode vanishes on the grid
+            resid = np.abs(ws.radii(v).sum(axis=1) - lam_k * v).max()
+            assert resid <= 10 * N * N * eps * max(1.0, abs(lam_k)) * np.abs(v).max()
+        h = rng.standard_normal(N)
+        assert np.abs(eig.inverse(eig.forward(h)) - h).max() <= 20 * N * eps * np.abs(h).max()
 
 
 def test_embed_unit_circle():
