@@ -25,6 +25,8 @@ oblate ellipsoids under the mean and the harmonic mean), so classical RK4,
 whose interval on the negative real axis is [-2.785, 0], is stable at the
 stable step for cfl * pi^2 <= 2.785: FlowConfig refuses a cfl above
 CFL_MAX = 2.785 / pi^2 (about 0.282), and the committed configs use 0.25.
+RK4 itself runs only as the test suite's reference integrator,
+tests/oracles.py::rk4_reference_run.
 
 ETDRK4 takes the linear part L = a * sum_i (1 + O_i) exactly and the rest,
 -F(kappa(h)) - L h, in four explicit stages.  L is diagonal in a closed-form
@@ -74,7 +76,8 @@ STEP_UNDERFLOW = "StepUnderflow"
 
 # RK4's stability interval on the negative real axis is [-2.785, 0] and the
 # top mode of the support equation has eigenvalue -cfl * pi^2 at the stable
-# step, the unit of the snapshot clock
+# step, the unit of the snapshot clock.  run() steps by ETDRK4; RK4 runs
+# only as the tests' reference integrator, tests/oracles.py::rk4_reference_run
 CFL_MAX = 2.785 / np.pi**2
 
 # step-doubling tolerance: one ETDRK4 step and two half steps may differ by

@@ -6,15 +6,16 @@ through its even periodic extension); both use one cached Fourier kernel,
 and the flow steps in the closed-form eigenbasis of the linearised radii
 operator (_Eigenbasis).  The module computes embeddings, principal
 curvatures, interior/exterior ball-curvature fields, in/circumradius, and
-the Hausdorff distance to a unit sphere.
+the Hausdorff distance to a unit sphere.  The radii are exact to rounding
+in one stage each: dual-simplex pivoting for a curve's in-circle, the
+lowest dual vertex for the axial in-ball, bisection to adjacent floats for
+the axial circumball and Welzl's algorithm for a curve's circumcircle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (CenterOutside, ConvexityLost, DiagonalWitness,
                      PairTooClose)
@@ -74,10 +75,6 @@ class ConvexBody:
     @property
     def dim(self) -> int:
         return 2 if self.mode == CURVE else 3
-
-    @property
-    def curvature_count(self) -> int:
-        return 1 if self.mode == CURVE else 2
 
     @property
     def grid_spacing(self) -> float:
@@ -563,40 +560,40 @@ class RadiiReport:
     circ_center: np.ndarray
 
 
-def _polish_max_min(h: np.ndarray, Z: np.ndarray, c0: np.ndarray):
-    """Exact vertex polish for max_c min_j (h_j - <c, z_j>): solve the active
-    set of the near-optimal c0 and keep the best feasible candidate."""
-    dim = Z.shape[1]
-    slack = h - Z @ c0
-    best_c, best_v = c0, slack.min()
-    order = np.argsort(slack)[: dim + 6]
-    for idx in combinations(order, dim + 1):
-        A = np.column_stack([Z[list(idx)], np.ones(dim + 1)])
-        try:
-            sol = np.linalg.solve(A, h[list(idx)])
-        except np.linalg.LinAlgError:
-            continue
-        c, v = sol[:dim], sol[dim]
-        val = (h - Z @ c).min()
-        if val > best_v:
-            best_c, best_v = c, val
-    return best_c, best_v
+def _zero_weights(P: np.ndarray) -> np.ndarray:
+    """Barycentric weights of the origin in the triangle of the rows of P
+    (3, 2): all >= 0 exactly when the origin lies in it."""
+    a, b = P[[1, 2, 0]], P[[2, 0, 1]]
+    w = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return w / w.sum()
 
 
 def _in_ball_curve(h: np.ndarray, Z: np.ndarray):
-    # Chebyshev-center LP: max t s.t. <c, z_j> + t <= h_j
-    dim = Z.shape[1]
-    res = linprog(c=[0.0] * dim + [-1.0],
-                  A_ub=np.column_stack([Z, np.ones(len(h))]),
-                  b_ub=h, bounds=[(None, None)] * (dim + 1), method="highs")
-    if not res.success:  # pragma: no cover - bounded by construction
-        raise RuntimeError(f"in-center LP failed: {res.message}")
-    c, v = _polish_max_min(h, Z, np.array(res.x[:dim]))
+    """max_c min_j (h_j - <c, z_j>) by a dual simplex on the vertices of the
+    support-line polygon's dual: triples of unit normals whose triangle holds
+    the origin.  A triple's vertex (c, v) solves <c, z> + v = h on its three
+    lines and bounds the optimum from above; the line with the smallest
+    slack h_j - <c, z_j> replaces the one member that keeps the origin in
+    the triangle, which lowers v, until no slack is below v."""
+    N = h.size
+    T = [0, N // 3, (2 * N) // 3]
+    tol = 1e-14 * (1.0 + np.abs(h).max())
+    for _ in range(N):
+        sol = np.linalg.solve(np.column_stack([Z[T], np.ones(3)]), h[T])
+        c, v = sol[:2], sol[2]
+        slack = h - Z @ c
+        j = int(np.argmin(slack))
+        if slack[j] >= v - tol:
+            break
+        swaps = [T[:i] + [j] + T[i + 1:] for i in range(3)]
+        T = max(swaps, key=lambda S: _zero_weights(Z[S]).min())
+    else:  # pragma: no cover - v falls at every pivot, so only rounding can cycle
+        raise RuntimeError(f"in-center pivoting did not settle in {N} pivots")
+    v = slack[j]
     # the optimum is a segment when the largest circle touches two parallel
     # support lines (antipodal grid directions, so N even) and can slide
-    # between them; which end the LP lands on is then decided by rounding, so
-    # take the segment's midpoint, as _in_ball_axi does
-    N = h.size
+    # between them; which end the pivoting stops at is then decided by
+    # rounding, so take the segment's midpoint, as _in_ball_axi does
     if N % 2:
         return c, v
     width = h + np.roll(h, -(N // 2))
@@ -617,55 +614,20 @@ def _line_range(room: np.ndarray, u: np.ndarray):
     return (room[down] / u[down]).max(), (room[up] / u[up]).min()
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int = 90):
-    g = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - g * (b - a)
-    x2 = a + g * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + g * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - g * (b - a)
-            f1 = fun(x1)
-    return 0.5 * (a + b)
-
-
 def _in_ball_axi(h: np.ndarray, u: np.ndarray):
-    # center on the symmetry axis: maximise min_j (h_j - c u_j), u_j = cos(theta_j)
-    span = h.max()
-
-    def m(c):
-        return (h - c * u).min()
-
-    c0 = _golden_max(m, -span, span)
-    slack = h - c0 * u
-    order = np.argsort(slack)[:8]
-    best_c, best_v = c0, slack.min()
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            i, j = order[a], order[b]
-            if abs(u[i] - u[j]) < 1e-14:
-                continue
-            c = (h[i] - h[j]) / (u[i] - u[j])
-            v = (h - c * u).min()
-            if v > best_v:
-                best_c, best_v = c, v
-    # when the binding direction is nearly equatorial (u ~ 0) the optimum is a
-    # flat interval; take its midpoint so symmetric bodies center exactly
-    floor = best_v - 1e-10 * (1.0 + span)
-    lo, hi = _line_range(h - floor, u)
-    lo, hi = max(lo, -span), min(hi, span)
-    if lo <= hi:
-        c_mid = 0.5 * (lo + hi)
-        v_mid = m(c_mid)
-        if v_mid >= best_v - 1e-9 * (1.0 + span):
-            return c_mid, max(v_mid, best_v)
-    return best_c, best_v
+    """max_c min_j (h_j - c u_j), u_j = cos(theta_j): the center on the
+    symmetry axis.  The optimum is the lowest vertex of the dual, a crossing
+    of a falling line (u_i > 0) with a rising one (u_j < 0), or an
+    equatorial node's h_j.  Where the binding lines are nearly equatorial
+    the optimal centers form an interval; its midpoint centers symmetric
+    bodies exactly."""
+    up, down = u > 1e-13, u < -1e-13
+    ui, uj = u[up][:, None], u[down][None, :]
+    v = ((h[up][:, None] * -uj + h[down][None, :] * ui) / (ui - uj)).min()
+    if not (up | down).all():
+        v = min(v, h[~(up | down)].min())
+    lo, hi = _line_range(h - (v - 1e-10 * (1.0 + h.max())), u)
+    return 0.5 * (lo + hi), v
 
 
 def _circumball_curve(pts: np.ndarray):
@@ -719,33 +681,31 @@ def _circumball_curve(pts: np.ndarray):
 
 
 def _circumball_axi(pts: np.ndarray):
-    """Smallest enclosing ball of a revolved point set; center on the axis."""
-    rho2 = pts[:, 0] ** 2
-    zax = pts[:, 2]
-
-    def f(c):
-        return np.sqrt(rho2 + (zax - c) ** 2).max()
-
-    lo, hi = zax.min(), zax.max()
-    c0 = _golden_max(lambda c: -f(c), lo, hi)
-    d = rho2 + (zax - c0) ** 2
-    order = np.argsort(-d)[:8]
-    best_c, best_v = c0, f(c0)
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            i, j = order[a], order[b]
-            if abs(zax[i] - zax[j]) < 1e-14:
-                continue
-            c = (rho2[i] - rho2[j] + zax[i] ** 2 - zax[j] ** 2) / (2.0 * (zax[i] - zax[j]))
-            v = f(c)
-            if v < best_v:
-                best_c, best_v = c, v
-    return np.array([0.0, 0.0, best_c]), float(best_v)
+    """Smallest enclosing ball of a revolved point set; center on the axis.
+    max_j (rho_j^2 + (z_j - c)^2) is convex in c and falls towards the
+    farthest point, so bisection on the side of that point brackets the
+    minimiser until the bracket's ends are adjacent floats."""
+    rho2, z = pts[:, 0] ** 2, pts[:, 2]
+    lo, hi = z.min(), z.max()
+    c = 0.5 * (lo + hi)
+    while lo < c < hi:
+        if z[np.argmax(rho2 + (z - c) ** 2)] > c:
+            lo = c
+        else:
+            hi = c
+        c = 0.5 * (lo + hi)
+    return np.array([0.0, 0.0, c]), float(np.sqrt((rho2 + (z - c) ** 2).max()))
 
 
 def radii(body: ConvexBody) -> RadiiReport:
     """Inradius (support maximisation) and circumradius (minimum enclosing
-    ball of the embedded points), with the touching centers."""
+    ball of the embedded points), with the touching centers.  Curves: the
+    in-circle by pivoting on triples of support lines (_in_ball_curve) and
+    the circumcircle by Welzl's algorithm.  Axisymmetric bodies, both
+    centers on the axis: the in-ball from the lowest crossing of a falling
+    and a rising support line (_in_ball_axi) and the circumball by
+    bisection (_circumball_axi).  Where the in-center can slide along a flat
+    optimum it is the optimum's midpoint."""
     check_convex(body)
     h = body.h
     if body.mode == CURVE:

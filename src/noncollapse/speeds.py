@@ -222,14 +222,9 @@ class SigmaRatio(SpeedFunction):
             return self.c * (Z[:, ::-1] / (Z[:, 0] + Z[:, 1])[:, None]) ** 2
         k = self.k
         E = _elem_batch(Z)
-        u, v = E[:, k], E[:, k - 1]
-        G = np.empty_like(Z)
-        for i in range(self.n):
-            Ei = _elem_without(Z, i)
-            ui = Ei[:, k - 1]
-            vi = Ei[:, k - 2] if k >= 2 else np.zeros(Z.shape[0])
-            G[:, i] = self.c * (ui * v - u * vi) / v**2
-        return G
+        u, v = E[:, k, None], E[:, k - 1, None]
+        ui, vi = _without_one(Z, k - 1), _without_one(Z, k - 2)
+        return self.c * (ui * v - u * vi) / v**2
 
     def _h(self, Z):
         # with u = e_k, v = e_{k-1}, and subscripts for entries left out:
@@ -265,10 +260,7 @@ class SigmaRoot(SpeedFunction):
     def _g(self, Z):
         k = self.k
         u = _elem_batch(Z)[:, k]
-        G = np.empty_like(Z)
-        for i in range(self.n):
-            G[:, i] = _elem_without(Z, i)[:, k - 1]
-        return (self.c / k) * u[:, None] ** (1.0 / k - 1.0) * G
+        return (self.c / k) * u[:, None] ** (1.0 / k - 1.0) * _without_one(Z, k - 1)
 
     def _h(self, Z):
         k, c = self.k, self.c

@@ -477,6 +477,74 @@ def ball_curvature_field_sweep(body):
 
 
 # ---------------------------------------------------------------------------
+# Reference in- and circumradius: every vertex of the dual problems, enumerated
+# ---------------------------------------------------------------------------
+
+def radii_reference(body):
+    """(r_minus, r_plus) of geometry.radii by enumeration.
+
+    Curves (N <= 64): the in-radius is the smallest vertex value over all
+    direction triples whose triangle holds the origin (barycentric weights
+    of the origin >= -1e-12, which admits the exact zero weight of a triple
+    with two antipodal directions); the circumradius is the smallest circle
+    through two points (as diameter) or three that holds every point to
+    1e-14 relative.  Axisymmetric: the in-radius is the smallest crossing of
+    a falling line h_i - c u_i (u_i > 0) with a rising one (u_j < 0), or an
+    equatorial node's h_j; the squared circumradius is the largest, over
+    all point pairs with z_i >= z_j, of max(d_i, d_j) at the pair's
+    equidistant axis point clipped to [z_j, z_i], d the squared distance
+    from the revolved point (one-dimensional Helly: a min-max over the axis
+    is decided by a pair)."""
+    from itertools import combinations
+
+    from noncollapse.geometry import CURVE, _points, check_convex
+
+    check_convex(body)
+    h, N, pts = body.h, body.N, _points(body)
+    if body.mode == CURVE:
+        if N > 64:
+            raise ValueError("the curve reference enumerates triples; use N <= 64")
+        T = np.array(list(combinations(range(N), 3)))
+        A = np.concatenate([body.directions()[T], np.ones((len(T), 3, 1))], axis=2)
+        e3 = np.broadcast_to([0.0, 0.0, 1.0], (len(T), 3))
+        lam = np.linalg.solve(np.swapaxes(A, 1, 2), e3[..., None])[..., 0]
+        vertex = np.linalg.solve(A, h[T][..., None])[:, 2, 0]
+        r_minus = vertex[(lam >= -1e-12).all(axis=1)].min()
+        # candidate circles: (center, radius) through pairs and triples
+        P2 = np.array(list(combinations(range(N), 2)))
+        a, b = pts[P2[:, 0]], pts[P2[:, 1]]
+        centers, rads = [0.5 * (a + b)], [0.5 * np.hypot(*(a - b).T)]
+        a, b, c = pts[T[:, 0]], pts[T[:, 1]], pts[T[:, 2]]
+        M = 2.0 * np.stack([b - a, c - a], axis=1)
+        ok = np.abs(np.linalg.det(M)) > 1e-12
+        rhs = np.stack([(b * b).sum(1) - (a * a).sum(1), (c * c).sum(1) - (a * a).sum(1)], axis=1)
+        ctr = np.linalg.solve(M[ok], rhs[ok][..., None])[..., 0]
+        centers.append(ctr)
+        rads.append(np.hypot(*(ctr - a[ok]).T))
+        centers, rads = np.concatenate(centers), np.concatenate(rads)
+        far = np.hypot(pts[None, :, 0] - centers[:, None, 0],
+                       pts[None, :, 1] - centers[:, None, 1]).max(axis=1)
+        r_plus = rads[far <= rads * (1.0 + 1e-14)].min()
+        return float(r_minus), float(r_plus)
+    u = np.cos(body.thetas)
+    vals = [h[j] for j in range(N) if abs(u[j]) <= 1e-13]
+    for i in np.flatnonzero(u > 1e-13):
+        for j in np.flatnonzero(u < -1e-13):
+            c = (h[i] - h[j]) / (u[i] - u[j])
+            vals.append(h[i] - c * u[i])
+    rho2, z = pts[:, 0] ** 2, pts[:, 2]
+    hi, lo = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    keep = z[hi] >= z[lo]
+    i, j = hi[keep], lo[keep]
+    dz = z[i] - z[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(dz > 0.0, (rho2[i] - rho2[j] + z[i] ** 2 - z[j] ** 2) / (2.0 * dz), z[i])
+    c = np.clip(c, z[j], z[i])
+    d2 = np.maximum(rho2[i] + (z[i] - c) ** 2, rho2[j] + (z[j] - c) ** 2)
+    return float(min(vals)), float(np.sqrt(d2.max()))
+
+
+# ---------------------------------------------------------------------------
 # Per-sample references for the batched speed Hessians, the boundary terms,
 # the draws and the certifier (the loops the library replaced by stacked
 # arrays; same formulas, evaluated one point at a time)

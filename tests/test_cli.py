@@ -374,3 +374,14 @@ def test_benchmark_tracer_installs():
                            "from tracing import Tracer; Tracer().install()"],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_scipy_out():
+    # the package runs on NumPy alone; scipy is a test dependency only
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, noncollapse.cli; "
+                           "assert 'scipy' not in sys.modules, 'scipy imported'"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -11,13 +11,14 @@ from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, area,
                                   hausdorff_to_unit_sphere, make_ellipse,
                                   make_ellipsoid, make_sphere,
                                   principal_radii, radii, recenter, scale,
-                                  _Workspace, _workspace, tangent_plane_diagnostic,
+                                  _points, _Workspace, _workspace,
+                                  tangent_plane_diagnostic,
                                   translate)
 
 from oracles import (ball_curvature_field_sweep, ellipse_curvature_parametric,
                      ellipsoid_curvatures_parametric, fd_derivs_even,
                      fd_derivs_periodic, principal_radii_reference,
-                     principal_radii_three_transform,
+                     principal_radii_three_transform, radii_reference,
                      random_convex_axisym, random_convex_curve,
                      spectral_derivs_extended)
 
@@ -447,6 +448,47 @@ def test_radii_ellipsoid():
     rep = radii(make_ellipsoid(257, 1.0, 1.5))
     assert rep.r_minus == pytest.approx(1.0, abs=1e-6)
     assert rep.r_plus == pytest.approx(1.5, abs=1e-10)
+
+
+def _radii_bodies():
+    """Curves and axisymmetric bodies of odd and even N, N = 3, 4 and 5
+    included: spheres, near-round and elongated ellipses, oblate and prolate
+    ellipsoids, random bodies, each also translated off the origin."""
+    rng = np.random.default_rng(31)
+    bodies = []
+    for N in (3, 4, 5, 16, 63, 64):
+        base = [make_sphere(CURVE, N, 1.7), make_ellipse(N, 1.0001, 1.0),
+                ConvexBody(mode=CURVE, h=random_convex_curve(rng, N=N))]
+        if N in (3, 63, 64):  # coarser grids lose the a/b = 10 ellipse's convexity
+            base.append(make_ellipse(N, 10.0, 1.0))
+        bodies += base + [translate(b, [0.4, -0.3]) for b in base]
+    for N in (3, 4, 5, 64, 65, 256, 257):
+        base = [make_sphere(AXISYMMETRIC, N, 0.6), make_ellipsoid(N, 1.0, 1.5),
+                ConvexBody(mode=AXISYMMETRIC, h=random_convex_axisym(rng, N=N))]
+        if N != 3:  # three nodes lose the oblate ellipsoid's convexity
+            base.append(make_ellipsoid(N, 1.0, 0.3))
+        bodies += base + [translate(b, [0.0, 0.0, 0.7]) for b in base]
+    return bodies
+
+
+def test_radii_match_dual_vertex_enumeration():
+    # r_minus and r_plus agree with the enumeration of every dual vertex to
+    # 1e-13 relative; the in-center holds a ball of radius r_minus up to the
+    # 1e-10 slack of the flat-optimum midpoint rule, and the circumcenter
+    # holds every point within r_plus
+    for b in _radii_bodies():
+        rep = radii(b)
+        r_minus, r_plus = radii_reference(b)
+        assert rep.r_minus == pytest.approx(r_minus, rel=1e-13, abs=0.0), (b.mode, b.N)
+        assert rep.r_plus == pytest.approx(r_plus, rel=1e-13, abs=0.0), (b.mode, b.N)
+        slack = b.h - b.directions() @ rep.in_center
+        assert slack.min() >= rep.r_minus - 2e-10 * (1.0 + np.abs(b.h).max()), (b.mode, b.N)
+        pts = _points(b)
+        if b.mode == CURVE:
+            far = np.hypot(*(pts - rep.circ_center).T).max()
+        else:
+            far = np.hypot(pts[:, 0], pts[:, 2] - rep.circ_center[2]).max()
+        assert far <= rep.r_plus * (1.0 + 1e-13), (b.mode, b.N)
 
 
 def test_recenter_moves_origin():
