@@ -154,6 +154,7 @@ def cmd_flow(args) -> int:
     verdicts = run_verdicts(
         fr, rows,
         refinement_delta_ratio_lower=deltas.get("ratio_lower", 0.0),
+        refinement_delta_ratio_upper=deltas.get("ratio_upper", 0.0),
         refinement_delta_radii_ratio=deltas.get("radii_ratio", 0.0))
     verdicts["config"] = dataclasses.asdict(cfg)
     verdicts["refinement_deltas"] = deltas
@@ -169,8 +170,9 @@ def cmd_flow(args) -> int:
 
 
 def refinement_deltas(cfg: FlowConfig, speed) -> dict:
-    """Measured t=0 discretisation deltas between N and the nested 2N grid
-    (2N-1 points in axisymmetric mode so the theta grids nest)."""
+    """Measured t=0 discretisation deltas of min_ratio_lower, max_ratio_upper
+    and r+/r- between N and the nested 2N grid (2N-1 points in axisymmetric
+    mode so the theta grids nest)."""
     from .monitor import ratios as ratios_of
 
     body_n = build_body(cfg.body)
@@ -181,11 +183,10 @@ def refinement_deltas(cfg: FlowConfig, speed) -> dict:
         fld = geometry.ball_curvature_field(b)
         ext = ratios_of(fld, speed)
         rep = geometry.radii(b)
-        return ext.min_ratio_lower, rep.r_plus / rep.r_minus
+        return ext.min_ratio_lower, ext.max_ratio_upper, rep.r_plus / rep.r_minus
 
-    lo_n, rr_n = measure(body_n)
-    lo_2n, rr_2n = measure(body_2n)
-    return {"ratio_lower": abs(lo_n - lo_2n), "radii_ratio": abs(rr_n - rr_2n),
+    lo, up, rr = (abs(a - b) for a, b in zip(measure(body_n), measure(body_2n)))
+    return {"ratio_lower": lo, "ratio_upper": up, "radii_ratio": rr,
             "grids": [body_n.N, n2]}
 
 
@@ -251,6 +252,13 @@ def positive_int(text: str) -> int:
     return n
 
 
+def non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="noncollapse",
@@ -264,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--property", choices=["concave", "inverse-concave",
                                           "monotone", "homogeneous"])
     c.add_argument("--trials", type=positive_int, default=2000)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=non_negative_int, default=0)
     c.add_argument("--out")
     c.set_defaults(fn=cmd_certify)
 
@@ -275,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--speed", required=True)
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--trials", type=positive_int, default=10000)
-    o.add_argument("--seed", type=int, default=0)
+    o.add_argument("--seed", type=non_negative_int, default=0)
     o.add_argument("--out")
     o.set_defaults(fn=cmd_oracle)
 

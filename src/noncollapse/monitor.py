@@ -230,11 +230,13 @@ def roundness(run: FlowRun, rows: Sequence[MonitorRow]) -> RoundnessReport:
 
 def run_verdicts(run: FlowRun, rows: Sequence[MonitorRow],
                  refinement_delta_ratio_lower: float = 0.0,
+                 refinement_delta_ratio_upper: float = 0.0,
                  refinement_delta_radii_ratio: float = 0.0) -> dict:
     """Trend verdicts and improvement gates for one run.
 
-    Slacks follow the monitor model: absolute floor plus a measured N->2N
-    discretisation delta supplied by the caller (0 when not measured).
+    Slacks follow the monitor model: absolute floor plus the measured N->2N
+    discretisation delta of the same series, supplied by the caller (0 when
+    not measured).
     """
     t = np.asarray(run.times)
     verdicts = []
@@ -248,7 +250,7 @@ def run_verdicts(run: FlowRun, rows: Sequence[MonitorRow],
             lower, "non-decreasing", RATIO_SLACK_FLOOR + refinement_delta_ratio_lower,
             name="min_ratio_lower", times=t))
         verdicts.append(assert_trend(
-            upper, "non-increasing", RATIO_SLACK_FLOOR + refinement_delta_ratio_lower,
+            upper, "non-increasing", RATIO_SLACK_FLOOR + refinement_delta_ratio_upper,
             name="max_ratio_upper", times=t))
         gates["delta_lower_final"] = 1.0 - lower[-1]
         gates["eps_upper_final"] = upper[-1] - 1.0

@@ -15,14 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateSpectrum, SingularShift
-from .speeds import GAP_TOL, SpeedFunction, hess_form_terms, matrix_eval, sum_terms
+from .speeds import GAP_TOL, SpeedFunction, hess_form_terms, matrix_eval, sum_terms, trial_rngs
 
 _SHIFT_FLOOR = 1e-12
-
-
-def _trial_rngs(seed: int, trials):
-    """One Generator per (seed, trial): any trial replays from its index alone."""
-    return (np.random.default_rng((seed, t)) for t in trials)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +329,7 @@ def interior_suite(f: SpeedFunction, trials: int, seed: int = 0) -> dict:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
-    A, b, k = _interior_draws(f.n, _trial_rngs(seed, range(trials)), trials)
+    A, b, k = _interior_draws(f.n, trial_rngs(seed, range(trials)), trials)
     gaps, scales = interior_gaps_batched(f, A, b, k)
     scaled = gaps / (1e-7 * scales)
     worst = int(np.argmin(scaled))
@@ -361,7 +356,7 @@ def boundary_suite(f: SpeedFunction, trials: int, seed: int = 0) -> dict:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
-    lam, B = _boundary_draws(f.n, _trial_rngs(seed, range(trials)), trials)
+    lam, B = _boundary_draws(f.n, trial_rngs(seed, range(trials)), trials)
     _check_boundary(f.n, lam, B)
     values, scales, _ = _boundary_terms_many(f, lam, B)
     scaled = values / (1e-7 * scales)
@@ -395,7 +390,7 @@ def counterexample_search(f: SpeedFunction, trials: int, seed: int = 0,
     the difference is some 1e-8, well inside the screen."""
     for start in range(0, trials, _SEARCH_CHUNK):
         chunk = range(start, min(start + _SEARCH_CHUNK, trials))
-        A, b, k = _interior_draws(f.n, _trial_rngs(seed, chunk), len(chunk))
+        A, b, k = _interior_draws(f.n, trial_rngs(seed, chunk), len(chunk))
         gaps, scales = interior_gaps_batched(f, A, b, k)
         for i in np.flatnonzero(gaps < threshold + 1e-6 * scales):
             s = InteriorSample(A=A[i], B=np.diag(b[i]), k=float(k[i]), f=f)

@@ -69,6 +69,12 @@ def test_zero_trials_usage_error(capsys, command):
     assert "argument --trials: must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["certify"], ["oracle", "--prop", "2.2"]])
+def test_negative_seed_usage_error(capsys, command):
+    assert run_cli(*command, "--speed", "mean", "--n", "2", "--seed", "-1") == 1
+    assert "argument --seed: must be >= 0" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -137,7 +143,11 @@ def test_flow_full_monitor_small(tmp_path):
     verdicts = json.loads((out / "verdicts.json").read_text())
     names = {v["series"] for v in verdicts["verdicts"]}
     assert "min_ratio_lower" in names
-    assert "refinement_deltas" in verdicts
+    deltas = verdicts["refinement_deltas"]
+    slack = {v["series"]: v["slack_used"] for v in verdicts["verdicts"]}
+    for series, key in [("min_ratio_lower", "ratio_lower"),
+                        ("max_ratio_upper", "ratio_upper"), ("radii_ratio", "radii_ratio")]:
+        assert slack[series] == 1e-4 + deltas[key]
 
 
 def test_flow_nonconvex_exit_3(tmp_path):
@@ -383,5 +393,17 @@ def test_cli_import_leaves_scipy_out():
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, noncollapse.cli; "
                            "assert 'scipy' not in sys.modules, 'scipy imported'"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_numpy_random_out():
+    # flows draw no random numbers, so numpy.random (some 15 ms to load)
+    # loads only when speeds.trial_rngs draws a trial
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, noncollapse.cli; "
+                           "assert 'numpy.random' not in sys.modules, 'numpy.random imported'"],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

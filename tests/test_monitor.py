@@ -8,8 +8,8 @@ from noncollapse.errors import RunTooShort
 from noncollapse.flow import FlowConfig, build_speed, run
 from noncollapse.geometry import (AXISYMMETRIC, CURVE, ball_curvature_field,
                                   make_ellipse, make_sphere, scale)
-from noncollapse.monitor import (CSV_COLUMNS, assert_trend, monitor_rows,
-                                 ratios, roundness, run_verdicts,
+from noncollapse.monitor import (CSV_COLUMNS, RATIO_SLACK_FLOOR, assert_trend,
+                                 monitor_rows, ratios, roundness, run_verdicts,
                                  write_monitor_csv)
 
 
@@ -230,3 +230,14 @@ def test_run_verdicts_sphere(sphere_run):
     assert out["gates"]["maxF_growth"] == pytest.approx(50.0, rel=1e-6)
     for v in out["verdicts"]:
         assert set(v) == {"series", "claim", "slack_used", "pass", "worst_violation"}
+
+
+def test_run_verdicts_slack_per_series(sphere_run):
+    # each ratio trend gets the refinement delta of its own series
+    rows = monitor_rows(sphere_run, build_speed("mean", CURVE))
+    out = run_verdicts(sphere_run, rows, refinement_delta_ratio_lower=1e-3,
+                       refinement_delta_ratio_upper=2e-2, refinement_delta_radii_ratio=3e-1)
+    slack = {v["series"]: v["slack_used"] for v in out["verdicts"]}
+    assert slack["min_ratio_lower"] == RATIO_SLACK_FLOOR + 1e-3
+    assert slack["max_ratio_upper"] == RATIO_SLACK_FLOOR + 2e-2
+    assert slack["radii_ratio"] == RATIO_SLACK_FLOOR + 3e-1

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from noncollapse.errors import DomainError, NotPositiveDefinite
 from noncollapse.speeds import (ArithmeticMean, HarmonicMean, PowerMean,
                                 SigmaRatio, SigmaRoot, certify, matrix_eval,
-                                matrix_hess_form, parse_speed)
+                                matrix_hess_form, parse_speed, trial_rngs)
 
 from oracles import fd_gradient, fd_hessian, fd_second_along
 
@@ -343,3 +343,37 @@ def test_certify_deterministic():
     a = certify(f, "concave", trials=100, seed=42)
     b = certify(f, "concave", trials=100, seed=42)
     assert a.min_eigen_seen == b.min_eigen_seen
+
+
+# ---------------------------------------------------------------------------
+# Per-trial random streams
+# ---------------------------------------------------------------------------
+
+def assert_streams_match(seed, trials):
+    rngs = list(trial_rngs(seed, trials))
+    assert len(rngs) == len(trials)
+    for t, rng in zip(trials, rngs):
+        ref = np.random.default_rng((seed, t))
+        assert rng.bit_generator.state == ref.bit_generator.state, (seed, t)
+        assert np.array_equal(rng.standard_normal(50), ref.standard_normal(50)), (seed, t)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1])
+def test_trial_rngs_match_default_rng(seed):
+    # seeds of one to five 32-bit words: the hash runs its extra-entropy
+    # loop only past the four pool words
+    assert_streams_match(seed, [0, 1, 12345, 2**32 - 1])
+
+
+@pytest.mark.parametrize("seed", [5, 2**128 + 1])
+def test_trial_rngs_across_the_word_boundary(seed):
+    # an index of 2**32 or more is two words of entropy, not its low word
+    trials = [2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**64 + 7, 3]
+    assert_streams_match(seed, trials)
+
+
+def test_trial_rngs_reject_negative_seed():
+    with pytest.raises(ValueError):
+        np.random.default_rng((-1, 0))
+    with pytest.raises(ValueError):
+        trial_rngs(-1, range(3))
