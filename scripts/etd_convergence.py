@@ -42,15 +42,13 @@ def uniform_etd(body, speed, steps, t_end):
     ws = _workspace(body.mode, body.N)
     eig = ws.eigenbasis()
     dt = t_end / steps
-    h = body.h
-    c = eig.forward(h)
+    c = eig.forward(body.h)
     for _ in range(steps):
-        r = ws.radii(h)
+        r = eig.radii(c)
         lin = (ws.dth * ws.dth / _dt_of(ws, r, speed, 1.0)) * eig.lam
-        n0 = _speed_coefficients(ws, eig, speed, h) - lin * c
-        c = _rk4(ws, eig, speed, dt, _etd_coefficients(dt * lin), lin, c, n0)
-        h = eig.inverse(c)
-    return h
+        n0 = _speed_coefficients(eig, speed, c) - lin * c
+        c = _rk4(eig, speed, dt, _etd_coefficients(dt * lin), lin, c, n0)
+    return eig.inverse(c)
 
 
 def cpu_model():

@@ -24,7 +24,7 @@ from .errors import ConvexityLost
 from .flow import FlowConfig, build_body, build_speed, run as run_flow, stop_threshold
 from .monitor import monitor_rows, run_verdicts, write_monitor_csv
 from .oracle import boundary_suite, interior_suite
-from .speeds import certify, parse_speed
+from .speeds import PROPERTIES, certify, parse_speed
 from . import geometry
 
 EXIT_OK = 0
@@ -88,7 +88,7 @@ def cmd_certify(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     props = [args.property] if args.property else ["concave", "inverse-concave"]
-    reports = [certify(f, p, trials=args.trials, seed=args.seed) for p in props]
+    reports = certify(f, props, trials=args.trials, seed=args.seed)
     payload = {"speed": f.name, "n": f.n, "seed": args.seed,
                "reports": [r.to_dict() for r in reports]}
     _emit(payload, args.out, "certify.json")
@@ -269,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("certify", help="certify concavity / inverse-concavity of a speed")
     c.add_argument("--speed", required=True)
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--property", choices=["concave", "inverse-concave",
-                                          "monotone", "homogeneous"])
+    c.add_argument("--property", choices=PROPERTIES)
     c.add_argument("--trials", type=positive_int, default=2000)
     c.add_argument("--seed", type=non_negative_int, default=0)
     c.add_argument("--out")

@@ -45,10 +45,12 @@ damped and the error control keeps steps near the stable step: on an
 oblate c/a = 0.3 ellipsoid under power:-2, where it spans a factor 123, a
 run to max F x3 takes 2,484 accepted steps against RK4's 3,998.
 
-The principal radii of each stage come from geometry's kernel, a cached
-dense operator up to geometry.DENSE_MAX_N grid points and one stacked
-Fourier transform pair above; the speed of an accepted step is reused as the
-next step's first stage.
+The stages never leave coefficient space: a stage is
+forward(-F(R c)) - lin * c, where R c, the principal radii of the body with
+eigen-coefficients c, is the closed-form radii of the eigenvectors applied to
+c (geometry._Eigenbasis.radii).  Grid values are formed only for the error
+norm, the accepted step and the snapshots; the speed of an accepted step is
+reused as the next step's first stage.
 
 Curve-mode note: in one curvature variable, degree-one homogeneity plus the
 normalisation force f(kappa) = kappa, so every curve run is curve shortening
@@ -182,13 +184,13 @@ def _etd_coefficients(z: np.ndarray) -> tuple:
     return np.exp(z), np.exp(0.5 * z), q, f1, f2, f3
 
 
-def _speed_coefficients(ws: _Workspace, eig: _Eigenbasis, speed: SpeedFunction,
-                        h: np.ndarray) -> np.ndarray:
-    """Eigen-coefficients of -F at grid values h."""
-    return eig.forward(-_speed_of_radii(ws.radii(h), speed))
+def _speed_coefficients(eig: _Eigenbasis, speed: SpeedFunction, c: np.ndarray) -> np.ndarray:
+    """Eigen-coefficients of -F of the body with eigen-coefficients c, its
+    radii taken straight from c (_Eigenbasis.radii)."""
+    return eig.forward(-_speed_of_radii(eig.radii(c), speed))
 
 
-def _rk4(ws: _Workspace, eig: _Eigenbasis, speed: SpeedFunction, dt: float, w: tuple,
+def _rk4(eig: _Eigenbasis, speed: SpeedFunction, dt: float, w: tuple,
          lin: np.ndarray, c0: np.ndarray, n0: np.ndarray) -> np.ndarray:
     """One exponential RK4 step (ETDRK4, Cox & Matthews 2002) of
     dc/dt = lin * c + n(c) on eigen-coefficients c, n(c) the coefficients of
@@ -198,7 +200,7 @@ def _rk4(ws: _Workspace, eig: _Eigenbasis, speed: SpeedFunction, dt: float, w: t
     q = dt * q
 
     def n(c):
-        return _speed_coefficients(ws, eig, speed, eig.inverse(c)) - lin * c
+        return _speed_coefficients(eig, speed, c) - lin * c
 
     e2c = e2 * c0
     a = e2c + q * n0
@@ -341,14 +343,14 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
 
     def step(dt, w, lin, c0, n0):
         run_.rk4_attempts += 1
-        return _rk4(ws, eig, speed, dt, w, lin, c0, n0)
+        return _rk4(eig, speed, dt, w, lin, c0, n0)
 
     body = sample(body)
     config_mode = body.mode
     h, t, offset = body.h, body.t, body.center_offset
     c = eig.forward(h)
-    r = ws.radii(h)
-    neg_f = _speed_coefficients(ws, eig, speed, h)  # coefficients of -F at h
+    r = eig.radii(c)
+    neg_f = eig.forward(-_speed_of_radii(r, speed))  # coefficients of -F at c
     dt_unit = _dt_of(ws, r, speed, config.cfl)
     run_.dt_refreshes += 1
     clock = 0.0  # stable-step units since the last snapshot
@@ -382,10 +384,9 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
                 full = step(dt, weights(units, on_ladder), lin, c, n0)
                 w = weights(0.5 * units, on_ladder)
                 mid = step(0.5 * dt, w, lin, c, n0)
-                n_mid = _speed_coefficients(ws, eig, speed, eig.inverse(mid)) - lin * mid
+                n_mid = _speed_coefficients(eig, speed, mid) - lin * mid
                 c_new = step(0.5 * dt, w, lin, mid, n_mid)
-                h_new = eig.inverse(c_new)
-                r_new = ws.radii(h_new)
+                r_new = eig.radii(c_new)
                 if r_new.min() <= 0.0:
                     raise ConvexityLost("lost convexity")
             except (ConvexityLost, DomainError):
@@ -393,6 +394,7 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
                 run_.rollbacks += 1
                 failure = CONVEXITY_LOST
                 continue
+            h_new = eig.inverse(c_new)
             err = float(np.abs(h_new - eig.inverse(full)).max() / np.abs(h_new).max())
             if err > ETD_TOL:
                 j = min(j, math.floor(RUNGS * math.log2(units))) + _rungs(err)
@@ -417,8 +419,8 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
                     break
                 run_.bisection_iterations += 1
                 try:
-                    h_try = eig.inverse(step(mid_dt, weights(mid_dt / dt_unit, False), lin, c, n0))
-                    r_try = ws.radii(h_try)
+                    c_try = step(mid_dt, weights(mid_dt / dt_unit, False), lin, c, n0)
+                    r_try = eig.radii(c_try)
                     if r_try.min() <= 0.0:
                         raise ConvexityLost("lost convexity")
                 except (ConvexityLost, DomainError):
@@ -428,7 +430,7 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
                 if f_trial < stop_f:
                     lo_dt = mid_dt
                 else:
-                    h_best, dt_best = h_try, mid_dt
+                    h_best, dt_best = eig.inverse(c_try), mid_dt
                     hi_dt = mid_dt
                     if f_trial < stop_f * (1.0 + 1e-9):
                         break
@@ -458,8 +460,8 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
             b = sample(as_body(h, t))
             h, t, offset = b.h, b.t, b.center_offset
             c = eig.forward(h)
-            r = ws.radii(h)
-            neg_f = _speed_coefficients(ws, eig, speed, h)
+            r = eig.radii(c)
+            neg_f = eig.forward(-_speed_of_radii(r, speed))
             half = 0.5 * config.snapshot_every
             clock = min(max(clock - config.snapshot_every, -half), half)
 

@@ -150,19 +150,16 @@ class _Workspace:
         self.dense = None
         if N <= DENSE_MAX_N:
             # column k holds the offsets r - h of the k-th unit vector, its
-            # rows the (point, radius) pairs in the order of radii's result
+            # rows the (point, radius) pairs in the order of radii's result;
+            # one transform pair over the rows of the identity builds them all
             self.dense = np.empty((self.mult.shape[0] * N, N))
-            cols = self.dense.reshape(N, -1, N)
-            e = np.zeros(N)
-            for k in range(N):
-                e[k] = 1.0
-                self._offsets(e, cols[:, :, k])
-                e[k] = 0.0
+            self._offsets(np.eye(N), self.dense.reshape(N, -1, N).transpose(2, 0, 1))
 
     def _spectrum(self, h: np.ndarray) -> np.ndarray:
+        """rfft along the last axis of h (of its even extension, axisymmetric)."""
         if self.mode == CURVE:
             return np.fft.rfft(h)
-        return np.fft.rfft(np.concatenate([h, h[-2:0:-1]]))
+        return np.fft.rfft(np.concatenate([h, h[..., -2:0:-1]], axis=-1))
 
     def derivs(self, h: np.ndarray):
         """(h', h'') on the grid.  Like the dense radii path it transforms h
@@ -177,13 +174,16 @@ class _Workspace:
         return h1, h2
 
     def _offsets(self, h: np.ndarray, out: np.ndarray) -> None:
-        """Write the offsets r - h of the principal radii into out (N, n)."""
-        d = np.fft.irfft(self.mult * self._spectrum(h), self.nfft)
-        out[:, 0] = d[0, : self.N]
+        """Write the offsets r - h of the principal radii of h (N,) into out
+        (N, n), or of each row of h (m, N) into out (m, N, n)."""
+        if h.ndim == 1:
+            h, out = h[None], out[None]
+        d = np.fft.irfft(self.mult[:, None] * self._spectrum(h), self.nfft)
+        out[..., 0] = d[0, :, : self.N]
         if self.mode == AXISYMMETRIC:
-            out[1:-1, 1] = self.cot_int * d[1, 1 : self.N - 1]
-            out[0, 1] = out[0, 0]
-            out[-1, 1] = out[-1, 0]
+            out[:, 1:-1, 1] = self.cot_int * d[1, :, 1 : self.N - 1]
+            out[:, 0, 1] = out[:, 0, 0]
+            out[:, -1, 1] = out[:, -1, 0]
 
     def radii(self, h: np.ndarray) -> np.ndarray:
         """Principal radii (N, 1) or (N, 2); poles take the meridian value.
@@ -208,20 +208,27 @@ class _Workspace:
 
 class _Eigenbasis:
     """Eigenpairs of a grid's linearised radii operator sum_i (1 + O_i), O_i
-    the offsets r_i - h of _Workspace._offsets, in closed form.
+    the offsets r_i - h of _Workspace._offsets, in closed form, and the
+    principal radii of the eigenvectors themselves.
 
     Curve grids: 1 + d^2/dtheta^2 has eigenvalue 1 - k^2 on the real Fourier
-    modes, so the coefficients are rfft's.  Axisymmetric grids: the operator
+    modes, so the coefficients are rfft's, and the one radius of
+    coefficients c is irfft((1 - k^2) c).  Axisymmetric grids: the operator
     is 2 plus the spherical Laplacian of axisymmetric functions, and it is
     exact on the grid for polynomials in x = cos(theta) of degree below N
     (the Nyquist mode's derivative vanishes at every node), so its
     eigenvectors are the Legendre polynomials P_k(x_j), k < N, with
-    eigenvalues 2 - k(k+1).  P_k has the parity of k and the grid is
-    symmetric about the equator, so each transform splits into an even and
-    an odd half of about N/2 x N/2; coefficients are stored as [even k...,
-    odd k...].  forward(), the inverse of the Legendre matrix, is the DCT-I
-    of the grid values (their Chebyshev coefficients) followed by the
-    Chebyshev-to-Legendre conversion, built column by column from
+    eigenvalues 2 - k(k+1).  By Legendre's equation their radii are
+    r_1 = (1 - k(k+1)) P_k + x P_k' and r_2 = P_k - x P_k', which sum to
+    the eigenvalue times P_k and agree at the poles; P_k' comes from
+    P'_{k+1} = P'_{k-1} + (2k+1) P_k in the loop that builds P_k.  P_k has
+    the parity of k and the grid is symmetric about the equator, so each
+    transform and the radii operator split into an even and an odd half of
+    about N/2 x N/2 (the radii blocks have two rows per node), half the
+    multiply-adds of the dense radii operator; coefficients are stored as
+    [even k..., odd k...].  forward(), the inverse of the Legendre matrix,
+    is the DCT-I of the grid values (their Chebyshev coefficients) followed
+    by the Chebyshev-to-Legendre conversion, built column by column from
     T_{m+1} = 2x T_m - T_{m-1}: no matrix inverse and no matrix-matrix
     product, and no storage beyond the two matrices kept."""
 
@@ -244,16 +251,24 @@ class _Eigenbasis:
         b_e, b_o = np.empty((ne, ne)), np.empty((no, no))
         down = k[1:] / (2.0 * k[1:] - 1.0)          # x P_{k-1} -> P_k
         up = (k[:-1] + 1.0) / (2.0 * k[:-1] + 3.0)  # x P_{k+1} -> P_k
+        # r_e, r_o: the radii (r_1, r_2) of P_k at the nodes, by parity
+        r_e, r_o = np.empty((ne, 2, ne)), np.empty((no, 2, no))
         p_prev, p = np.zeros(ne), np.ones(ne)
+        dp_prev, dp = np.zeros(ne), np.zeros(ne)  # P'_{m-1}, P'_m
         t_prev, t = np.zeros(N), np.zeros(N)
         t[0] = 1.0
         for m in range(N):
+            xdp = x * dp
+            r1, r2 = (1.0 - m * (m + 1.0)) * p + xdp, p - xdp
             if m % 2 == 0:
                 self.v_e[:, m // 2] = p
+                r_e[:, 0, m // 2], r_e[:, 1, m // 2] = r1, r2
                 b_e[:, m // 2] = t[0::2]
             else:
                 self.v_o[:, m // 2] = p[:no]
+                r_o[:, 0, m // 2], r_o[:, 1, m // 2] = r1[:no], r2[:no]
                 b_o[:, m // 2] = t[1::2]
+            dp_prev, dp = dp, dp_prev + (2 * m + 1) * p
             p_prev, p = p, ((2 * m + 1) * x * p - m * p_prev) / (m + 1)
             xt = np.zeros(N)
             xt[1:] = down * t[:-1]
@@ -277,6 +292,7 @@ class _Eigenbasis:
                 spec = np.fft.rfft(np.concatenate([g, g[:, -2:0:-1]], axis=1), axis=1)
                 rows[:] = w_node[:n] * spec.real[:, :n]
         self.inv_e, self.inv_o = b_e, b_o
+        self.r_e, self.r_o = r_e.reshape(2 * ne, ne), r_o.reshape(2 * no, no)
 
     def forward(self, h: np.ndarray) -> np.ndarray:
         """Eigen-coefficients of grid values h."""
@@ -285,6 +301,20 @@ class _Eigenbasis:
         hr = h[::-1]
         return np.concatenate([self.inv_e @ (0.5 * (h[: self.ne] + hr[: self.ne])),
                                self.inv_o @ (0.5 * (h[: self.no] - hr[: self.no]))])
+
+    def radii(self, c: np.ndarray) -> np.ndarray:
+        """Principal radii (N, 1) or (N, 2) of the body with eigen-coefficients
+        c, straight from the coefficients.  No positivity check."""
+        if self.mode == CURVE:
+            return np.fft.irfft(self.lam * c, self.N)[:, None]
+        ne, no = self.ne, self.no
+        s = (self.r_e @ c[:ne]).reshape(ne, 2)
+        d = (self.r_o @ c[ne:]).reshape(no, 2)
+        r = np.empty((self.N, 2))
+        r[:ne] = s
+        r[:no] += d
+        r[ne:] = (s[:no] - d)[::-1]
+        return r
 
     def inverse(self, c: np.ndarray) -> np.ndarray:
         """Grid values of eigen-coefficients c."""
@@ -723,19 +753,16 @@ def radii(body: ConvexBody) -> RadiiReport:
 
 def hausdorff_to_unit_sphere(body: ConvexBody, center) -> float:
     """max over grid directions of |h(z) - <center, z> - 1| (support-function
-    characterisation of the Hausdorff distance to the unit ball at center)."""
+    characterisation of the Hausdorff distance to the unit ball at center).
+    An axisymmetric body's center must lie on the axis, as in translate;
+    every azimuth of a meridian direction then gives the same value, so the
+    meridian alone is evaluated."""
     center = np.asarray(center, dtype=float)
     if center.shape != (body.dim,):
         raise ValueError("center has the wrong dimension")
-    if body.mode == CURVE:
-        g = body.h - body.directions() @ center
-    else:
-        th = body.thetas
-        phi = 2.0 * np.pi * np.arange(body.N) / body.N
-        proj = (np.sin(th)[:, None]
-                * (center[0] * np.cos(phi) + center[1] * np.sin(phi))[None, :]
-                + (np.cos(th) * center[2])[:, None])
-        g = body.h[:, None] - proj
+    if body.mode == AXISYMMETRIC and np.abs(center[:2]).max() > 0.0:
+        raise ValueError("an axisymmetric body's center must lie on the axis")
+    g = body.h - body.directions() @ center
     if g.min() <= 0.0:
         raise CenterOutside(f"support relative to center dips to {g.min():.3e}")
     return float(np.abs(g - 1.0).max())

@@ -515,9 +515,16 @@ def _psd_tol(M: np.ndarray) -> np.ndarray:
     return 1e-8 * (1.0 + np.abs(M).max(axis=(1, 2)))
 
 
-def certify(f: SpeedFunction, property: str, trials: int = 2000, seed: int = 0) -> CertReport:
+PROPERTIES = ("concave", "inverse-concave", "monotone", "homogeneous")
+
+
+def certify(f: SpeedFunction, property, trials: int = 2000, seed: int = 0):
     """Sample-based certification of concavity / inverse-concavity (and the
     monotonicity / homogeneity sanity properties).
+
+    property is one name, which returns one CertReport, or a sequence of
+    names, which returns one report per name, all checked on one draw of
+    the points: each report equals that of its name alone.
 
     Inverse-concavity checks both the shifted-Hessian criterion
     hess + 2 diag(grad/z) >= 0 and concavity of the dual at dual points;
@@ -525,18 +532,28 @@ def certify(f: SpeedFunction, property: str, trials: int = 2000, seed: int = 0) 
     trial) and checked as one stack; the witness is the last sample that
     lowers the running minimum margin below its own -tol.
     """
+    names = [property] if isinstance(property, str) else list(property)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if property not in ("concave", "inverse-concave", "monotone", "homogeneous"):
-        raise ValueError(f"unknown property {property!r}")
+    for name in names:
+        if name not in PROPERTIES:
+            raise ValueError(f"unknown property {name!r}")
 
     Z = np.empty((trials, f.n))
     s = np.empty(trials)
+    scales = "homogeneous" in names
     for t, rng in enumerate(trial_rngs(seed, range(trials))):
         Z[t] = sample_cone_point(rng, f.n)
-        if property == "homogeneous":
+        if scales:
             s[t] = 10.0 ** rng.uniform(-2.0, 2.0)
 
+    reports = [_certify_on(f, name, Z, s) for name in names]
+    return reports[0] if isinstance(property, str) else reports
+
+
+def _certify_on(f: SpeedFunction, property: str, Z: np.ndarray, s: np.ndarray) -> CertReport:
+    """certify's report of one property on the drawn points Z (and, for
+    homogeneity, the drawn scales s)."""
     if property == "concave":
         H = f.hess_many(Z)
         margin = -np.linalg.eigvalsh(H)[:, -1]
@@ -562,7 +579,7 @@ def certify(f: SpeedFunction, property: str, trials: int = 2000, seed: int = 0) 
     w = int(hits[-1]) if hits.size else None
     return CertReport(
         property=property,
-        samples_tested=trials,
+        samples_tested=Z.shape[0],
         min_eigen_seen=float(running[-1]),
         verdict="certified-on-samples" if w is None else "refuted",
         witness=None if w is None else Z[w].tolist(),

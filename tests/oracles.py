@@ -202,6 +202,44 @@ def principal_radii_reference(mode, h):
     return np.stack([r1, r2], axis=1).astype(float)
 
 
+def eigenbasis_extended(mode, N, c):
+    """(h, r): grid values (N,) and principal radii (N, n) in np.longdouble
+    of the body with eigen-coefficients c, ordered as geometry._Eigenbasis
+    orders them.  A curve's are the real inverse DFT of its rfft
+    coefficients c and of (1 - k^2) c.  An axisymmetric body's are
+    sum_k c_k v_k(x_j) at the nodes x_j = cos(pi j / (N - 1)), the even k
+    first, for v_k = P_k and for the closed-form radii of P_k(cos theta),
+    r_1 = (1 - k(k+1)) P_k + x P_k' and r_2 = P_k - x P_k' (Legendre's
+    equation), with P_k and P_k' from Bonnet's recurrence and
+    P'_{k+1} = P'_{k-1} + (2k+1) P_k."""
+    ld = np.longdouble
+    k = np.arange(N // 2 + 1 if mode == "curve" else N)
+    if mode == "curve":
+        w = np.full(k.size, ld(2))
+        w[0] = 1
+        if N % 2 == 0:
+            w[-1] = 1
+        ang = 2 * _PI_LD * (np.outer(np.arange(N), k) % N) / N
+        cos, sin = np.cos(ang), np.sin(ang)
+
+        def synth(a):
+            return (cos @ (w * a.real.astype(ld)) - sin @ (w * a.imag.astype(ld))) / N
+
+        return synth(c), synth((1 - k * k) * c)[:, None]
+    x = np.cos(_PI_LD * np.arange(N) / (N - 1))
+    P, D = np.empty((N, N), dtype=ld), np.empty((N, N), dtype=ld)
+    p_prev, p = np.zeros(N, dtype=ld), np.ones(N, dtype=ld)
+    dp_prev, dp = np.zeros(N, dtype=ld), np.zeros(N, dtype=ld)
+    for m in range(N):
+        P[:, m], D[:, m] = p, dp
+        dp_prev, dp = dp, dp_prev + (2 * m + 1) * p
+        p_prev, p = p, ((2 * m + 1) * x * p - m * p_prev) / (m + 1)
+    order = np.concatenate([k[0::2], k[1::2]])
+    P, xD, kk = P[:, order], x[:, None] * D[:, order], order.astype(ld)
+    cl = c.astype(ld)
+    return P @ cl, np.stack([((1 - kk * (kk + 1)) * P + xD) @ cl, (P - xD) @ cl], axis=1)
+
+
 def principal_radii_three_transform(mode, h):
     """(N, n) principal radii by one rfft of the (even-extended) samples and
     one irfft per derivative: the reference for geometry._Workspace.radii,
@@ -259,6 +297,16 @@ def rk4_step(ws, h, speed, dt, r0=None, F0=None):
     k3 = -_speed_of_radii(ws.radii(h + (0.5 * dt) * k2), speed)
     k4 = -_speed_of_radii(ws.radii(h + dt * k3), speed)
     return h + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def eigenbasis_radii_reference(eig, c):
+    """geometry._Eigenbasis.radii (same signature) by the grid: the
+    coefficients to grid values by eig.inverse, then the grid's radii
+    kernel geometry._Workspace.radii.  The flow's path to the radii of its
+    ETDRK4 stages before they came straight from the coefficients."""
+    from noncollapse.geometry import _workspace
+
+    return _workspace(eig.mode, eig.N).radii(eig.inverse(c))
 
 
 def rk4_reference_run(config, speed=None, body=None, dt_of=None):

@@ -4,11 +4,11 @@ import pytest
 from noncollapse.errors import ConvexityLost
 from noncollapse.flow import (CFL_MAX, REACHED_MAX_F, REACHED_T_END, FlowConfig,
                               _dt_of, _etd_coefficients, build_body, build_speed, run)
-from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, _workspace, area,
+from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, _Eigenbasis, _workspace, area,
                                   make_ellipse, make_ellipsoid, make_sphere)
 
 from oracles import (dt_reference, random_convex_axisym, random_convex_curve,
-                     rk4_reference_run)
+                     eigenbasis_radii_reference, rk4_reference_run)
 
 
 def sphere_cfg(mode, N, stop_factor=100.0, **kw):
@@ -233,6 +233,28 @@ def test_etd_matches_rk4_reference(case):
     h, h_ref = fr.snapshots[-1].h, ref.snapshots[-1].h
     assert np.abs(h - h_ref).max() <= 1e-9 * np.abs(h_ref).max()
     assert fr.steps < ref.steps
+
+
+def test_coefficient_radii_run_matches_grid_radii_run(monkeypatch):
+    # the flow's radii straight from eigen-coefficients against the grid
+    # path (inverse transform, then the radii kernel) on the ellipsoid-step
+    # benchmark's ellipsoid: the same steps, rejections and snapshots, and
+    # every snapshot's t, h, radii and max F within 1e-10 relative
+    # (measured: at most 1.9e-11, in h)
+    cfg = EQUIVALENCE_CASES["ellipsoid-sigma2"]
+    fr = run(cfg)
+    monkeypatch.setattr(_Eigenbasis, "radii", eigenbasis_radii_reference)
+    ref = run(cfg)
+    counts = ("steps", "rk4_attempts", "rejected", "rollbacks", "dt_refreshes",
+              "bisection_iterations")
+    assert [fr.counters[k] for k in counts] == [ref.counters[k] for k in counts]
+    assert fr.termination == ref.termination == REACHED_MAX_F
+    assert len(fr.times) == len(ref.times)
+    for a, b in zip(fr.snapshots, ref.snapshots):
+        assert a.t == pytest.approx(b.t, rel=1e-10, abs=0.0)
+        assert np.abs(a.h - b.h).max() <= 1e-10 * np.abs(b.h).max()
+    for a, b in ((fr.r_plus, ref.r_plus), (fr.r_minus, ref.r_minus), (fr.max_f, ref.max_f)):
+        assert np.abs(np.subtract(a, b)).max() <= 1e-10 * np.abs(b).max()
 
 
 def test_etd_weights_against_extended_precision():

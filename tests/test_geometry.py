@@ -15,7 +15,8 @@ from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, area,
                                   tangent_plane_diagnostic,
                                   translate)
 
-from oracles import (ball_curvature_field_sweep, ellipse_curvature_parametric,
+from oracles import (ball_curvature_field_sweep, eigenbasis_extended,
+                     ellipse_curvature_parametric,
                      ellipsoid_curvatures_parametric, fd_derivs_even,
                      fd_derivs_periodic, principal_radii_reference,
                      principal_radii_three_transform, radii_reference,
@@ -166,6 +167,36 @@ def test_eigenbasis_diagonalises_radii_operator(mode):
             assert resid <= 10 * N * N * eps * max(1.0, abs(lam_k)) * np.abs(v).max()
         h = rng.standard_normal(N)
         assert np.abs(eig.inverse(eig.forward(h)) - h).max() <= 20 * N * eps * np.abs(h).max()
+
+
+@pytest.mark.parametrize("mode", [AXISYMMETRIC, CURVE])
+def test_eigenbasis_radii_match_extended_precision(mode):
+    # the radii straight from eigen-coefficients against R c in long double
+    # (eigenbasis_extended), on ellipsoids (ellipses) and a random body.
+    # Measured worst constants of N^2 eps max|h|: at most 0.0034 from N = 64
+    # on (0.0007 on curves), where the inverse transform and the radii
+    # kernel measure 0.13 to 2.5; up to 0.12 at N <= 5, where the error is
+    # the rounding of r itself, which N^2 does not scale.  The long-double
+    # closed form is checked against the extended-precision DFT radii of its
+    # own grid values (measured at most 0.056)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(3)
+    for N in (3, 4, 5, 64, 65, 256, 257, 511):
+        eig = _workspace(mode, N).eigenbasis()
+        if mode == AXISYMMETRIC:
+            bodies = [make_ellipsoid(N, 1.0, q).h for q in (0.3, 1.5, 4.0)]
+            bodies.append(3.0 * random_convex_axisym(rng, N=N))
+        else:
+            bodies = [make_ellipse(N, 1.0, q).h for q in (0.3, 1.5, 4.0)]
+            bodies.append(3.0 * random_convex_curve(rng, N=N))
+        for h in bodies:
+            c = eig.forward(h)
+            h_ext, r_ext = eigenbasis_extended(mode, N, c)
+            unit = N * N * eps * float(np.abs(h_ext).max())
+            got = eig.radii(c)
+            assert got.shape == (N, 1 if mode == CURVE else 2)
+            assert np.abs(got - r_ext).max() <= (0.01 if N > 5 else 0.25) * unit, N
+            assert np.abs(principal_radii_reference(mode, h_ext) - r_ext).max() <= 0.1 * unit
 
 
 def test_embed_unit_circle():
@@ -508,6 +539,24 @@ def test_hausdorff_values():
     assert hausdorff_to_unit_sphere(e, [0.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
     s3 = make_sphere(AXISYMMETRIC, 65, 1.3)
     assert hausdorff_to_unit_sphere(s3, [0.0, 0.0, 0.0]) == pytest.approx(0.3, abs=1e-12)
+
+
+def test_hausdorff_axisymmetric_meridian_equals_azimuth_sweep():
+    # with the center on the axis every azimuth gives the meridian's values,
+    # so the meridian alone returns the sweep over all grid azimuths exactly;
+    # a center off the axis is refused, as translate refuses it
+    rng = np.random.default_rng(5)
+    for b in (make_ellipsoid(65, 1.0, 1.5), ConvexBody(AXISYMMETRIC, random_convex_axisym(rng, N=96))):
+        th = b.thetas
+        phi = 2.0 * np.pi * np.arange(b.N) / b.N
+        for cz in (0.0, 0.05, -0.1):
+            center = np.array([0.0, 0.0, cz])
+            proj = (np.sin(th)[:, None] * (0.0 * np.cos(phi) + 0.0 * np.sin(phi))[None, :]
+                    + (np.cos(th) * cz)[:, None])
+            sweep = float(np.abs(b.h[:, None] - proj - 1.0).max())
+            assert hausdorff_to_unit_sphere(b, center) == sweep
+    with pytest.raises(ValueError):
+        hausdorff_to_unit_sphere(make_sphere(AXISYMMETRIC, 65), [0.1, 0.0, 0.0])
 
 
 def test_hausdorff_center_outside():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noncollapse.errors import DomainError, NotPositiveDefinite
-from noncollapse.speeds import (ArithmeticMean, HarmonicMean, PowerMean,
+from noncollapse.speeds import (PROPERTIES, ArithmeticMean, HarmonicMean, PowerMean,
                                 SigmaRatio, SigmaRoot, certify, matrix_eval,
                                 matrix_hess_form, parse_speed, trial_rngs)
 
@@ -336,6 +336,19 @@ def test_certify_monotone_and_homogeneous():
         f = parse_speed(spec, 2)
         assert certify(f, "monotone", trials=200, seed=1).certified
         assert certify(f, "homogeneous", trials=200, seed=1).certified
+
+
+def test_certify_properties_share_one_draw():
+    # a list of properties returns one report per name, each equal to the
+    # report of that name alone: the points (and the homogeneity scales)
+    # are drawn once per trial, in the same order
+    for f in (parse_speed("sigma-root:2", 3), PowerMean(3, -2.0), PowerMean(2, 2.0)):
+        for names in (list(PROPERTIES), ["inverse-concave", "concave"], ["homogeneous"]):
+            reports = certify(f, names, trials=300, seed=17)
+            assert [r.to_dict() for r in reports] == \
+                [certify(f, name, trials=300, seed=17).to_dict() for name in names]
+    with pytest.raises(ValueError):
+        certify(PowerMean(2, 2.0), ["concave", "convex"], trials=10)
 
 
 def test_certify_deterministic():
