@@ -9,7 +9,9 @@ curvatures, interior/exterior ball-curvature fields, in/circumradius, and
 the Hausdorff distance to a unit sphere.  The radii are exact to rounding
 in one stage each: dual-simplex pivoting for a curve's in-circle, the
 lowest dual vertex for the axial in-ball, bisection to adjacent floats for
-the axial circumball and Welzl's algorithm for a curve's circumcircle.
+the axial circumball and farthest-point pivoting for a curve's circumcircle.
+The ball-curvature fields take their x rows in blocks, and the axisymmetric
+field finds each pair's nearest admissible azimuth in closed form.
 """
 from __future__ import annotations
 
@@ -455,16 +457,19 @@ def ball_curvature_field(body: ConvexBody) -> BallCurvatureField:
     the diagonal wins, so rounding cannot decide whether a row has an
     off-diagonal witness.
 
-    Curve mode takes the extrema over the N x N pair matrix.  Axisymmetric
-    mode fixes x at azimuth 0 and turns the meridian point y by the grid
-    azimuths 2 pi m / N.  With c = cos(2 pi m / N), |X_x - Y|^2 = A - B c
-    (B = 2 rho_x rho_y >= 0) and 2 <X_x - Y, nu_x> = P - Q c, so k is
-    linear-fractional, hence monotone, in c on the admissible set
-    {A - B c > sep^2}.  Its extrema over the azimuths therefore sit at the
-    far azimuth m = N // 2 (the smallest c, which is pi only for even N) or
-    at the nearest admissible one, the first admissible m <= N // 2 (found by
-    bisection, admissibility being monotone in m).  The result equals the
-    sweep over the whole (theta, phi) torus up to rounding.
+    The x rows are taken FIELD_ROWS at a time: each block builds its
+    candidate values against every y and keeps only its row extrema, so no
+    temporary is larger than FIELD_ROWS x N.  Curve mode's candidates are
+    the pairs of grid points.  Axisymmetric mode fixes x at azimuth 0 and
+    turns the meridian point y by the grid azimuths 2 pi m / N.  With
+    c = cos(2 pi m / N), |X_x - Y|^2 = A - B c (B = 2 rho_x rho_y >= 0) and
+    2 <X_x - Y, nu_x> = P - Q c, so k is linear-fractional, hence monotone,
+    in c on the admissible set {A - B c > sep^2}.  Its extrema over the
+    azimuths therefore sit at the far azimuth m = N // 2 (the smallest c,
+    which is pi only for even N) or at the nearest admissible one, the first
+    admissible m <= N // 2, estimated in closed form and made exact by
+    _first_admissible.  The result equals the sweep over the whole
+    (theta, phi) torus up to rounding.
 
     Ties: the witness is the first extremum in y; on one y the nearer of the
     two azimuths wins, and of the mirror azimuths m and N - m the one
@@ -476,75 +481,110 @@ def ball_curvature_field(body: ConvexBody) -> BallCurvatureField:
     pts = _points(body)
     nus = body.directions()
     sep2 = ((SEP_FACTOR * body.grid_spacing * r[:, 0]) ** 2)[:, None]
-
-    if body.mode == CURVE:
-        D = pts[:, None, :] - pts[None, :, :]       # X_x - X_y
-        d2 = np.einsum("xyk,xyk->xy", D, D)
-        num = 2.0 * np.einsum("xyk,xk->xy", D, nus)
-        ok = d2 > sep2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = num / d2
-        return _extremes(kappa, pts, ok, k, k, 0, 0)
-
-    rho = pts[:, 0]
-    dz = pts[:, 2][:, None] - pts[:, 2][None, :]
-    phi = 2.0 * np.pi * np.arange(N) / N
-    cphi, sphi = np.cos(phi), np.sin(phi)
-
-    def chord(m):
-        """Radial component of X_x - Y and |X_x - Y|^2 at azimuth indices m."""
-        d0 = rho[:, None] - rho[None, :] * cphi[m]
-        d1 = rho[None, :] * sphi[m]
-        return d0, d0 * d0 + d1 * d1 + dz * dz
-
-    def ball(m):
-        d0, d2 = chord(m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 2.0 * (d0 * nus[:, 0:1] + dz * nus[:, 2:3]) / d2, d2 > sep2
-
-    far = N // 2
-    k_far, ok = ball(far)
-    # first admissible azimuth in [0, far]: lo is inadmissible (or -1), hi is
-    # admissible wherever the far azimuth is
-    lo = np.full((N, N), -1)
-    hi = np.full((N, N), far)
-    while True:
-        wide = hi - lo > 1
-        if not wide.any():
-            break
-        mid = (lo + hi) // 2
-        adm = chord(mid)[1] > sep2
-        hi = np.where(wide & adm, mid, hi)
-        lo = np.where(wide & ~adm, mid, lo)
-    k_near, _ = ball(hi)
-    near_lo = k_near <= k_far
-    near_hi = k_near >= k_far
-    return _extremes(kappa, pts, ok,
-                     np.where(near_lo, k_near, k_far), np.where(near_hi, k_near, k_far),
-                     np.where(near_lo, hi, far), np.where(near_hi, hi, far))
-
-
-def _extremes(kappa, pts, ok, k_lo, k_hi, m_lo, m_hi) -> BallCurvatureField:
-    """Row extrema over admissible y of the (x, y) candidate values k_lo
-    (minimum) and k_hi (maximum), with their azimuth indices m_lo and m_hi,
-    compared against the principal curvatures at x: an extremum within
-    DIAG_TIE_RTOL of kappa_min (kappa_max) relative is the diagonal's."""
-    rows = np.arange(kappa.shape[0])
-    m_lo = np.broadcast_to(m_lo, ok.shape)
-    m_hi = np.broadcast_to(m_hi, ok.shape)
-    lo = np.where(ok, k_lo, np.inf)
-    hi = np.where(ok, k_hi, -np.inf)
-    y_lo = lo.argmin(axis=1)
-    y_hi = hi.argmax(axis=1)
-    lo = lo[rows, y_lo]
-    hi = hi[rows, y_hi]
+    blocks = _curve_blocks if body.mode == CURVE else _axi_blocks
+    lo, hi = np.empty(N), np.empty(N)
+    w_lower, w_upper = np.empty((N, 2), dtype=np.intp), np.empty((N, 2), dtype=np.intp)
+    for s, ok, k_lo, k_hi, m_lo, m_hi in blocks(pts, nus, sep2):
+        rows = np.arange(ok.shape[0])
+        k_lo = np.where(ok, k_lo, np.inf)
+        k_hi = np.where(ok, k_hi, -np.inf)
+        y_lo, y_hi = k_lo.argmin(axis=1), k_hi.argmax(axis=1)
+        lo[s], hi[s] = k_lo[rows, y_lo], k_hi[rows, y_hi]
+        w_lower[s, 0], w_upper[s, 0] = y_lo, y_hi
+        w_lower[s, 1] = np.broadcast_to(m_lo, ok.shape)[rows, y_lo]
+        w_upper[s, 1] = np.broadcast_to(m_hi, ok.shape)[rows, y_hi]
     kmin, kmax = kappa.min(axis=1), kappa.max(axis=1)
     off_lo = lo < kmin * (1.0 - DIAG_TIE_RTOL)
     off_hi = hi > kmax * (1.0 + DIAG_TIE_RTOL)
-    w_lower = np.where(off_lo[:, None], np.stack([y_lo, m_lo[rows, y_lo]], axis=1), -1)
-    w_upper = np.where(off_hi[:, None], np.stack([y_hi, m_hi[rows, y_hi]], axis=1), -1)
+    w_lower[~off_lo] = -1
+    w_upper[~off_hi] = -1
     return BallCurvatureField(np.where(off_lo, lo, kmin), np.where(off_hi, hi, kmax),
                               w_lower, w_upper, kappa, pts)
+
+
+# x rows per block of ball_curvature_field: a block's (FIELD_ROWS, N)
+# temporaries, 130 kB each at N = 511, stay in a 2 MB L2 cache where the
+# full (N, N) ones (2 MB) do not.  ms per axisymmetric N = 511 field at
+# 16/32/64/128 rows: 20.0/19.4/18.3/21.2, 32 and 64 alike within the noise
+# (scripts/field_bench.py, 2-core x86-64, BLAS on one thread)
+FIELD_ROWS = 32
+
+
+def _curve_blocks(pts, nus, sep2):
+    """Per block of x rows: (rows, admissible, k, k, 0, 0) over every y."""
+    for a in range(0, pts.shape[0], FIELD_ROWS):
+        s = slice(a, a + FIELD_ROWS)
+        d0 = pts[s, 0:1] - pts[:, 0]                # X_x - X_y
+        d1 = pts[s, 1:2] - pts[:, 1]
+        d2 = d0 * d0 + d1 * d1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = 2.0 * (d0 * nus[s, 0:1] + d1 * nus[s, 1:2]) / d2
+        yield s, d2 > sep2[s], k, k, 0, 0
+
+
+def _axi_blocks(pts, nus, sep2):
+    """Per block of x rows: (rows, admissible, k at the lower and the upper
+    of the two candidate azimuths, their azimuth indices) over every y;
+    admissibility is that of the far azimuth, the widest chord."""
+    N = pts.shape[0]
+    rho, z = pts[:, 0], pts[:, 2]
+    phi = 2.0 * np.pi * np.arange(N) / N
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    far = N // 2
+    for a in range(0, N, FIELD_ROWS):
+        s = slice(a, a + FIELD_ROWS)
+        rx, dz, sep2_s = rho[s, None], z[s, None] - z, sep2[s]
+        nu0, nu2 = nus[s, 0:1], nus[s, 2:3]
+        d0, d2 = _chord(rx, rho, dz, cphi[far], sphi[far])
+        # the pair is admissible at the azimuth phi when A - B cos(phi) >
+        # sep^2, A = rho_x^2 + rho_y^2 + dz^2 and B = 2 rho_x rho_y, so the
+        # first admissible m is ceil(N arccos((A - sep^2) / B) / 2 pi); where
+        # B = 0 (a pole) the azimuth moves nothing, and the quotient's
+        # infinity gives 0 or far
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = (rx * rx + rho * rho + dz * dz - sep2_s) / (2.0 * rx * rho)
+        est = np.ceil(N / (2.0 * np.pi) * np.arccos(np.clip(q, -1.0, 1.0)))
+        m = np.clip(np.nan_to_num(est), 0, far).astype(np.intp)
+        d0_m, d2_m = _first_admissible(m, rx, rho, dz, sep2_s, cphi, sphi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k_far = 2.0 * (d0 * nu0 + dz * nu2) / d2
+            k_near = 2.0 * (d0_m * nu0 + dz * nu2) / d2_m
+        near_lo = k_near <= k_far
+        near_hi = k_near >= k_far
+        yield (s, d2 > sep2_s, np.where(near_lo, k_near, k_far),
+               np.where(near_hi, k_near, k_far),
+               np.where(near_lo, m, far), np.where(near_hi, m, far))
+
+
+def _chord(rx, ry, dz, c, s):
+    """Radial component of X_x - Y and |X_x - Y|^2 for the meridian point y
+    turned to the azimuth of cosine c and sine s."""
+    d0 = rx - ry * c
+    d1 = ry * s
+    return d0, d0 * d0 + d1 * d1 + dz * dz
+
+
+def _first_admissible(m, rx, ry, dz, sep2, cphi, sphi):
+    """Correct, in place, the estimates m of each (x, y) pair's first
+    admissible azimuth index in [0, N // 2] (N // 2 where none is) to the
+    exact test _chord(m)[1] > sep^2 that decides admissibility, and return
+    _chord at m.  The pairs the estimate misses step down while m - 1
+    passes the test and up while m fails it, until none moves, so m is
+    exact however far the estimate is off."""
+    far = cphi.size // 2
+    d0, d2 = _chord(rx, ry, dz, cphi[m], sphi[m])
+    below = _chord(rx, ry, dz, cphi[m - 1], sphi[m - 1])[1] > sep2
+    i, j = np.nonzero((m > 0) & below | (m < far) & ~(d2 > sep2))
+    rx, ry, dz, sep2, mm = rx[i, 0], ry[j], dz[i, j], sep2[i, 0], m[i, j]
+    while True:
+        down = (mm > 0) & (_chord(rx, ry, dz, cphi[mm - 1], sphi[mm - 1])[1] > sep2)
+        up = ~down & (mm < far) & ~(_chord(rx, ry, dz, cphi[mm], sphi[mm])[1] > sep2)
+        if not (down.any() or up.any()):
+            break
+        mm = mm - down + up
+    m[i, j] = mm
+    d0[i, j], d2[i, j] = _chord(rx, ry, dz, cphi[mm], sphi[mm])
+    return d0, d2
 
 
 def tangent_plane_diagnostic(body: ConvexBody, fld: BallCurvatureField,
@@ -661,53 +701,48 @@ def _in_ball_axi(h: np.ndarray, u: np.ndarray):
 
 
 def _circumball_curve(pts: np.ndarray):
-    """Minimum enclosing circle (incremental Welzl with deterministic shuffle)."""
-    import random
+    """Minimum enclosing circle by farthest-point pivoting (Elzinga & Hearn,
+    Transportation Science 6, 1972).  The support S holds at most three
+    points and the circle is the smallest one around them; the point
+    farthest from its center joins S, and the smallest circle of S and that
+    point, which passes through it, replaces circle and support (the two or
+    three points it is drawn through).  The radius grows at every pivot, so
+    no support returns; pivoting stops when no point lies outside the circle
+    by more than a relative 1e-14, which only rounding can leave, and the
+    radius returned is the distance of the farthest point."""
+    N = pts.shape[0]
+    S, c, r = [0], pts[0], 0.0
+    for _ in range(2 * N):
+        d = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])
+        j = int(np.argmax(d))
+        if d[j] <= r * (1.0 + 1e-14):
+            return c, float(d[j])
+        S, c, r = _smallest_circle_through(pts, S, j)
+    else:  # pragma: no cover - the radius grows at every pivot, so only rounding can cycle
+        raise RuntimeError(f"circumcircle pivoting did not settle in {2 * N} pivots")
 
-    P = [tuple(p) for p in pts]
-    random.Random(0).shuffle(P)
 
-    def circle_two(p, q):
-        cx, cy = (p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0
-        r = max(np.hypot(p[0] - cx, p[1] - cy), np.hypot(q[0] - cx, q[1] - cy))
-        return (cx, cy, r)
-
-    def circle_three(p, q, r_):
-        ax, ay = p
-        bx, by = q
-        cx, cy = r_
-        d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-        if d == 0.0:
-            return None
-        ux = ((ax**2 + ay**2) * (by - cy) + (bx**2 + by**2) * (cy - ay)
-              + (cx**2 + cy**2) * (ay - by)) / d
-        uy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx)
-              + (cx**2 + cy**2) * (bx - ax)) / d
-        rad = max(np.hypot(ax - ux, ay - uy), np.hypot(bx - ux, by - uy),
-                  np.hypot(cx - ux, cy - uy))
-        return (ux, uy, rad)
-
-    def contains(c, p, eps=1e-12):
-        return c is not None and np.hypot(p[0] - c[0], p[1] - c[1]) <= c[2] * (1 + eps) + eps
-
-    c = None
-    for i, p in enumerate(P):
-        if contains(c, p):
-            continue
-        c = (p[0], p[1], 0.0)
-        for j in range(i):
-            q = P[j]
-            if contains(c, q):
+def _smallest_circle_through(pts: np.ndarray, S: list, j: int):
+    """(support, center, radius) of the smallest circle around the points S
+    and j that passes through j: of the circles on j and one point of S as
+    diameter and through j and two points of S, the one whose farthest
+    point of S + [j] is nearest."""
+    q = pts[j]
+    best = None
+    for T in [[i] for i in S] + [[a, b] for n, a in enumerate(S) for b in S[n + 1:]]:
+        if len(T) == 1:
+            c = 0.5 * (q + pts[T[0]])
+        else:  # circumcenter, from j, of the triangle j, a, b
+            u, v = pts[T[0]] - q, pts[T[1]] - q
+            det = 2.0 * (u[0] * v[1] - u[1] * v[0])
+            if det == 0.0:
                 continue
-            c = circle_two(p, q)
-            for m in range(j):
-                s = P[m]
-                if contains(c, s):
-                    continue
-                c3 = circle_three(p, q, s)
-                if c3 is not None:
-                    c = c3
-    return np.array([c[0], c[1]]), float(c[2])
+            uu, vv = u @ u, v @ v
+            c = q + np.array([v[1] * uu - u[1] * vv, u[0] * vv - v[0] * uu]) / det
+        r = max(float(np.hypot(*(pts[i] - c))) for i in S + [j])
+        if best is None or r < best[2]:
+            best = (T + [j], c, r)
+    return best
 
 
 def _circumball_axi(pts: np.ndarray):
@@ -731,11 +766,11 @@ def radii(body: ConvexBody) -> RadiiReport:
     """Inradius (support maximisation) and circumradius (minimum enclosing
     ball of the embedded points), with the touching centers.  Curves: the
     in-circle by pivoting on triples of support lines (_in_ball_curve) and
-    the circumcircle by Welzl's algorithm.  Axisymmetric bodies, both
-    centers on the axis: the in-ball from the lowest crossing of a falling
-    and a rising support line (_in_ball_axi) and the circumball by
-    bisection (_circumball_axi).  Where the in-center can slide along a flat
-    optimum it is the optimum's midpoint."""
+    the circumcircle by farthest-point pivoting (_circumball_curve).
+    Axisymmetric bodies, both centers on the axis: the in-ball from the
+    lowest crossing of a falling and a rising support line (_in_ball_axi)
+    and the circumball by bisection (_circumball_axi).  Where the in-center
+    can slide along a flat optimum it is the optimum's midpoint."""
     check_convex(body)
     h = body.h
     if body.mode == CURVE:

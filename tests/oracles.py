@@ -433,8 +433,9 @@ def rk4_reference_run(config, speed=None, body=None, dt_of=None):
 
 
 # ---------------------------------------------------------------------------
-# Reference ball-curvature field: the direct sweep over every grid pair, with
-# the axisymmetric y running over the full (theta, phi) torus (O(N^3))
+# Reference ball-curvature fields: the direct sweep over every grid pair, with
+# the axisymmetric y running over the full (theta, phi) torus (O(N^3)), and
+# the full-matrix field with the first admissible azimuth by bisection
 # ---------------------------------------------------------------------------
 
 def ball_curvature_field_sweep(body):
@@ -524,9 +525,150 @@ def ball_curvature_field_sweep(body):
     return BallCurvatureField(k_lower, k_upper, w_lower, w_upper, kappa, pts)
 
 
+def ball_curvature_field_bisection(body):
+    """The library's field before its row blocks and the closed-form first
+    admissible azimuth: full (N, N) candidate matrices, and the first
+    admissible azimuth of every axisymmetric pair found by bisection
+    (admissibility being monotone in m).  Same formulas in the same order,
+    so the library's field must equal it bit for bit."""
+    from noncollapse.geometry import (CURVE, SEP_FACTOR, _points,
+                                      check_convex)
+
+    r = check_convex(body)
+    kappa = 1.0 / r
+    N = body.N
+    pts = _points(body)
+    nus = body.directions()
+    sep2 = ((SEP_FACTOR * body.grid_spacing * r[:, 0]) ** 2)[:, None]
+
+    if body.mode == CURVE:
+        D = pts[:, None, :] - pts[None, :, :]       # X_x - X_y
+        d2 = np.einsum("xyk,xyk->xy", D, D)
+        num = 2.0 * np.einsum("xyk,xk->xy", D, nus)
+        ok = d2 > sep2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = num / d2
+        return _extremes(kappa, pts, ok, k, k, 0, 0)
+
+    rho = pts[:, 0]
+    dz = pts[:, 2][:, None] - pts[:, 2][None, :]
+    phi = 2.0 * np.pi * np.arange(N) / N
+    cphi, sphi = np.cos(phi), np.sin(phi)
+
+    def chord(m):
+        """Radial component of X_x - Y and |X_x - Y|^2 at azimuth indices m."""
+        d0 = rho[:, None] - rho[None, :] * cphi[m]
+        d1 = rho[None, :] * sphi[m]
+        return d0, d0 * d0 + d1 * d1 + dz * dz
+
+    def ball(m):
+        d0, d2 = chord(m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 2.0 * (d0 * nus[:, 0:1] + dz * nus[:, 2:3]) / d2, d2 > sep2
+
+    far = N // 2
+    k_far, ok = ball(far)
+    # first admissible azimuth in [0, far]: lo is inadmissible (or -1), hi is
+    # admissible wherever the far azimuth is
+    lo = np.full((N, N), -1)
+    hi = np.full((N, N), far)
+    while True:
+        wide = hi - lo > 1
+        if not wide.any():
+            break
+        mid = (lo + hi) // 2
+        adm = chord(mid)[1] > sep2
+        hi = np.where(wide & adm, mid, hi)
+        lo = np.where(wide & ~adm, mid, lo)
+    k_near, _ = ball(hi)
+    near_lo = k_near <= k_far
+    near_hi = k_near >= k_far
+    return _extremes(kappa, pts, ok,
+                     np.where(near_lo, k_near, k_far), np.where(near_hi, k_near, k_far),
+                     np.where(near_lo, hi, far), np.where(near_hi, hi, far))
+
+
+def _extremes(kappa, pts, ok, k_lo, k_hi, m_lo, m_hi):
+    """Row extrema over admissible y of the (x, y) candidate values k_lo
+    (minimum) and k_hi (maximum), with their azimuth indices m_lo and m_hi,
+    compared against the principal curvatures at x: an extremum within
+    DIAG_TIE_RTOL of kappa_min (kappa_max) relative is the diagonal's."""
+    from noncollapse.geometry import DIAG_TIE_RTOL, BallCurvatureField
+
+    rows = np.arange(kappa.shape[0])
+    m_lo = np.broadcast_to(m_lo, ok.shape)
+    m_hi = np.broadcast_to(m_hi, ok.shape)
+    lo = np.where(ok, k_lo, np.inf)
+    hi = np.where(ok, k_hi, -np.inf)
+    y_lo = lo.argmin(axis=1)
+    y_hi = hi.argmax(axis=1)
+    lo = lo[rows, y_lo]
+    hi = hi[rows, y_hi]
+    kmin, kmax = kappa.min(axis=1), kappa.max(axis=1)
+    off_lo = lo < kmin * (1.0 - DIAG_TIE_RTOL)
+    off_hi = hi > kmax * (1.0 + DIAG_TIE_RTOL)
+    w_lower = np.where(off_lo[:, None], np.stack([y_lo, m_lo[rows, y_lo]], axis=1), -1)
+    w_upper = np.where(off_hi[:, None], np.stack([y_hi, m_hi[rows, y_hi]], axis=1), -1)
+    return BallCurvatureField(np.where(off_lo, lo, kmin), np.where(off_hi, hi, kmax),
+                              w_lower, w_upper, kappa, pts)
+
+
 # ---------------------------------------------------------------------------
-# Reference in- and circumradius: every vertex of the dual problems, enumerated
+# Reference in- and circumradius: every vertex of the dual problems, enumerated,
+# and the curve circumcircle by Welzl's algorithm
 # ---------------------------------------------------------------------------
+
+def circumball_welzl(pts):
+    """Minimum enclosing circle of the rows of pts (N, 2) by incremental
+    Welzl with a deterministic shuffle: (center, radius), the library's
+    curve circumcircle before farthest-point pivoting."""
+    import random
+
+    P = [tuple(p) for p in pts]
+    random.Random(0).shuffle(P)
+
+    def circle_two(p, q):
+        cx, cy = (p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0
+        r = max(np.hypot(p[0] - cx, p[1] - cy), np.hypot(q[0] - cx, q[1] - cy))
+        return (cx, cy, r)
+
+    def circle_three(p, q, r_):
+        ax, ay = p
+        bx, by = q
+        cx, cy = r_
+        d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+        if d == 0.0:
+            return None
+        ux = ((ax**2 + ay**2) * (by - cy) + (bx**2 + by**2) * (cy - ay)
+              + (cx**2 + cy**2) * (ay - by)) / d
+        uy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx)
+              + (cx**2 + cy**2) * (bx - ax)) / d
+        rad = max(np.hypot(ax - ux, ay - uy), np.hypot(bx - ux, by - uy),
+                  np.hypot(cx - ux, cy - uy))
+        return (ux, uy, rad)
+
+    def contains(c, p, eps=1e-12):
+        return c is not None and np.hypot(p[0] - c[0], p[1] - c[1]) <= c[2] * (1 + eps) + eps
+
+    c = None
+    for i, p in enumerate(P):
+        if contains(c, p):
+            continue
+        c = (p[0], p[1], 0.0)
+        for j in range(i):
+            q = P[j]
+            if contains(c, q):
+                continue
+            c = circle_two(p, q)
+            for m in range(j):
+                s = P[m]
+                if contains(c, s):
+                    continue
+                c3 = circle_three(p, q, s)
+                if c3 is not None:
+                    c = c3
+    return np.array([c[0], c[1]]), float(c[2])
+
 
 def radii_reference(body):
     """(r_minus, r_plus) of geometry.radii by enumeration.

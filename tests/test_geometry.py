@@ -4,18 +4,21 @@ from hypothesis import given, settings, strategies as st
 
 from noncollapse.errors import (CenterOutside, ConvexityLost, DiagonalWitness,
                                 PairTooClose)
-from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, area,
-                                  axi_derivs, ball_curvature_field,
+from noncollapse.geometry import (AXISYMMETRIC, CURVE, SEP_FACTOR, ConvexBody,
+                                  area, axi_derivs, ball_curvature_field,
                                   ball_curvature_pair, check_convex,
                                   curve_derivs, embed,
                                   hausdorff_to_unit_sphere, make_ellipse,
                                   make_ellipsoid, make_sphere,
                                   principal_radii, radii, recenter, scale,
+                                  _chord, _circumball_curve, _first_admissible,
                                   _points, _Workspace, _workspace,
                                   tangent_plane_diagnostic,
                                   translate)
 
-from oracles import (ball_curvature_field_sweep, eigenbasis_extended,
+from oracles import (ball_curvature_field_bisection,
+                     ball_curvature_field_sweep, circumball_welzl,
+                     eigenbasis_extended,
                      ellipse_curvature_parametric,
                      ellipsoid_curvatures_parametric, fd_derivs_even,
                      fd_derivs_periodic, principal_radii_reference,
@@ -370,6 +373,56 @@ def test_field_matches_torus_sweep():
         _assert_witnesses_replay(b, fld)
 
 
+def test_field_matches_bisection_reference():
+    # the row blocks and the closed-form first admissible azimuth evaluate
+    # the same formulas as the full-matrix bisection field, so every value
+    # and witness is bit-identical; N below, at and just above FIELD_ROWS,
+    # and both poles of the axisymmetric grids
+    rng = np.random.default_rng(41)
+    bodies = [make_ellipsoid(N, 1.0, c) for N in (5, 31, 32, 33, 64, 129, 256, 511)
+              for c in (0.3, 1.5)]
+    bodies += [ConvexBody(mode=AXISYMMETRIC,
+                          h=random_convex_axisym(rng, N=int(rng.integers(5, 300))))
+               for _ in range(8)]
+    bodies += [make_ellipse(N, a, 1.0) for N in (31, 64, 255, 256, 512) for a in (1.5, 3.0)]
+    bodies += [ConvexBody(mode=CURVE, h=random_convex_curve(rng, N=int(rng.integers(5, 400))))
+               for _ in range(6)]
+    for b in bodies:
+        fld, ref = ball_curvature_field(b), ball_curvature_field_bisection(b)
+        for name in ("k_lower", "k_upper", "witness_lower", "witness_upper"):
+            assert np.array_equal(getattr(fld, name), getattr(ref, name)), (b.mode, b.N, name)
+
+
+def test_first_admissible_azimuth_exact_from_any_estimate():
+    # the closed-form estimate of each pair's first admissible azimuth is
+    # exact on smooth bodies, so the field tests never reach its correction;
+    # started from 0, from N // 2 or at random, the correction ends at the
+    # first azimuth index whose chord passes the separation test, N // 2
+    # where none does, and returns the chord there
+    rng = np.random.default_rng(45)
+    bodies = [make_ellipsoid(64, 1.0, 0.3), make_ellipsoid(65, 1.0, 1.5),
+              ConvexBody(mode=AXISYMMETRIC, h=random_convex_axisym(rng, N=33))]
+    for b in bodies:
+        far = b.N // 2
+        pts, r = _points(b), principal_radii(b)
+        sep2 = ((SEP_FACTOR * b.grid_spacing * r[:, 0]) ** 2)[:, None]
+        rho, z = pts[:, 0], pts[:, 2]
+        rx, dz = rho[:, None], z[:, None] - z
+        phi = 2.0 * np.pi * np.arange(b.N) / b.N
+        cphi, sphi = np.cos(phi), np.sin(phi)
+        adm = np.stack([_chord(rx, rho, dz, cphi[m], sphi[m])[1] > sep2
+                        for m in range(far + 1)])
+        first = np.where(adm.any(axis=0), adm.argmax(axis=0), far)
+        assert (first > 0).any() and (first < far).any() and (first == far).any()
+        for est in (np.zeros_like(first), np.full_like(first, far),
+                    rng.integers(0, far + 1, size=first.shape)):
+            m = est.astype(np.intp)
+            d0, d2 = _first_admissible(m, rx, rho, dz, sep2, cphi, sphi)
+            assert np.array_equal(m, first)
+            d0_ref, d2_ref = _chord(rx, rho, dz, cphi[first], sphi[first])
+            assert np.array_equal(d0, d0_ref) and np.array_equal(d2, d2_ref)
+
+
 def test_field_global_radius_bounds():
     rng = np.random.default_rng(22)
     for _ in range(20):
@@ -520,6 +573,28 @@ def test_radii_match_dual_vertex_enumeration():
         else:
             far = np.hypot(pts[:, 0], pts[:, 2] - rep.circ_center[2]).max()
         assert far <= rep.r_plus * (1.0 + 1e-13), (b.mode, b.N)
+
+
+def test_circumcircle_pivot_matches_welzl():
+    # the pivot and Welzl's algorithm give the same circle to 1e-13 relative:
+    # a circle, on which every point ties as the farthest, an a/b = 20
+    # ellipse, random bodies, all also translated, and three and four points;
+    # the radius is the distance of the farthest point from the center
+    rng = np.random.default_rng(43)
+    bodies = []
+    for N in (3, 4, 256, 512):
+        base = [make_sphere(CURVE, N, 1.3), make_ellipse(N, 1.5, 1.0),
+                ConvexBody(mode=CURVE, h=random_convex_curve(rng, N=N))]
+        if N != 4:  # four nodes lose the a/b = 20 ellipse's convexity
+            base.append(make_ellipse(N, 20.0, 1.0))
+        bodies += base + [translate(b, [0.4, -0.3]) for b in base]
+    for b in bodies:
+        pts = _points(b)
+        center, r = _circumball_curve(pts)
+        center_ref, r_ref = circumball_welzl(pts)
+        assert r == pytest.approx(r_ref, rel=1e-13, abs=0.0), b.N
+        assert np.abs(center - center_ref).max() <= 1e-13 * r_ref, b.N
+        assert np.hypot(*(pts - center).T).max() == r, b.N
 
 
 def test_recenter_moves_origin():
