@@ -45,9 +45,7 @@ def main():
         sp = build_speed(speed, "axisymmetric")
         rows = monitor_rows(fr, sp)
         deltas = refinement_deltas(cfg, sp)
-        verdicts = run_verdicts(fr, rows,
-                                refinement_delta_ratio_lower=deltas["ratio_lower"],
-                                refinement_delta_radii_ratio=deltas["radii_ratio"])
+        verdicts = run_verdicts(fr, rows, deltas)
         wall = time.perf_counter() - t0
         g = verdicts["gates"]
         print(f"{speed}: steps {fr.steps}, samples {len(fr.times)}, "

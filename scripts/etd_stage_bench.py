@@ -4,8 +4,9 @@ the eigen-coefficients (geometry._Eigenbasis.radii) and by the grid.
 
 A stage of flow.run evaluates n(c) = forward(-F(R c)) - lin * c.  The grid
 path forms R c as the grid values inverse(c) and then the grid's radii
-kernel (geometry._Workspace.radii: a dense operator up to DENSE_MAX_N
-points, one FFT pair above); it is tests/oracles.py::eigenbasis_radii_reference.
+kernel (geometry._Workspace.radii: one rfft of h less its mean and one
+irfft of the stacked [h', h''] multipliers at every N); it is
+tests/oracles.py::eigenbasis_radii_reference.
 The coefficient path applies the closed-form radii of the eigenvectors.
 This script times both:
 

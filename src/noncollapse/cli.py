@@ -151,11 +151,7 @@ def cmd_flow(args) -> int:
     deltas = {}
     if cfg.monitor == "full":
         deltas = refinement_deltas(cfg, speed)
-    verdicts = run_verdicts(
-        fr, rows,
-        refinement_delta_ratio_lower=deltas.get("ratio_lower", 0.0),
-        refinement_delta_ratio_upper=deltas.get("ratio_upper", 0.0),
-        refinement_delta_radii_ratio=deltas.get("radii_ratio", 0.0))
+    verdicts = run_verdicts(fr, rows, deltas)
     verdicts["config"] = dataclasses.asdict(cfg)
     verdicts["refinement_deltas"] = deltas
     verdicts["counters"] = fr.counters

@@ -19,14 +19,16 @@ of eigenvalue about -(pi/dtheta)^2, so with a = max over points and
 directions of g_i kappa_i^2 the stable step dt = cfl * dtheta^2 / a keeps
 dt * |lambda| at about cfl * pi^2 (_dt_of).  The top spatial mode saturates
 that bound on a sphere, where g_1 = g_2 = 1/2 at every point (the
-eigenvalues of the linearised dense radii operator give dt * max|lambda| =
+eigenvalues of the linearised radii operator give dt * max|lambda| =
 cfl * pi^2 * N/(N-1) there, and 0.87 to 0.97 of cfl * pi^2 on prolate and
-oblate ellipsoids under the mean and the harmonic mean), so classical RK4,
-whose interval on the negative real axis is [-2.785, 0], is stable at the
-stable step for cfl * pi^2 <= 2.785: FlowConfig refuses a cfl above
-CFL_MAX = 2.785 / pi^2 (about 0.282), and the committed configs use 0.25.
-RK4 itself runs only as the test suite's reference integrator,
-tests/oracles.py::rk4_reference_run.
+oblate ellipsoids under the mean and the harmonic mean).  FlowConfig
+refuses a cfl above CFL_MAX = 2.785 / pi^2 (about 0.282), the end of
+classical RK4's interval [-2.785, 0] on the negative real axis, and the
+committed configs use 0.25.  RK4 runs only as the test suite's reference
+integrator, tests/oracles.py::rk4_reference_run, at 0.995 of the stable
+step: on a sphere at CFL_MAX that is z = -2.815 at N = 64, where RK4
+amplifies the top mode by 1.046 per step, so it is stable there only from
+about N = 200 on.
 
 ETDRK4 takes the linear part L = a * sum_i (1 + O_i) exactly and the rest,
 -F(kappa(h)) - L h, in four explicit stages.  L is diagonal in a closed-form
@@ -68,7 +70,8 @@ import numpy as np
 
 from .errors import ConvexityLost, DomainError
 from .geometry import (AXISYMMETRIC, CURVE, ConvexBody, _Eigenbasis, _Workspace,
-                       _workspace, make_ellipse, make_ellipsoid, make_sphere, recenter)
+                       _workspace, check_convex, make_ellipse, make_ellipsoid, make_sphere,
+                       recenter)
 from .speeds import SpeedFunction, parse_speed
 
 REACHED_MAX_F = "ReachedMaxF"
@@ -269,10 +272,7 @@ def stop_threshold(config: FlowConfig, body: ConvexBody, speed: SpeedFunction) -
     """The max-F stop of a run from body: stop_max_f, else stop_max_f_factor
     (default 1000) times the initial max F.  Raises ConvexityLost for a
     nonconvex body and ValueError for a stop at or below the initial max F."""
-    r = _workspace(body.mode, body.N).radii(body.h)
-    if r.min() <= 0.0:
-        raise ConvexityLost(f"initial body is not convex (min radius {r.min():.3e})")
-    f_max0 = float(_speed_of_radii(r, speed).max())
+    f_max0 = float(_speed_of_radii(check_convex(body), speed).max())
     if config.stop_max_f is not None:
         stop_f = float(config.stop_max_f)
     elif config.stop_max_f_factor is not None:

@@ -115,20 +115,11 @@ class ConvexBody:
 # Spectral derivatives
 # ---------------------------------------------------------------------------
 
-# Grids up to this size take the principal radii from a cached dense operator
-# (one matrix-vector product); larger ones from one rfft and one irfft, since
-# the O(N^2) product loses to the O(N log N) transforms above it.  Per call
-# with BLAS on one thread (axisymmetric, 2-core x86-64 host): 10 against
-# 43 us at N = 128, 30 against 46 us at N = 256, 205 against 44 us at N = 511.
-DENSE_MAX_N = 256
-
-
 class _Workspace:
     """Cached Fourier multipliers of one grid.  Curve grids are periodic;
     an axisymmetric grid is differentiated through its even 2(N-1)-periodic
     extension.  One forward rfft per call and one inverse of the stacked
-    multipliers; grids of at most DENSE_MAX_N points take the principal
-    radii from the dense operator those transforms define."""
+    [h', h''] multipliers."""
 
     def __init__(self, mode: str, N: int):
         self.mode = mode
@@ -142,63 +133,34 @@ class _Workspace:
             th = np.pi * np.arange(N) / (N - 1)
             self.cot_int = np.cos(th[1:-1]) / np.sin(th[1:-1])
         m = np.arange(self.nfft // 2 + 1, dtype=float)
-        self.d1 = 1j * m
+        d1 = 1j * m
         if self.nfft % 2 == 0:
-            self.d1[-1] = 0.0  # unmatched Nyquist mode has no odd derivative
-        self.d2 = -(m * m)
-        # the radii need h'' and, for the azimuthal radius, h'
-        self.mult = np.array([self.d2] if mode == CURVE else [self.d2, self.d1])
+            d1[-1] = 0.0  # unmatched Nyquist mode has no odd derivative
+        self.mult = np.array([d1, -(m * m)])
         self._eigen = None
-        self.dense = None
-        if N <= DENSE_MAX_N:
-            # column k holds the offsets r - h of the k-th unit vector, its
-            # rows the (point, radius) pairs in the order of radii's result;
-            # one transform pair over the rows of the identity builds them all
-            self.dense = np.empty((self.mult.shape[0] * N, N))
-            self._offsets(np.eye(N), self.dense.reshape(N, -1, N).transpose(2, 0, 1))
-
-    def _spectrum(self, h: np.ndarray) -> np.ndarray:
-        """rfft along the last axis of h (of its even extension, axisymmetric)."""
-        if self.mode == CURVE:
-            return np.fft.rfft(h)
-        return np.fft.rfft(np.concatenate([h, h[..., -2:0:-1]], axis=-1))
 
     def derivs(self, h: np.ndarray):
-        """(h', h'') on the grid.  Like the dense radii path it transforms h
-        less its mean, which the derivatives annihilate, so the rounding that
-        the m^2 multiplier amplifies scales with the variation of h, not
-        with its size."""
-        H = self._spectrum(h - h.sum() / self.N)
-        h1 = np.fft.irfft(self.d1 * H, self.nfft)[: self.N]
-        h2 = np.fft.irfft(self.d2 * H, self.nfft)[: self.N]
+        """(h', h'') on the grid.  It transforms h less its mean, which the
+        derivatives annihilate, so the rounding that the m^2 multiplier
+        amplifies scales with the variation of h, not with its size."""
+        h = h - h.sum() / self.N
+        if self.mode == AXISYMMETRIC:
+            h = np.concatenate([h, h[-2:0:-1]])
+        h1, h2 = np.fft.irfft(self.mult * np.fft.rfft(h), self.nfft)[:, : self.N]
         if self.mode == AXISYMMETRIC:
             h1[0] = h1[-1] = 0.0  # even about both poles
         return h1, h2
 
-    def _offsets(self, h: np.ndarray, out: np.ndarray) -> None:
-        """Write the offsets r - h of the principal radii of h (N,) into out
-        (N, n), or of each row of h (m, N) into out (m, N, n)."""
-        if h.ndim == 1:
-            h, out = h[None], out[None]
-        d = np.fft.irfft(self.mult[:, None] * self._spectrum(h), self.nfft)
-        out[..., 0] = d[0, :, : self.N]
-        if self.mode == AXISYMMETRIC:
-            out[:, 1:-1, 1] = self.cot_int * d[1, :, 1 : self.N - 1]
-            out[:, 0, 1] = out[:, 0, 0]
-            out[:, -1, 1] = out[:, -1, 0]
-
     def radii(self, h: np.ndarray) -> np.ndarray:
-        """Principal radii (N, 1) or (N, 2); poles take the meridian value.
-        No positivity check.
-
-        The dense operator annihilates constants, so it is applied to h
-        less its mean: its rounding then scales with the variation of h, not
-        with its size."""
-        if self.dense is not None:
-            return (self.dense @ (h - h.sum() / self.N)).reshape(self.N, -1) + h[:, None]
-        r = np.empty((self.N, self.mult.shape[0]))
-        self._offsets(h, r)
-        r += h[:, None]
+        """Principal radii (N, 1) or (N, 2): r_1 = h + h'' and, off the
+        poles, r_2 = h + cot(theta) h'; the poles take r_1.  No positivity
+        check."""
+        h1, h2 = self.derivs(h)
+        r = np.empty((self.N, 1 if self.mode == CURVE else 2))
+        r[:, 0] = h + h2
+        if self.mode == AXISYMMETRIC:
+            r[1:-1, 1] = h[1:-1] + self.cot_int * h1[1:-1]
+            r[0, 1], r[-1, 1] = r[0, 0], r[-1, 0]
         return r
 
     def eigenbasis(self) -> "_Eigenbasis":
@@ -210,7 +172,7 @@ class _Workspace:
 
 class _Eigenbasis:
     """Eigenpairs of a grid's linearised radii operator sum_i (1 + O_i), O_i
-    the offsets r_i - h of _Workspace._offsets, in closed form, and the
+    the offsets r_i - h of _Workspace.radii, in closed form, and the
     principal radii of the eigenvectors themselves.
 
     Curve grids: 1 + d^2/dtheta^2 has eigenvalue 1 - k^2 on the real Fourier
@@ -226,13 +188,12 @@ class _Eigenbasis:
     P'_{k+1} = P'_{k-1} + (2k+1) P_k in the loop that builds P_k.  P_k has
     the parity of k and the grid is symmetric about the equator, so each
     transform and the radii operator split into an even and an odd half of
-    about N/2 x N/2 (the radii blocks have two rows per node), half the
-    multiply-adds of the dense radii operator; coefficients are stored as
-    [even k..., odd k...].  forward(), the inverse of the Legendre matrix,
-    is the DCT-I of the grid values (their Chebyshev coefficients) followed
-    by the Chebyshev-to-Legendre conversion, built column by column from
-    T_{m+1} = 2x T_m - T_{m-1}: no matrix inverse and no matrix-matrix
-    product, and no storage beyond the two matrices kept."""
+    about N/2 x N/2 (the radii blocks have two rows per node); coefficients
+    are stored as [even k..., odd k...].  forward(), the inverse of the
+    Legendre matrix, is the DCT-I of the grid values (their Chebyshev
+    coefficients) followed by the Chebyshev-to-Legendre conversion, built
+    column by column from T_{m+1} = 2x T_m - T_{m-1}: no matrix inverse and
+    no matrix-matrix product, and no storage beyond the two matrices kept."""
 
     def __init__(self, mode: str, N: int):
         self.mode = mode

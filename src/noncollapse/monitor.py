@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -229,15 +229,15 @@ def roundness(run: FlowRun, rows: Sequence[MonitorRow]) -> RoundnessReport:
 # ---------------------------------------------------------------------------
 
 def run_verdicts(run: FlowRun, rows: Sequence[MonitorRow],
-                 refinement_delta_ratio_lower: float = 0.0,
-                 refinement_delta_ratio_upper: float = 0.0,
-                 refinement_delta_radii_ratio: float = 0.0) -> dict:
+                 refinement_deltas: Optional[Mapping] = None) -> dict:
     """Trend verdicts and improvement gates for one run.
 
     Slacks follow the monitor model: absolute floor plus the measured N->2N
-    discretisation delta of the same series, supplied by the caller (0 when
-    not measured).
+    discretisation delta of the same series, refinement_deltas[series] for
+    the series "ratio_lower", "ratio_upper" and "radii_ratio", as
+    cli.refinement_deltas returns them (0 for a series not measured).
     """
+    delta = refinement_deltas or {}
     t = np.asarray(run.times)
     verdicts = []
     gates: dict = {"maxF_growth": run.max_f[-1] / run.max_f[0]}
@@ -247,10 +247,10 @@ def run_verdicts(run: FlowRun, rows: Sequence[MonitorRow],
         lower = [r.min_ratio_lower for r in rows]
         upper = [r.max_ratio_upper for r in rows]
         verdicts.append(assert_trend(
-            lower, "non-decreasing", RATIO_SLACK_FLOOR + refinement_delta_ratio_lower,
+            lower, "non-decreasing", RATIO_SLACK_FLOOR + delta.get("ratio_lower", 0.0),
             name="min_ratio_lower", times=t))
         verdicts.append(assert_trend(
-            upper, "non-increasing", RATIO_SLACK_FLOOR + refinement_delta_ratio_upper,
+            upper, "non-increasing", RATIO_SLACK_FLOOR + delta.get("ratio_upper", 0.0),
             name="max_ratio_upper", times=t))
         gates["delta_lower_final"] = 1.0 - lower[-1]
         gates["eps_upper_final"] = upper[-1] - 1.0
@@ -260,7 +260,7 @@ def run_verdicts(run: FlowRun, rows: Sequence[MonitorRow],
             run.r_plus, "non-increasing", SLACK_FLOOR, name="r_plus", times=t))
         rr = np.asarray(run.r_plus) / np.asarray(run.r_minus)
         verdicts.append(assert_trend(
-            rr, "non-increasing", RATIO_SLACK_FLOOR + refinement_delta_radii_ratio,
+            rr, "non-increasing", RATIO_SLACK_FLOOR + delta.get("radii_ratio", 0.0),
             name="radii_ratio", times=t))
         gates["eps_radii_ratio_final"] = float(rr[-1] - 1.0)
 

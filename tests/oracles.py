@@ -240,23 +240,34 @@ def eigenbasis_extended(mode, N, c):
     return P @ cl, np.stack([((1 - kk * (kk + 1)) * P + xD) @ cl, (P - xD) @ cl], axis=1)
 
 
-def principal_radii_three_transform(mode, h):
-    """(N, n) principal radii by one rfft of the (even-extended) samples and
-    one irfft per derivative: the reference for geometry._Workspace.radii,
-    which stacks the inverse transforms above DENSE_MAX_N and applies a dense
-    operator up to it."""
-    N = h.size
-    if mode == "curve":
-        nfft = N
-        H = np.fft.rfft(h)
-    else:
-        nfft = 2 * (N - 1)
-        H = np.fft.rfft(np.concatenate([h, h[-2:0:-1]]))
+def _grid_multipliers(mode, N):
+    """(nfft, d1, d2): the rfft length of a grid (of its even extension,
+    axisymmetric) and the multipliers of h' (the unmatched Nyquist mode of
+    an even length zeroed) and of h''."""
+    nfft = N if mode == "curve" else 2 * (N - 1)
     m = np.arange(nfft // 2 + 1, dtype=float)
     d1 = 1j * m
     if nfft % 2 == 0:
         d1[-1] = 0.0
-    r1 = np.fft.irfft(-(m * m) * H, nfft)[:N] + h
+    return nfft, d1, -(m * m)
+
+
+def _grid_rfft(mode, h):
+    """rfft along the last axis of h, of its even extension if axisymmetric."""
+    if mode == "curve":
+        return np.fft.rfft(h)
+    return np.fft.rfft(np.concatenate([h, h[..., -2:0:-1]], axis=-1))
+
+
+def principal_radii_three_transform(mode, h):
+    """(N, n) principal radii by one rfft of the (even-extended) samples and
+    one irfft per derivative, with the mean of h left in: the reference for
+    geometry._Workspace.radii, which transforms h less its mean and takes
+    both derivatives from one stacked irfft."""
+    N = h.size
+    nfft, d1, d2 = _grid_multipliers(mode, N)
+    H = _grid_rfft(mode, h)
+    r1 = np.fft.irfft(d2 * H, nfft)[:N] + h
     if mode == "curve":
         return r1[:, None]
     th = np.pi * np.arange(N) / (N - 1)
@@ -266,6 +277,43 @@ def principal_radii_three_transform(mode, h):
     r2[0] = r1[0]
     r2[-1] = r1[-1]
     return np.stack([r1, r2], axis=1)
+
+
+_DENSE_RADII: dict = {}
+
+
+def _dense_radii_operator(mode, N):
+    """The (n N, N) matrix whose column k holds the offsets r - h of the
+    principal radii of the k-th unit vector, its rows the (point, radius)
+    pairs in the order of geometry._Workspace.radii's result.  One rfft of
+    the (even-extended) rows of the identity and one irfft of the stacked
+    [h'', h'] multipliers build every column."""
+    nfft, d1, d2 = _grid_multipliers(mode, N)
+    mult = np.array([d2] if mode == "curve" else [d2, d1])
+    d = np.fft.irfft(mult[:, None] * _grid_rfft(mode, np.eye(N)), nfft)
+    dense = np.empty((mult.shape[0] * N, N))
+    out = dense.reshape(N, -1, N).transpose(2, 0, 1)  # (unit, point, radius)
+    out[..., 0] = d[0, :, :N]
+    if mode != "curve":
+        th = np.pi * np.arange(N) / (N - 1)
+        out[:, 1:-1, 1] = (np.cos(th[1:-1]) / np.sin(th[1:-1])) * d[1, :, 1 : N - 1]
+        out[:, 0, 1] = out[:, 0, 0]
+        out[:, -1, 1] = out[:, -1, 0]
+    return dense
+
+
+def radii_dense(mode, h):
+    """(N, n) principal radii by a cached dense operator applied to h less
+    its mean, plus h: the grid-radii kernel of grids up to 256 points
+    before geometry._Workspace.radii took every grid through the
+    derivatives' transform, and the kernel of the RK4 reference below.  The
+    operator annihilates constants, so its rounding scales with the
+    variation of h."""
+    N = h.size
+    dense = _DENSE_RADII.get((mode, N))
+    if dense is None:
+        dense = _DENSE_RADII[(mode, N)] = _dense_radii_operator(mode, N)
+    return (dense @ (h - h.sum() / N)).reshape(N, -1) + h[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +333,17 @@ def dt_reference(ws, r, speed, cfl):
 # before the exponential integrator
 # ---------------------------------------------------------------------------
 
-def rk4_step(ws, h, speed, dt, r0=None, F0=None):
-    """One classical RK4 step from h; r0 and F0, when given, are the radii
-    and the speed at h."""
+def rk4_step(mode, h, speed, dt, r0=None, F0=None):
+    """One classical RK4 step from h, its radii by radii_dense; r0 and F0,
+    when given, are the radii and the speed at h."""
     from noncollapse.flow import _speed_of_radii
 
     if F0 is None:
-        F0 = _speed_of_radii(ws.radii(h) if r0 is None else r0, speed)
+        F0 = _speed_of_radii(radii_dense(mode, h) if r0 is None else r0, speed)
     k1 = -F0
-    k2 = -_speed_of_radii(ws.radii(h + (0.5 * dt) * k1), speed)
-    k3 = -_speed_of_radii(ws.radii(h + (0.5 * dt) * k2), speed)
-    k4 = -_speed_of_radii(ws.radii(h + dt * k3), speed)
+    k2 = -_speed_of_radii(radii_dense(mode, h + (0.5 * dt) * k1), speed)
+    k3 = -_speed_of_radii(radii_dense(mode, h + (0.5 * dt) * k2), speed)
+    k4 = -_speed_of_radii(radii_dense(mode, h + dt * k3), speed)
     return h + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -313,8 +361,9 @@ def rk4_reference_run(config, speed=None, body=None, dt_of=None):
     """flow.run with classical RK4: steps of 0.995 times dt_of (default
     flow._dt_of, looked up at call time) refreshed every 8 steps, a step
     halved when it loses convexity or domain, a snapshot every
-    snapshot_every steps and the final step bisected onto max F.  Its
-    stability needs cfl <= flow.CFL_MAX."""
+    snapshot_every steps and the final step bisected onto max F.  The steps
+    take their radii from radii_dense; the stop threshold and the snapshots
+    are flow's own.  Its stability needs cfl <= flow.CFL_MAX."""
     from noncollapse import flow
     from noncollapse.errors import ConvexityLost, DomainError
     from noncollapse.geometry import ConvexBody, _workspace
@@ -323,6 +372,7 @@ def rk4_reference_run(config, speed=None, body=None, dt_of=None):
     body = flow.build_body(config.body) if body is None else body
     speed = flow.build_speed(config.speed, body.mode) if speed is None else speed
     ws = _workspace(body.mode, body.N)
+    mode = body.mode
     stop_f = flow.stop_threshold(config, body, speed)
     run_ = flow.FlowRun(config=config)
 
@@ -332,11 +382,11 @@ def rk4_reference_run(config, speed=None, body=None, dt_of=None):
     body = sample(body)
     steps_since_sample = 0
     h, t, offset = body.h, body.t, body.center_offset
-    r = ws.radii(h)
+    r = radii_dense(mode, h)
     F = None
 
     def as_body(hh, tt):
-        return ConvexBody(mode=body.mode, h=hh, t=tt, center_offset=offset)
+        return ConvexBody(mode=mode, h=hh, t=tt, center_offset=offset)
 
     dt_cached = None
     dt_age = 0
@@ -361,8 +411,8 @@ def rk4_reference_run(config, speed=None, body=None, dt_of=None):
         while dt >= floor:
             run_.rk4_attempts += 1
             try:
-                h_try = rk4_step(ws, h, speed, dt, r0=r, F0=F)
-                r_try = ws.radii(h_try)
+                h_try = rk4_step(mode, h, speed, dt, r0=r, F0=F)
+                r_try = radii_dense(mode, h_try)
                 if r_try.min() <= 0.0:
                     raise ConvexityLost("lost convexity")
                 h_new, r_new = h_try, r_try
@@ -386,8 +436,8 @@ def rk4_reference_run(config, speed=None, body=None, dt_of=None):
                 run_.rk4_attempts += 1
                 run_.bisection_iterations += 1
                 try:
-                    h_try = rk4_step(ws, h, speed, mid, r0=r, F0=F)
-                    r_try = ws.radii(h_try)
+                    h_try = rk4_step(mode, h, speed, mid, r0=r, F0=F)
+                    r_try = radii_dense(mode, h_try)
                     if r_try.min() <= 0.0:
                         raise ConvexityLost("lost convexity")
                 except (ConvexityLost, DomainError):
@@ -419,7 +469,7 @@ def rk4_reference_run(config, speed=None, body=None, dt_of=None):
         if steps_since_sample >= config.snapshot_every:
             b = sample(as_body(h, t))
             h, t, offset = b.h, b.t, b.center_offset
-            r = ws.radii(h)
+            r = radii_dense(mode, h)
             F = None
             steps_since_sample = 0
 

@@ -22,7 +22,8 @@ from oracles import (ball_curvature_field_bisection,
                      ellipse_curvature_parametric,
                      ellipsoid_curvatures_parametric, fd_derivs_even,
                      fd_derivs_periodic, principal_radii_reference,
-                     principal_radii_three_transform, radii_reference,
+                     principal_radii_three_transform, radii_dense,
+                     radii_reference,
                      random_convex_axisym, random_convex_curve,
                      spectral_derivs_extended)
 
@@ -51,18 +52,18 @@ def test_spectral_vs_finite_difference_derivatives():
 
 # Against a direct DFT in extended precision: the second derivative carries
 # the m^2 multiplier, so the float64 kernel's rounding scales like
-# N^2 eps max|h|.  Measured constant on the bodies below: h'' at most 1.12
-# (axisymmetric N = 128), principal radii at most 0.70 (fused FFT, N = 511)
-# and 0.35 on the dense path.  The derivative kernel and the dense path
-# transform h less its mean, so their rounding scales with the variation of
-# h and stays far below the bound for any seed (next test); with the mean
-# left in, h'' reached 2.51 on 4 of 50 random axisymmetric bodies at N = 128.
+# N^2 eps max|h|.  The kernel transforms h less its mean, so its rounding
+# scales with the variation of h and stays far below the bound for any seed
+# (next test); with the mean left in, h'' reached 2.51 on 4 of 50 random
+# axisymmetric bodies at N = 128.  Measured worst constant on the bodies
+# below: 0.16 (axisymmetric), 0.021 (curve), for the radii and for h''
 SPECTRAL_C = 2.0
 
 
-@pytest.mark.parametrize("mode, N", [(AXISYMMETRIC, 128), (AXISYMMETRIC, 129),
+@pytest.mark.parametrize("mode, N", [(AXISYMMETRIC, 64), (AXISYMMETRIC, 96),
+                                     (AXISYMMETRIC, 128), (AXISYMMETRIC, 129),
                                      (AXISYMMETRIC, 256), (AXISYMMETRIC, 511),
-                                     (CURVE, 256), (CURVE, 512)])
+                                     (CURVE, 64), (CURVE, 128), (CURVE, 256), (CURVE, 512)])
 def test_spectral_kernel_matches_reference(mode, N):
     rng = np.random.default_rng(N)
     if mode == CURVE:
@@ -84,7 +85,7 @@ def test_spectral_kernel_matches_reference(mode, N):
 def test_principal_radii_bound_holds_across_seeds(mode):
     # 50 random bodies at N = 128 (axisymmetric transform length 254 = 2 * 127,
     # where float64 transforms round worst); measured constant at most: radii
-    # 0.036, h'' 0.018, h' 0.0001 (axisymmetric); radii 0.0064, h'' 0.0026,
+    # 0.018, h'' 0.018, h' 0.0001 (axisymmetric); radii 0.0026, h'' 0.0026,
     # h' 4e-5 (curve)
     N = 128
     derivs = axi_derivs if mode == AXISYMMETRIC else curve_derivs
@@ -99,12 +100,15 @@ def test_principal_radii_bound_holds_across_seeds(mode):
             assert np.abs(got - want).max() <= tol, (seed, k + 1)
 
 
-# The dense operator rounds with the variation of h; the three-transform
-# reference with max|h| (its worst measured constant against an extended-
-# precision kernel is 3.4, axisymmetric N = 128, where the transform length
-# 254 = 2 * 127 has a large prime factor).  The dense result itself measured
-# within 0.8 N^2 eps max|h| of the extended-precision kernel.  Measured
-# worst constant on the bodies below: 1.7 (axisymmetric), 0.42 (curve).
+# The grid kernel against the dense operator that served grids of at most
+# 256 points before it (now tests/oracles.py::radii_dense, the RK4
+# reference's kernel) and against the three-transform kernel, which keeps
+# the mean of h and so rounds with max|h| (its worst measured constant
+# against an extended-precision kernel is 3.4, axisymmetric N = 128, where
+# the transform length 254 = 2 * 127 has a large prime factor).  Measured
+# worst constant on the bodies below: 1.7 against the three-transform
+# kernel and 0.87 against the dense operator (axisymmetric), 0.42 and 0.19
+# (curve)
 DENSE_C = 4.0
 
 
@@ -120,24 +124,20 @@ def _support_samples(mode, N, rng, axis_ratios, n_random):
 @pytest.mark.parametrize("mode", [AXISYMMETRIC, CURVE])
 def test_radii_kernel_paths_match_three_transform_reference(mode):
     rng = np.random.default_rng(7)
-    # above DENSE_MAX_N: one rfft and one stacked irfft, the same arithmetic
-    for N in ([257, 511] if mode == AXISYMMETRIC else [512]):
+    n = 1 if mode == CURVE else 2
+    grids = (96, 128, 129, 256, 257, 511) if mode == AXISYMMETRIC else (96, 128, 129, 256, 512)
+    for N in grids:
         ws = _workspace(mode, N)
-        assert ws.dense is None
-        for h in _support_samples(mode, N, rng, (1.5,), 1):
-            assert np.array_equal(ws.radii(h), principal_radii_three_transform(mode, h))
-    # up to DENSE_MAX_N: the dense operator, within rounding
-    for N in (96, 128, 129, 256):
-        ws = _workspace(mode, N)
-        assert ws.dense is not None
-        # applied to h - mean(h), the operator gives a sphere's radii exactly
-        n = 1 if mode == CURVE else 2
-        assert np.array_equal(ws.radii(np.full(N, 3.0)), np.full((N, n), 3.0))
+        # h less its mean vanishes on a sphere, so the radii are h exactly
+        for radius in (3.0, 0.7):
+            assert np.array_equal(ws.radii(np.full(N, radius)), np.full((N, n), radius))
         for h in _support_samples(mode, N, rng, (1.5, 4.0), 5):
             tol = DENSE_C * N * N * np.finfo(float).eps * np.abs(h).max()
             got = ws.radii(h)
             assert got.shape == (N, n)
             assert np.abs(got - principal_radii_three_transform(mode, h)).max() <= tol
+            if N <= 256:
+                assert np.abs(got - radii_dense(mode, h)).max() <= tol
 
 
 @pytest.mark.parametrize("mode", [AXISYMMETRIC, CURVE])

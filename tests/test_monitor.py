@@ -235,9 +235,14 @@ def test_run_verdicts_sphere(sphere_run):
 def test_run_verdicts_slack_per_series(sphere_run):
     # each ratio trend gets the refinement delta of its own series
     rows = monitor_rows(sphere_run, build_speed("mean", CURVE))
-    out = run_verdicts(sphere_run, rows, refinement_delta_ratio_lower=1e-3,
-                       refinement_delta_ratio_upper=2e-2, refinement_delta_radii_ratio=3e-1)
+    out = run_verdicts(sphere_run, rows, {"ratio_lower": 1e-3, "ratio_upper": 2e-2,
+                                          "radii_ratio": 3e-1, "grids": [64, 128]})
     slack = {v["series"]: v["slack_used"] for v in out["verdicts"]}
     assert slack["min_ratio_lower"] == RATIO_SLACK_FLOOR + 1e-3
     assert slack["max_ratio_upper"] == RATIO_SLACK_FLOOR + 2e-2
     assert slack["radii_ratio"] == RATIO_SLACK_FLOOR + 3e-1
+    # a series the mapping leaves out gets the floor alone
+    out = run_verdicts(sphere_run, rows, {"ratio_upper": 2e-2})
+    slack = {v["series"]: v["slack_used"] for v in out["verdicts"]}
+    assert slack["min_ratio_lower"] == slack["radii_ratio"] == RATIO_SLACK_FLOOR
+    assert slack["max_ratio_upper"] == RATIO_SLACK_FLOOR + 2e-2
