@@ -36,16 +36,22 @@ basis of the grid (geometry._Eigenbasis): eigenvalues 1 - k^2 on the Fourier
 modes of a curve, 2 - k(k+1) on the Legendre polynomials P_k(cos theta) of
 an axisymmetric grid.  a is refreshed before every step.  An attempt takes
 one step and two half steps and keeps the half steps' result when the two
-differ by at most ETD_TOL relative to max |h|.  Steps come from a ladder of
-2^(j/RUNGS) stable steps, so their weights depend on j alone and a rescaled
-body takes the same steps.  The stable step sets the snapshot clock:
-snapshot_every counts stable steps (their trapezoid sum, steps clipped to
-land on each snapshot), so a config samples where RK4 at the stable step
-would, whatever steps the error control takes.  Where g_i kappa_i^2 varies
-strongly over the body the high modes of the explicit rest are barely
-damped and the error control keeps steps near the stable step: on an
-oblate c/a = 0.3 ellipsoid under power:-2, where it spans a factor 123, a
-run to max F x3 takes 2,484 accepted steps against RK4's 3,998.
+differ by at most ETD_TOL relative to max |h|.  The step and the first half
+step start from the same coefficients, so they run as one stack of two
+rows: each of their three stages is one stacked call (one rfft/irfft pair
+over both rows on a curve, matrix-matrix products on an axisymmetric grid),
+and the second half step follows alone.  An attempt thus makes seven stage
+calls, three of them stacked, where three single steps would make ten.
+Steps come from a ladder of 2^(j/RUNGS) stable steps, so their weights
+depend on j alone and a rescaled body takes the same steps.  The stable
+step sets the snapshot clock: snapshot_every counts stable steps (their
+trapezoid sum, steps clipped to land on each snapshot), so a config samples
+where RK4 at the stable step would, whatever steps the error control takes.
+Where g_i kappa_i^2 varies strongly over the body the high modes of the
+explicit rest are barely damped and the error control keeps steps near the
+stable step: on an oblate c/a = 0.3 ellipsoid under power:-2, where it
+spans a factor 123, a run to max F x3 takes 2,484 accepted steps against
+RK4's 3,998.
 
 The stages never leave coefficient space: a stage is
 forward(-F(R c)) - lin * c, where R c, the principal radii of the body with
@@ -149,10 +155,11 @@ def build_speed(name: str, mode: str) -> SpeedFunction:
 
 
 def _speed_of_radii(r: np.ndarray, speed: SpeedFunction) -> np.ndarray:
+    """F at principal radii r (N, n), or (B, N) at a stack r (B, N, n)."""
     if r.min() <= 0.0:
         raise DomainError(
             f"curvatures left the positive cone mid-stage (min radius {r.min():.3e})")
-    return speed._v(1.0 / r)
+    return speed._v(1.0 / r.reshape(-1, r.shape[-1])).reshape(r.shape[:-1])
 
 
 # Taylor coefficients, by power of z, of the four weights of
@@ -188,17 +195,20 @@ def _etd_coefficients(z: np.ndarray) -> tuple:
 
 
 def _speed_coefficients(eig: _Eigenbasis, speed: SpeedFunction, c: np.ndarray) -> np.ndarray:
-    """Eigen-coefficients of -F of the body with eigen-coefficients c, its
-    radii taken straight from c (_Eigenbasis.radii)."""
+    """Eigen-coefficients of -F of the body with eigen-coefficients c (or of
+    each row of a stack c), its radii taken straight from c
+    (_Eigenbasis.radii)."""
     return eig.forward(-_speed_of_radii(eig.radii(c), speed))
 
 
-def _rk4(eig: _Eigenbasis, speed: SpeedFunction, dt: float, w: tuple,
+def _rk4(eig: _Eigenbasis, speed: SpeedFunction, dt, w: tuple,
          lin: np.ndarray, c0: np.ndarray, n0: np.ndarray) -> np.ndarray:
     """One exponential RK4 step (ETDRK4, Cox & Matthews 2002) of
     dc/dt = lin * c + n(c) on eigen-coefficients c, n(c) the coefficients of
     -F less lin * c; w = _etd_coefficients(dt * lin) and n0 = n(c0).
-    Returns the coefficients after dt."""
+    Returns the coefficients after dt.  With dt a column (B, 1) of steps and
+    w their weights (B, m), it takes B steps from the one c0 at once, each
+    stage one stacked call, and returns them as rows (B, m)."""
     e, e2, q, f1, f2, f3 = w
     q = dt * q
 
@@ -242,7 +252,8 @@ class FlowRun:
     t_hat_hi: list = dc_field(default_factory=list)
     termination: str = ""
     steps: int = 0
-    rk4_attempts: int = 0          # ETDRK4 steps: three per attempt, and the bisection's
+    rk4_attempts: int = 0          # ETDRK4 steps, a stacked pair counting two: three
+                                   # per attempt, and one per trial of the bisection
     rejected: int = 0              # attempts rejected by the step-doubling error control
     rollbacks: int = 0             # step halvings after a stage lost convexity or domain
     dt_refreshes: int = 0          # evaluations of the stable step, one before each step
@@ -326,12 +337,15 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
     # dt * L over one stable step dt_unit, for L = a * sum_i (1 + O_i) and
     # a = cfl * dtheta^2 / dt_unit
     unit_z = config.cfl * ws.dth * ws.dth * eig.lam
-    recent = {}  # ETD weights of the last few ladder steps, by stable-step units
+    recent = {}  # weights of the last few ladder steps, by stable-step units
 
     def weights(units: float, keep: bool) -> tuple:
+        """The ETD weights of a step of `units` stable-step units and of its
+        half step, stacked (2, m), and the half step's alone."""
         w = recent.get(units)
         if w is None:
-            w = _etd_coefficients(units * unit_z)
+            pair = _etd_coefficients(np.array([[units], [0.5 * units]]) * unit_z)
+            w = pair, tuple(x[1] for x in pair)
             if keep:
                 recent[units] = w
                 if len(recent) > 8:
@@ -342,7 +356,7 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
         return _sample(run_, ws, speed, b)
 
     def step(dt, w, lin, c0, n0):
-        run_.rk4_attempts += 1
+        run_.rk4_attempts += np.size(dt)  # a stack of steps counts each
         return _rk4(eig, speed, dt, w, lin, c0, n0)
 
     body = sample(body)
@@ -381,11 +395,11 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
                 break
             on_ladder = not (lands or ends)
             try:
-                full = step(dt, weights(units, on_ladder), lin, c, n0)
-                w = weights(0.5 * units, on_ladder)
-                mid = step(0.5 * dt, w, lin, c, n0)
+                # the step and the first half step, from the same c, as one stack
+                pair, half = weights(units, on_ladder)
+                full, mid = step(np.array([[dt], [0.5 * dt]]), pair, lin, c, n0)
                 n_mid = _speed_coefficients(eig, speed, mid) - lin * mid
-                c_new = step(0.5 * dt, w, lin, mid, n_mid)
+                c_new = step(0.5 * dt, half, lin, mid, n_mid)
                 r_new = eig.radii(c_new)
                 if r_new.min() <= 0.0:
                     raise ConvexityLost("lost convexity")
@@ -394,8 +408,8 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
                 run_.rollbacks += 1
                 failure = CONVEXITY_LOST
                 continue
-            h_new = eig.inverse(c_new)
-            err = float(np.abs(h_new - eig.inverse(full)).max() / np.abs(h_new).max())
+            h_new, h_full = eig.inverse(np.stack([c_new, full]))
+            err = float(np.abs(h_new - h_full).max() / np.abs(h_new).max())
             if err > ETD_TOL:
                 j = min(j, math.floor(RUNGS * math.log2(units))) + _rungs(err)
                 run_.rejected += 1
@@ -419,7 +433,8 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
                     break
                 run_.bisection_iterations += 1
                 try:
-                    c_try = step(mid_dt, weights(mid_dt / dt_unit, False), lin, c, n0)
+                    c_try = step(mid_dt, _etd_coefficients(mid_dt / dt_unit * unit_z),
+                                 lin, c, n0)
                     r_try = eig.radii(c_try)
                     if r_try.min() <= 0.0:
                         raise ConvexityLost("lost convexity")

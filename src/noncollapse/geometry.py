@@ -8,8 +8,8 @@ operator (_Eigenbasis).  The module computes embeddings, principal
 curvatures, interior/exterior ball-curvature fields, in/circumradius, and
 the Hausdorff distance to a unit sphere.  The radii are exact to rounding
 in one stage each: dual-simplex pivoting for a curve's in-circle, the
-lowest dual vertex for the axial in-ball, bisection to adjacent floats for
-the axial circumball and farthest-point pivoting for a curve's circumcircle.
+lowest dual vertex for the axial in-ball, and farthest-point pivoting for a
+curve's circumcircle and, on the mirrored meridian, the axial circumball.
 The ball-curvature fields take their x rows in blocks, and the axisymmetric
 field finds each pair's nearest admissible azimuth in closed form.
 """
@@ -258,39 +258,49 @@ class _Eigenbasis:
         self.r_e, self.r_o = r_e.reshape(2 * ne, ne), r_o.reshape(2 * no, no)
 
     def forward(self, h: np.ndarray) -> np.ndarray:
-        """Eigen-coefficients of grid values h."""
+        """Eigen-coefficients of grid values h, one row (N,) or each row of a
+        stack (B, N)."""
         if self.mode == CURVE:
             return np.fft.rfft(h)
-        hr = h[::-1]
-        return np.concatenate([self.inv_e @ (0.5 * (h[: self.ne] + hr[: self.ne])),
-                               self.inv_o @ (0.5 * (h[: self.no] - hr[: self.no]))])
+        hr = h[..., ::-1]
+        return np.concatenate([_rows(self.inv_e, 0.5 * (h[..., : self.ne] + hr[..., : self.ne])),
+                               _rows(self.inv_o, 0.5 * (h[..., : self.no] - hr[..., : self.no]))],
+                              axis=-1)
 
     def radii(self, c: np.ndarray) -> np.ndarray:
-        """Principal radii (N, 1) or (N, 2) of the body with eigen-coefficients
-        c, straight from the coefficients.  No positivity check."""
+        """Principal radii (N, n), n = 1 or 2, of the body with
+        eigen-coefficients c, or (B, N, n) of the rows of a stack c,
+        straight from the coefficients.  No positivity check."""
         if self.mode == CURVE:
-            return np.fft.irfft(self.lam * c, self.N)[:, None]
-        ne, no = self.ne, self.no
-        s = (self.r_e @ c[:ne]).reshape(ne, 2)
-        d = (self.r_o @ c[ne:]).reshape(no, 2)
-        r = np.empty((self.N, 2))
-        r[:ne] = s
-        r[:no] += d
-        r[ne:] = (s[:no] - d)[::-1]
-        return r
+            return np.fft.irfft(self.lam * c, self.N)[..., None]
+        lead = c.shape[:-1]
+        return self._unfold(_rows(self.r_e, c[..., : self.ne]).reshape(lead + (self.ne, 2)),
+                            _rows(self.r_o, c[..., self.ne :]).reshape(lead + (self.no, 2)))
 
     def inverse(self, c: np.ndarray) -> np.ndarray:
-        """Grid values of eigen-coefficients c."""
+        """Grid values (N,) of eigen-coefficients c, or (B, N) of the rows of
+        a stack c."""
         if self.mode == CURVE:
             return np.fft.irfft(c, self.N)
-        ne, no = self.ne, self.no
-        s = self.v_e @ c[:ne]
-        d = self.v_o @ c[ne:]
-        h = np.empty(self.N)
-        h[:ne] = s
-        h[:no] += d
-        h[ne:] = (s[:no] - d)[::-1]
-        return h
+        return self._unfold(_rows(self.v_e, c[..., : self.ne])[..., None],
+                            _rows(self.v_o, c[..., self.ne :])[..., None])[..., 0]
+
+    def _unfold(self, s: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Values (..., N, k) on the whole grid from their even part s
+        (..., ne, k) on the nodes down to the equator and their odd part d
+        (..., no, k): s + d there, mirrored s - d beyond."""
+        out = np.empty(s.shape[:-2] + (self.N, s.shape[-1]))
+        out[..., : self.ne, :] = s
+        out[..., : self.no, :] += d
+        out[..., self.ne :, :] = (s[..., : self.no, :] - d)[..., ::-1, :]
+        return out
+
+
+def _rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M applied to X (k,) or to every row of X (B, k): one matrix-vector
+    product for a row, one matrix-matrix product for a stack.  (X @ M.T
+    would give the same stack, but it makes the one-row case slower.)"""
+    return (M @ X.T).T
 
 
 _WORKSPACES: dict = {}
@@ -592,11 +602,11 @@ class RadiiReport:
 
 
 def _zero_weights(P: np.ndarray) -> np.ndarray:
-    """Barycentric weights of the origin in the triangle of the rows of P
-    (3, 2): all >= 0 exactly when the origin lies in it."""
-    a, b = P[[1, 2, 0]], P[[2, 0, 1]]
-    w = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    return w / w.sum()
+    """Barycentric weights of the origin in the triangles of P (..., 3, 2),
+    three rows each: all >= 0 exactly when the origin lies in it."""
+    a, b = P[..., [1, 2, 0], :], P[..., [2, 0, 1], :]
+    w = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _in_ball_curve(h: np.ndarray, Z: np.ndarray):
@@ -616,8 +626,8 @@ def _in_ball_curve(h: np.ndarray, Z: np.ndarray):
         j = int(np.argmin(slack))
         if slack[j] >= v - tol:
             break
-        swaps = [T[:i] + [j] + T[i + 1:] for i in range(3)]
-        T = max(swaps, key=lambda S: _zero_weights(Z[S]).min())
+        swaps = np.array([T[:i] + [j] + T[i + 1:] for i in range(3)])
+        T = swaps[int(np.argmax(_zero_weights(Z[swaps]).min(axis=1)))].tolist()
     else:  # pragma: no cover - v falls at every pivot, so only rounding can cycle
         raise RuntimeError(f"in-center pivoting did not settle in {N} pivots")
     v = slack[j]
@@ -708,19 +718,14 @@ def _smallest_circle_through(pts: np.ndarray, S: list, j: int):
 
 def _circumball_axi(pts: np.ndarray):
     """Smallest enclosing ball of a revolved point set; center on the axis.
-    max_j (rho_j^2 + (z_j - c)^2) is convex in c and falls towards the
-    farthest point, so bisection on the side of that point brackets the
-    minimiser until the bracket's ends are adjacent floats."""
-    rho2, z = pts[:, 0] ** 2, pts[:, 2]
-    lo, hi = z.min(), z.max()
-    c = 0.5 * (lo + hi)
-    while lo < c < hi:
-        if z[np.argmax(rho2 + (z - c) ** 2)] > c:
-            lo = c
-        else:
-            hi = c
-        c = 0.5 * (lo + hi)
-    return np.array([0.0, 0.0, c]), float(np.sqrt((rho2 + (z - c) ** 2).max()))
+    Its cut through the axis is the smallest circle around the meridian
+    points (rho, z) and their mirror images (-rho, z), which is centered on
+    the axis by symmetry: _circumball_curve's pivoting finds it, and the
+    radius is that of the farthest point from the center's height."""
+    rho, z = pts[:, 0], pts[:, 2]
+    mirrored = np.stack([np.concatenate([rho, -rho]), np.concatenate([z, z])], axis=1)
+    c = _circumball_curve(mirrored)[0][1]
+    return np.array([0.0, 0.0, c]), float(np.sqrt((rho * rho + (z - c) ** 2).max()))
 
 
 def radii(body: ConvexBody) -> RadiiReport:
@@ -730,8 +735,9 @@ def radii(body: ConvexBody) -> RadiiReport:
     the circumcircle by farthest-point pivoting (_circumball_curve).
     Axisymmetric bodies, both centers on the axis: the in-ball from the
     lowest crossing of a falling and a rising support line (_in_ball_axi)
-    and the circumball by bisection (_circumball_axi).  Where the in-center
-    can slide along a flat optimum it is the optimum's midpoint."""
+    and the circumball by the curve pivot on the meridian and its mirror
+    image (_circumball_axi).  Where the in-center can slide along a flat
+    optimum it is the optimum's midpoint."""
     check_convex(body)
     h = body.h
     if body.mode == CURVE:

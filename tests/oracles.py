@@ -348,13 +348,18 @@ def rk4_step(mode, h, speed, dt, r0=None, F0=None):
 
 
 def eigenbasis_radii_reference(eig, c):
-    """geometry._Eigenbasis.radii (same signature) by the grid: the
-    coefficients to grid values by eig.inverse, then the grid's radii
-    kernel geometry._Workspace.radii.  The flow's path to the radii of its
-    ETDRK4 stages before they came straight from the coefficients."""
+    """geometry._Eigenbasis.radii (same signature, a stack of rows c
+    included) by the grid: the coefficients to grid values by eig.inverse,
+    then the grid's radii kernel geometry._Workspace.radii row by row.  The
+    flow's path to the radii of its ETDRK4 stages before they came straight
+    from the coefficients."""
     from noncollapse.geometry import _workspace
 
-    return _workspace(eig.mode, eig.N).radii(eig.inverse(c))
+    ws = _workspace(eig.mode, eig.N)
+    h = eig.inverse(c)
+    if h.ndim == 1:
+        return ws.radii(h)
+    return np.stack([ws.radii(row) for row in h])
 
 
 def rk4_reference_run(config, speed=None, body=None, dt_of=None):
@@ -718,6 +723,25 @@ def circumball_welzl(pts):
                 if c3 is not None:
                     c = c3
     return np.array([c[0], c[1]]), float(c[2])
+
+
+def circumball_axi_bisection(pts):
+    """Smallest enclosing ball of a revolved point set, center on the axis,
+    by bisection: max_j (rho_j^2 + (z_j - c)^2) is convex in c and falls
+    towards the farthest point, so bisection on the side of that point
+    brackets the minimiser until the bracket's ends are adjacent floats.
+    The library's axial circumball before it pivoted on the mirrored
+    meridian (geometry._circumball_axi, same signature)."""
+    rho2, z = pts[:, 0] ** 2, pts[:, 2]
+    lo, hi = z.min(), z.max()
+    c = 0.5 * (lo + hi)
+    while lo < c < hi:
+        if z[np.argmax(rho2 + (z - c) ** 2)] > c:
+            lo = c
+        else:
+            hi = c
+        c = 0.5 * (lo + hi)
+    return np.array([0.0, 0.0, c]), float(np.sqrt((rho2 + (z - c) ** 2).max()))
 
 
 def radii_reference(body):

@@ -3,7 +3,8 @@ import pytest
 
 from noncollapse.errors import ConvexityLost
 from noncollapse.flow import (CFL_MAX, REACHED_MAX_F, REACHED_T_END, FlowConfig,
-                              _dt_of, _etd_coefficients, build_body, build_speed, run)
+                              _dt_of, _etd_coefficients, _rk4, _speed_coefficients,
+                              build_body, build_speed, run)
 from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, _Eigenbasis, _workspace, area,
                                   make_ellipse, make_ellipsoid, make_sphere)
 
@@ -255,6 +256,45 @@ def test_coefficient_radii_run_matches_grid_radii_run(monkeypatch):
         assert np.abs(a.h - b.h).max() <= 1e-10 * np.abs(b.h).max()
     for a, b in ((fr.r_plus, ref.r_plus), (fr.r_minus, ref.r_minus), (fr.max_f, ref.max_f)):
         assert np.abs(np.subtract(a, b)).max() <= 1e-10 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("mode,N,speed", [(CURVE, 256, "mean"), (CURVE, 255, "mean"),
+                                          (AXISYMMETRIC, 256, "sigma-ratio:2"),
+                                          (AXISYMMETRIC, 129, "power:-2"),
+                                          (AXISYMMETRIC, 511, "mean")])
+def test_stacked_rk4_matches_rows(mode, N, speed):
+    # the step and its half step as one stacked _rk4 call, as run takes
+    # them, against the two steps one at a time: identical on curves, and
+    # within 8 eps max|c| on axisymmetric grids, whose stacked transforms
+    # sum in another order (measured: at most 1.1e-3); the stacked weights
+    # are the single steps' weights exactly
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(N)
+    if mode == CURVE:
+        h = make_ellipse(N, 1.5, 1.0).h if N % 2 == 0 else random_convex_curve(rng, N=N)
+    else:
+        h = make_ellipsoid(N, 1.0, 1.5).h if N % 2 == 0 else random_convex_axisym(rng, N=N)
+    sp = build_speed(speed, mode)
+    ws = _workspace(mode, N)
+    eig = ws.eigenbasis()
+    c = eig.forward(h)
+    r = eig.radii(c)
+    unit_z = 0.25 * ws.dth * ws.dth * eig.lam
+    dt_unit = _dt_of(ws, r, sp, 0.25)
+    lin = unit_z / dt_unit
+    n0 = _speed_coefficients(eig, sp, c) - lin * c
+    units = 2.0 ** (3 / 4)
+    pair = _etd_coefficients(np.array([[units], [0.5 * units]]) * unit_z)
+    for i, u in enumerate((units, 0.5 * units)):
+        assert all(np.array_equal(a[i], b) for a, b in zip(pair, _etd_coefficients(u * unit_z)))
+    dts = np.array([[units * dt_unit], [0.5 * units * dt_unit]])
+    stacked = _rk4(eig, sp, dts, pair, lin, c, n0)
+    rows = np.stack([_rk4(eig, sp, dts[i, 0], tuple(w[i] for w in pair), lin, c, n0)
+                     for i in range(2)])
+    if mode == CURVE:
+        assert np.array_equal(stacked, rows)
+    else:
+        assert np.abs(stacked - rows).max() <= 8 * eps * np.abs(c).max()
 
 
 def test_etd_weights_against_extended_precision():
