@@ -4,9 +4,8 @@ inequalities."""
 
 __version__ = "0.1.0"
 
-from .errors import (CenterOutside, ConvexityLost, DegenerateSpectrum,
-                     DiagonalWitness, DomainError, NotPositiveDefinite,
-                     PairTooClose, RunTooShort, SingularShift)
+from .errors import (CenterOutside, ConvexityLost, DiagonalWitness, DomainError,
+                     NotPositiveDefinite, PairTooClose, RunTooShort, SingularShift)
 from .speeds import (ArithmeticMean, CertReport, DualSpeed, HarmonicMean,
                      PowerMean, SigmaRatio, SigmaRoot, SpeedFunction, certify,
                      matrix_eval, matrix_hess_form, parse_speed)

@@ -22,7 +22,7 @@ from typing import Optional
 from . import __version__
 from .errors import ConvexityLost
 from .flow import FlowConfig, build_body, build_speed, run as run_flow, stop_threshold
-from .monitor import monitor_rows, run_verdicts, write_monitor_csv
+from .monitor import monitor_rows, ratios, run_verdicts, write_monitor_csv
 from .oracle import boundary_suite, interior_suite
 from .speeds import PROPERTIES, certify, parse_speed
 from . import geometry
@@ -90,7 +90,7 @@ def cmd_certify(args) -> int:
     props = [args.property] if args.property else ["concave", "inverse-concave"]
     reports = certify(f, props, trials=args.trials, seed=args.seed)
     payload = {"speed": f.name, "n": f.n, "seed": args.seed,
-               "reports": [r.to_dict() for r in reports]}
+               "reports": [dataclasses.asdict(r) for r in reports]}
     _emit(payload, args.out, "certify.json")
     return EXIT_OK if all(r.certified for r in reports) else EXIT_REFUTED
 
@@ -169,15 +169,13 @@ def refinement_deltas(cfg: FlowConfig, speed) -> dict:
     """Measured t=0 discretisation deltas of min_ratio_lower, max_ratio_upper
     and r+/r- between N and the nested 2N grid (2N-1 points in axisymmetric
     mode so the theta grids nest)."""
-    from .monitor import ratios as ratios_of
-
     body_n = build_body(cfg.body)
     n2 = 2 * body_n.N if body_n.mode == geometry.CURVE else 2 * body_n.N - 1
     body_2n = build_body(dict(cfg.body, N=n2))
 
     def measure(b):
         fld = geometry.ball_curvature_field(b)
-        ext = ratios_of(fld, speed)
+        ext = ratios(fld, speed)
         rep = geometry.radii(b)
         return ext.min_ratio_lower, ext.max_ratio_upper, rep.r_plus / rep.r_minus
 

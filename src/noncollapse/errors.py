@@ -9,10 +9,6 @@ class NotPositiveDefinite(ValueError):
     """Symmetric-matrix argument has an eigenvalue <= 0."""
 
 
-class DegenerateSpectrum(ValueError):
-    """Eigenvalue gap too small for a divided difference that has no limit."""
-
-
 class SingularShift(ValueError):
     """Shift k too close to the smallest eigenvalue; A - kI or B - kI nearly singular."""
 

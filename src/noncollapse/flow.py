@@ -401,9 +401,8 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
                 n_mid = _speed_coefficients(eig, speed, mid) - lin * mid
                 c_new = step(0.5 * dt, half, lin, mid, n_mid)
                 r_new = eig.radii(c_new)
-                if r_new.min() <= 0.0:
-                    raise ConvexityLost("lost convexity")
-            except (ConvexityLost, DomainError):
+                F_new = _speed_of_radii(r_new, speed)
+            except DomainError:
                 j = min(j, math.floor(RUNGS * math.log2(units))) - RUNGS
                 run_.rollbacks += 1
                 failure = CONVEXITY_LOST
@@ -422,7 +421,6 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
             run_.termination = failure
             break
 
-        F_new = _speed_of_radii(r_new, speed)
         if float(F_new.max()) >= stop_f:
             # bisect the final step onto the threshold, one ETD step per trial
             h_best, dt_best = h_new, dt
@@ -435,13 +433,10 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
                 try:
                     c_try = step(mid_dt, _etd_coefficients(mid_dt / dt_unit * unit_z),
                                  lin, c, n0)
-                    r_try = eig.radii(c_try)
-                    if r_try.min() <= 0.0:
-                        raise ConvexityLost("lost convexity")
-                except (ConvexityLost, DomainError):
+                    f_trial = float(_speed_of_radii(eig.radii(c_try), speed).max())
+                except DomainError:
                     hi_dt = mid_dt
                     continue
-                f_trial = float(_speed_of_radii(r_try, speed).max())
                 if f_trial < stop_f:
                     lo_dt = mid_dt
                 else:

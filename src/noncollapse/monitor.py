@@ -15,7 +15,7 @@ discretisation.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -155,10 +155,7 @@ def write_monitor_csv(rows: Sequence[MonitorRow], path: str) -> None:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
         for r in rows:
-            w.writerow([fmt(r.t), fmt(r.max_f), fmt(r.min_f), fmt(r.r_plus),
-                        fmt(r.r_minus), fmt(r.min_ratio_lower), fmt(r.max_ratio_upper),
-                        fmt(r.hausdorff_rescaled), fmt(r.t_hat_lo), fmt(r.t_hat_hi),
-                        fmt(r.diag_residual)])
+            w.writerow([fmt(x) for x in astuple(r)])
 
 
 # ---------------------------------------------------------------------------

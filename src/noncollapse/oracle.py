@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, SingularShift
+from .errors import SingularShift
 from .speeds import GAP_TOL, SpeedFunction, hess_form_terms, matrix_eval, sum_terms, trial_rngs
 
 _SHIFT_FLOOR = 1e-12
@@ -210,8 +210,7 @@ def _check_boundary(n: int, lam: np.ndarray, B: np.ndarray) -> None:
         raise ValueError("B must be symmetric")
 
 
-def _boundary_terms_many(f: SpeedFunction, lam: np.ndarray, B: np.ndarray,
-                         on_degenerate: str = "perturb"):
+def _boundary_terms_many(f: SpeedFunction, lam: np.ndarray, B: np.ndarray):
     """(values, tolerance scales, closed-form sup parts) of stacked samples
     lam (m, n), B (m, n, n), from one assembly of their terms: the hess-form
     terms of the matrix lift, then the resolvent sum
@@ -219,17 +218,10 @@ def _boundary_terms_many(f: SpeedFunction, lam: np.ndarray, B: np.ndarray,
     largest term magnitude.
 
     A sample whose lam[q] - lam[0] is below GAP_TOL relative is nudged apart
-    (continuity in the spectrum) and its perturbed value reported; with
-    on_degenerate="raise" that is a DegenerateSpectrum when B[:, q] is nonzero."""
+    (continuity in the spectrum) and its perturbed value reported."""
     m, n = lam.shape
     tol = GAP_TOL * (1.0 + np.abs(lam[:, 0]))
     bad = lam[:, 1:] - lam[:, :1] < tol[:, None]
-    if on_degenerate == "raise":
-        hit = bad & np.any(B[:, :, 1:] != 0.0, axis=1)
-        if hit.any():
-            i = int(np.flatnonzero(hit.any(axis=1))[0])
-            raise DegenerateSpectrum("lam[q] - lam[0] below gap tolerance at "
-                                     f"q={(np.flatnonzero(bad[i]) + 1).tolist()}")
     lam = np.where(bad.any(axis=1)[:, None], lam + np.arange(n) * 10.0 * tol[:, None], lam)
 
     g = f.grad_many(lam)
@@ -241,11 +233,11 @@ def _boundary_terms_many(f: SpeedFunction, lam: np.ndarray, B: np.ndarray,
     return sum_terms(T) + sup, scale, sup
 
 
-def _boundary_terms(s: BoundarySample, on_degenerate: str = "perturb"):
+def _boundary_terms(s: BoundarySample):
     """(value, tolerance scale, closed-form sup part) of one sample; see
     _boundary_terms_many.  The value is >= 0 for inverse-concave speeds,
     near zero only when the first row of B is near zero."""
-    value, scale, sup = _boundary_terms_many(s.f, s.lam[None], s.B[None], on_degenerate)
+    value, scale, sup = _boundary_terms_many(s.f, s.lam[None], s.B[None])
     return float(value[0]), float(scale[0]), float(sup[0])
 
 
@@ -325,44 +317,21 @@ def sample_boundary(f: SpeedFunction, rng: np.random.Generator) -> BoundarySampl
 # Trial batches (the CLI `oracle` command is a thin wrapper over these)
 # ---------------------------------------------------------------------------
 
-def interior_suite(f: SpeedFunction, trials: int, seed: int = 0) -> dict:
+def _suite(proposition: str, f: SpeedFunction, trials: int, seed: int,
+           draws, evaluate, witness) -> dict:
+    """The report of one suite: draws(n, rngs, m) stacks one sample per
+    trial, evaluate(f, *stack) gives their values and tolerance scales, and
+    witness(*sample) records the worst trial's sample when its value is
+    below -1e-7 times its scale."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
-    A, b, k = _interior_draws(f.n, trial_rngs(seed, range(trials)), trials)
-    gaps, scales = interior_gaps_batched(f, A, b, k)
-    scaled = gaps / (1e-7 * scales)
-    worst = int(np.argmin(scaled))
-    report = {
-        "proposition": "2.2",
-        "speed": f.name,
-        "n": f.n,
-        "trials": trials,
-        "min_value": float(gaps[worst]),
-        "min_scaled": float(scaled[worst]),
-        "tol": float(1e-7 * scales[worst]),
-        "runtime_ms": round(1000.0 * (time.perf_counter() - t0), 3),
-    }
-    if scaled[worst] < -1.0:
-        report["witness"] = {
-            "A": A[worst].tolist(),
-            "B_diag": b[worst].tolist(),
-            "k": float(k[worst]),
-        }
-    return report
-
-
-def boundary_suite(f: SpeedFunction, trials: int, seed: int = 0) -> dict:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    t0 = time.perf_counter()
-    lam, B = _boundary_draws(f.n, trial_rngs(seed, range(trials)), trials)
-    _check_boundary(f.n, lam, B)
-    values, scales, _ = _boundary_terms_many(f, lam, B)
+    stack = draws(f.n, trial_rngs(seed, range(trials)), trials)
+    values, scales = evaluate(f, *stack)
     scaled = values / (1e-7 * scales)
     worst = int(np.argmin(scaled))
     report = {
-        "proposition": "2.5",
+        "proposition": proposition,
         "speed": f.name,
         "n": f.n,
         "trials": trials,
@@ -372,8 +341,23 @@ def boundary_suite(f: SpeedFunction, trials: int, seed: int = 0) -> dict:
         "runtime_ms": round(1000.0 * (time.perf_counter() - t0), 3),
     }
     if scaled[worst] < -1.0:
-        report["witness"] = {"lam": lam[worst].tolist(), "B": B[worst].tolist()}
+        report["witness"] = witness(*(x[worst] for x in stack))
     return report
+
+
+def interior_suite(f: SpeedFunction, trials: int, seed: int = 0) -> dict:
+    return _suite("2.2", f, trials, seed, _interior_draws, interior_gaps_batched,
+                  lambda A, b, k: {"A": A.tolist(), "B_diag": b.tolist(), "k": float(k)})
+
+
+def _boundary_values(f: SpeedFunction, lam: np.ndarray, B: np.ndarray):
+    _check_boundary(f.n, lam, B)
+    return _boundary_terms_many(f, lam, B)[:2]
+
+
+def boundary_suite(f: SpeedFunction, trials: int, seed: int = 0) -> dict:
+    return _suite("2.5", f, trials, seed, _boundary_draws, _boundary_values,
+                  lambda lam, B: {"lam": lam.tolist(), "B": B.tolist()})
 
 
 _SEARCH_CHUNK = 1024

@@ -27,17 +27,6 @@ from .errors import DomainError, NotPositiveDefinite
 GAP_TOL = 1e-7
 
 
-def _cone_point(z, n: Optional[int] = None) -> np.ndarray:
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.ndim != 1:
-        raise DomainError(f"expected a vector, got shape {z.shape}")
-    if n is not None and z.size != n:
-        raise DomainError(f"expected {n} entries, got {z.size}")
-    if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
-        raise DomainError(f"point not in the positive cone: {z}")
-    return z
-
-
 def _cone_batch(Z, n: int) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != n:
@@ -118,16 +107,13 @@ class SpeedFunction:
 
     # -- scalar interface -----------------------------------------------------
     def value(self, z) -> float:
-        z = _cone_point(z, self.n)
-        return float(self.value_many(z[None, :])[0])
+        return float(self.value_many(np.atleast_1d(z)[None])[0])
 
     def grad(self, z) -> np.ndarray:
-        z = _cone_point(z, self.n)
-        return self.grad_many(z[None, :])[0]
+        return self.grad_many(np.atleast_1d(z)[None])[0]
 
     def hess(self, z) -> np.ndarray:
-        z = _cone_point(z, self.n)
-        return self.hess_many(z[None, :])[0]
+        return self.hess_many(np.atleast_1d(z)[None])[0]
 
     def trace_grad(self, z) -> float:
         """Sum of the gradient entries, i.e. tr of the matrix derivative."""
@@ -376,9 +362,9 @@ def sum_terms(T: np.ndarray) -> np.ndarray:
 def matrix_hess_form(f: SpeedFunction, lam, B) -> float:
     """Second-derivative quadratic form of the matrix lift at eigenvalues lam
     (B expressed in the eigenbasis of A); see hess_form_terms."""
-    lam = _cone_point(lam, f.n)[None, :]
+    lam = _cone_batch(np.atleast_1d(lam)[None], f.n)
     B = np.asarray(B, dtype=float)[None, :, :]
-    return float(sum_terms(hess_form_terms(lam, B, f.grad_many(lam), f.hess_many(lam)))[0])
+    return float(sum_terms(hess_form_terms(lam, B, f._g(lam), f._h(lam)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +385,6 @@ class CertReport:
     @property
     def certified(self) -> bool:
         return self.verdict == "certified-on-samples"
-
-    def to_dict(self) -> dict:
-        return {
-            "property": self.property,
-            "samples_tested": self.samples_tested,
-            "min_eigen_seen": self.min_eigen_seen,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "witness_eigenvalue": self.witness_eigenvalue,
-        }
 
 
 _WORD = 1 << 32

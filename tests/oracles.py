@@ -915,10 +915,9 @@ def hess_form_terms_reference(lam, B, g, H):
     return terms
 
 
-def boundary_terms_reference(s, on_degenerate="perturb"):
+def boundary_terms_reference(s):
     """(value, scale, closed-form sup part) of one BoundarySample by the
     per-sample term loop."""
-    from noncollapse.errors import DegenerateSpectrum
     from noncollapse.speeds import GAP_TOL
 
     lam = s.lam
@@ -926,9 +925,6 @@ def boundary_terms_reference(s, on_degenerate="perturb"):
     gaps = lam[1:] - lam[0]
     tol = GAP_TOL * (1.0 + abs(lam[0]))
     if np.any(gaps < tol):
-        bad = np.where(gaps < tol)[0] + 1
-        if on_degenerate == "raise" and np.any(s.B[:, bad] != 0.0):
-            raise DegenerateSpectrum(f"lam[q] - lam[0] below gap tolerance at q={bad.tolist()}")
         lam = lam + np.arange(n) * 10.0 * tol
     g = s.f.grad(lam)
     terms = hess_form_terms_reference(lam, s.B, g, hess_reference(s.f, lam))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +49,17 @@ def test_domain_error():
         f.value([1.0, 0.0])
     with pytest.raises(DomainError):
         f.grad([1.0, -2.0])
+
+
+@pytest.mark.parametrize("z", [[1.0, 2.0, 3.0], [[1.0, 2.0]], 1.5, [np.nan, 1.0],
+                               [np.inf, 1.0], [1.0, 0.0], [-1.0, 2.0]],
+                         ids=["three-entries", "row-array", "bare-float", "nan", "inf",
+                              "zero", "negative"])
+def test_scalar_entry_points_refuse_points_off_the_cone(z):
+    f = HarmonicMean(2)
+    for call in (f.value, f.grad, f.hess, lambda z: matrix_hess_form(f, z, np.zeros((2, 2)))):
+        with pytest.raises(DomainError):
+            call(z)
 
 
 def test_parse_speed_rejects_garbage():
@@ -345,8 +358,8 @@ def test_certify_properties_share_one_draw():
     for f in (parse_speed("sigma-root:2", 3), PowerMean(3, -2.0), PowerMean(2, 2.0)):
         for names in (list(PROPERTIES), ["inverse-concave", "concave"], ["homogeneous"]):
             reports = certify(f, names, trials=300, seed=17)
-            assert [r.to_dict() for r in reports] == \
-                [certify(f, name, trials=300, seed=17).to_dict() for name in names]
+            assert [dataclasses.asdict(r) for r in reports] == \
+                [dataclasses.asdict(certify(f, name, trials=300, seed=17)) for name in names]
     with pytest.raises(ValueError):
         certify(PowerMean(2, 2.0), ["concave", "convex"], trials=10)
 
