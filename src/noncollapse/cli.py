@@ -16,7 +16,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -51,30 +50,13 @@ def _write_json(path: str, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: Optional[str]
-    out_dir: str
-    version: str
-    wall_time_s: Optional[float] = None
-
-    def write(self, path: str) -> None:
-        _write_json(path, {
-            "command": self.command, "config": self.config,
-            "output_directory": self.out_dir, "tool_version": self.version,
-            "wall_time_s": self.wall_time_s,
-        })
-
-
 def _emit(obj: dict, out: Optional[str], filename: str,
           volatile: tuple = ("runtime_ms",)) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
     if out:
         os.makedirs(out, exist_ok=True)
-        stable = {k: v for k, v in obj.items() if k not in volatile}
-        _atomic_write(os.path.join(out, filename),
-                      json.dumps(stable, indent=2, sort_keys=True) + "\n")
+        _write_json(os.path.join(out, filename),
+                    {k: v for k, v in obj.items() if k not in volatile})
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +120,10 @@ def cmd_flow(args) -> int:
     os.makedirs(out, exist_ok=True)
     os.makedirs(os.path.join(out, "snapshots"), exist_ok=True)
     t0 = time.perf_counter()
-    manifest = RunManifest(command="flow", config=args.config, out_dir=out,
-                           version=__version__)
-    manifest.write(os.path.join(out, "manifest.json"))
+    manifest_path = os.path.join(out, "manifest.json")
+    manifest = {"command": "flow", "config": args.config, "output_directory": out,
+                "tool_version": __version__, "wall_time_s": None}
+    _write_json(manifest_path, manifest)
 
     fr = run_flow(cfg, speed=speed, body=body)
     rows = monitor_rows(fr, speed, fields=(cfg.monitor == "full"))
@@ -157,8 +140,8 @@ def cmd_flow(args) -> int:
     verdicts["counters"] = fr.counters
     _write_json(os.path.join(out, "verdicts.json"), verdicts)
 
-    manifest.wall_time_s = round(time.perf_counter() - t0, 3)
-    manifest.write(os.path.join(out, "manifest.json"))
+    manifest["wall_time_s"] = round(time.perf_counter() - t0, 3)
+    _write_json(manifest_path, manifest)
 
     if fr.termination == "ConvexityLost":
         return EXIT_CONVEXITY

@@ -122,6 +122,12 @@ class FlowConfig:
             raise ValueError("snapshot_every must be >= 1")
         if self.monitor not in ("full", "radii"):
             raise ValueError("monitor must be 'full' or 'radii'")
+        # the full monitor's refinement deltas rebuild the body on the nested
+        # 2N grid, and an explicit support sample has no such grid
+        shape = self.body.get("shape") if isinstance(self.body, dict) else None
+        if self.monitor == "full" and isinstance(shape, dict) and shape.get("kind") == "support":
+            raise ValueError("monitor 'full' needs a shape that can be refined; "
+                             "a support shape takes monitor 'radii'")
 
     @staticmethod
     def from_json(path: str) -> "FlowConfig":
@@ -146,7 +152,10 @@ def build_body(spec: dict) -> ConvexBody:
             raise ValueError("ellipsoid shape is axisymmetric only")
         return make_ellipsoid(N, shape["a"], shape["c"])
     if kind == "support":
-        return ConvexBody(mode=mode, h=np.array(shape["h"], dtype=float))
+        h = np.array(shape["h"], dtype=float)
+        if h.shape != (N,):
+            raise ValueError(f"support shape has {h.size} values for N = {N}")
+        return ConvexBody(mode=mode, h=h)
     raise ValueError(f"unknown shape kind {kind!r}")
 
 

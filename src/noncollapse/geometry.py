@@ -477,7 +477,7 @@ def ball_curvature_field(body: ConvexBody) -> BallCurvatureField:
 # temporaries, 130 kB each at N = 511, stay in a 2 MB L2 cache where the
 # full (N, N) ones (2 MB) do not.  ms per axisymmetric N = 511 field at
 # 16/32/64/128 rows: 20.0/19.4/18.3/21.2, 32 and 64 alike within the noise
-# (scripts/field_bench.py, 2-core x86-64, BLAS on one thread)
+# (the block sweep of BENCH_fields.json, 2-core x86-64, BLAS on one thread)
 FIELD_ROWS = 32
 
 

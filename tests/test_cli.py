@@ -205,6 +205,23 @@ def test_flow_nonfinite_support_exit_1(tmp_path, capsys, mode, N):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("N, monitor, argv, message", [
+    (64, "radii", (), "support shape has 48 values for N = 64"),
+    (48, "radii", ("--grid", "96"), "support shape has 48 values for N = 96"),
+    (48, "full", (), "monitor 'full' needs a shape that can be refined"),
+], ids=["N", "grid-flag", "full-monitor"])
+def test_flow_support_shape_fixes_its_grid_exit_1(tmp_path, capsys, N, monitor, argv, message):
+    # an explicit support sample is its grid: another N, a --grid override or
+    # the full monitor's nested 2N grid is refused, not silently ignored
+    cfg = sphere_config(tmp_path, N=N, monitor=monitor,
+                        shape={"kind": "support", "h": [1.0] * 48})
+    out = tmp_path / "r"
+    assert run_cli("flow", "--config", cfg, "--out", str(out), *argv) == 1
+    err = capsys.readouterr().err
+    assert "error: bad config" in err and message in err
+    assert not out.exists()
+
+
 def test_flow_stop_at_or_below_initial_max_f_exit_1(tmp_path, capsys):
     # the unit circle starts at max F = 1
     cfg = sphere_config(tmp_path)
@@ -369,6 +386,27 @@ def test_oracle_sweep_script_smoke(capsys):
     assert [r[0] for r in rows] == script.CATALOG
     assert all(r[1] == "2" and float(r[2]) >= -1.0 and float(r[3]) >= -1.0 for r in rows)
     assert lines[-1].startswith("negative control power:-2: gap")
+
+
+def _run_script(name, *argv):
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *argv],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_etd_convergence_script_smoke(tmp_path):
+    out = tmp_path / "etd.json"
+    lines = _run_script("etd_convergence.py", "--grid", "33", "--t-end", "0.01",
+                        "--out", str(out))
+    assert lines[-1] == f"wrote {out}"
+    assert json.loads(out.read_text())["problem"]["N"] == 33
+
+
+def test_ellipsoid_roundness_script_smoke():
+    lines = _run_script("ellipsoid_roundness.py", "--speeds", "mean", "--grid", "33",
+                        "--growth", "3", "--snapshot-every", "50")
+    assert lines[0].startswith("mean: steps ") and "passed = True" in lines[0]
 
 
 # ---------------------------------------------------------------------------

@@ -448,6 +448,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(speed="mean", body={}, monitor="everything")
     with pytest.raises(ValueError):
+        FlowConfig(speed="mean", body={"mode": CURVE, "N": 4,
+                                       "shape": {"kind": "support", "h": [1.0] * 4}})
+    with pytest.raises(ValueError):
         run(sphere_cfg(CURVE, 32, stop_factor=0.5))
 
 
