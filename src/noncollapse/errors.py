@@ -27,7 +27,3 @@ class DiagonalWitness(ValueError):
 
 class CenterOutside(ValueError):
     """Proposed center is not interior to the body."""
-
-
-class RunTooShort(ValueError):
-    """Flow run has too few samples for the requested diagnostic."""

@@ -114,10 +114,10 @@ class FlowConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= CFL_MAX:
             raise ValueError(f"cfl must lie in (0, 2.785/pi^2 = {CFL_MAX:.4f}]")
-        if self.stop_max_f is not None and not self.stop_max_f > 0.0:
-            raise ValueError("stop_max_f must be positive")
-        if self.stop_max_f_factor is not None and not self.stop_max_f_factor > 1.0:
-            raise ValueError("stop_max_f_factor must exceed 1")
+        for name, low in (("t_end", 0.0), ("stop_max_f", 0.0), ("stop_max_f_factor", 1.0)):
+            v = getattr(self, name)
+            if v is not None and not low < v < math.inf:
+                raise ValueError(f"{name} must exceed {low:g} and be finite")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         if self.monitor not in ("full", "radii"):
@@ -256,7 +256,6 @@ class FlowRun:
     min_f: list = dc_field(default_factory=list)
     r_plus: list = dc_field(default_factory=list)
     r_minus: list = dc_field(default_factory=list)
-    in_centers: list = dc_field(default_factory=list)   # absolute coordinates
     t_hat_lo: list = dc_field(default_factory=list)
     t_hat_hi: list = dc_field(default_factory=list)
     termination: str = ""
@@ -314,7 +313,6 @@ def _sample(run_: FlowRun, ws: _Workspace, speed: SpeedFunction, b: ConvexBody) 
     run_.min_f.append(float(F.min()))
     run_.r_plus.append(rep.r_plus)
     run_.r_minus.append(rep.r_minus)
-    run_.in_centers.append(np.array(b.center_offset))
     run_.t_hat_lo.append(b.t + 0.5 * rep.r_minus**2)
     run_.t_hat_hi.append(b.t + 0.5 * rep.r_plus**2)
     return b

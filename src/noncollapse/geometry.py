@@ -354,13 +354,6 @@ def _points(body: ConvexBody) -> np.ndarray:
                      h * np.cos(th) - h1 * np.sin(th)], axis=1)
 
 
-def embed(body: ConvexBody):
-    """Grid points and outward unit normals (curve: full circle; axisym:
-    the meridian at azimuth 0)."""
-    check_convex(body)
-    return _points(body), body.directions()
-
-
 def area(body: ConvexBody) -> float:
     """Enclosed area of a curve-mode body, (1/2) oint (h^2 - h'^2) dtheta."""
     if body.mode != CURVE:
@@ -387,7 +380,7 @@ class BallCurvatureField:
     witness_lower: np.ndarray  # (N, 2) int
     witness_upper: np.ndarray
     kappa: np.ndarray          # (N, n)
-    points: np.ndarray         # (N, dim) grid points, as embed returns them
+    points: np.ndarray         # (N, dim) grid points, as _points returns them
 
     def diagonal_lower(self, i: int) -> bool:
         return self.witness_lower[i, 0] < 0

@@ -3,9 +3,11 @@
 The headline series is min over the body of (exterior ball curvature)/F,
 which is non-decreasing along convex runs with inverse-concave speeds; its
 interior counterpart max (interior ball curvature)/F is non-increasing for
-concave speeds.  Roundness diagnostics compare the radii against the
-shrinking-sphere law sqrt(2(T_hat - t)) and measure the rescaled Hausdorff
-distance to the unit sphere.
+concave speeds.  Roundness is judged by run_verdicts on a run that reached
+its max-F stop: the extinction sandwich r_minus^2 <= 2(T_hat - t) <= r_plus^2
+against the shrinking-sphere law, and the rescaled Hausdorff gate: monitor_rows
+scales each snapshot by 1/sqrt(2(T_hat - t)) about the final in-center and
+measures its distance to the unit sphere, and the gate reads the last one.
 
 Trend assertions carry explicit slack: an absolute floor plus, where the
 caller provides one, a measured grid-refinement delta.  The continuum
@@ -20,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, RunTooShort
+from .errors import DomainError
 from .flow import REACHED_MAX_F, FlowRun
 from .geometry import (BallCurvatureField, ConvexBody, ball_curvature_field,
                        hausdorff_to_unit_sphere, tangent_plane_diagnostic)
@@ -35,7 +37,6 @@ class RatioExtremes:
     min_ratio_lower: float   # min over the grid of k_lower / F
     max_ratio_upper: float   # max over the grid of k_upper / F
     argmin_index: int
-    argmax_index: int
 
 
 def ratios(fld: BallCurvatureField, speed: SpeedFunction) -> RatioExtremes:
@@ -45,12 +46,10 @@ def ratios(fld: BallCurvatureField, speed: SpeedFunction) -> RatioExtremes:
     lower = fld.k_lower / F
     upper = fld.k_upper / F
     i_lo = int(np.argmin(lower))
-    i_hi = int(np.argmax(upper))
     return RatioExtremes(
         min_ratio_lower=float(lower[i_lo]),
-        max_ratio_upper=float(upper[i_hi]),
+        max_ratio_upper=float(upper.max()),
         argmin_index=i_lo,
-        argmax_index=i_hi,
     )
 
 
@@ -136,7 +135,7 @@ def monitor_rows(run: FlowRun, speed: SpeedFunction,
 
     if run.termination == REACHED_MAX_F and rows:
         t_hat = run.t_hat
-        p = run.in_centers[-1]
+        p = run.snapshots[-1].center_offset
         for i, body in enumerate(run.snapshots):
             s = np.sqrt(max(2.0 * (t_hat - run.times[i]), 0.0))
             if s > 0.0:
@@ -159,69 +158,6 @@ def write_monitor_csv(rows: Sequence[MonitorRow], path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Roundness diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RoundnessReport:
-    times: np.ndarray
-    ratio: np.ndarray              # r_plus / r_minus
-    lower_rescaled: np.ndarray     # r_minus / sqrt(2 (T_hat - t))
-    upper_rescaled: np.ndarray     # r_plus  / sqrt(2 (T_hat - t))
-    center_drift: np.ndarray       # |p - p_t| / sqrt(2 (T_hat - t))
-    hausdorff_rescaled: np.ndarray
-    t_hat: float
-    t_hat_width: float
-    sandwich_ok: bool
-    sandwich_worst: float          # worst signed violation in the squared domain
-
-
-def roundness(run: FlowRun, rows: Sequence[MonitorRow]) -> RoundnessReport:
-    """Rescaled-roundness series for a run that terminated at the max-F stop;
-    rows are its monitor_rows, whose Hausdorff column it reads (an empty
-    cell reads as NaN).
-
-    The sandwich r_minus <= sqrt(2(T_hat - t)) <= r_plus is checked in the
-    squared domain with slack = the final interval width (T_hat is only known
-    to half that width).
-    """
-    if run.termination != REACHED_MAX_F:
-        raise RunTooShort(f"roundness needs a ReachedMaxF run, got {run.termination!r}")
-    m = len(run.times)
-    if m < 10:
-        raise RunTooShort(f"need at least 10 samples, have {m}")
-    t = np.asarray(run.times)
-    rp = np.asarray(run.r_plus)
-    rm = np.asarray(run.r_minus)
-    t_hat = run.t_hat
-    width = run.t_hat_width
-    rem = 2.0 * (t_hat - t)
-    s = np.sqrt(np.maximum(rem, 0.0))
-    p = run.in_centers[-1]
-    drift = np.array([np.linalg.norm(p - c) for c in run.in_centers])
-
-    slack = width + SLACK_FLOOR
-    lo_viol = (rm**2 - rem).max()
-    hi_viol = (rem - rp**2).max()
-    worst = float(max(lo_viol, hi_viol))
-
-    hd = np.array([np.nan if r.hausdorff_rescaled is None else r.hausdorff_rescaled
-                   for r in rows])
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return RoundnessReport(
-            times=t, ratio=rp / rm,
-            lower_rescaled=np.where(s > 0, rm / s, np.nan),
-            upper_rescaled=np.where(s > 0, rp / s, np.nan),
-            center_drift=np.where(s > 0, drift / s, np.nan),
-            hausdorff_rescaled=hd,
-            t_hat=t_hat, t_hat_width=width,
-            sandwich_ok=bool(worst <= slack),
-            sandwich_worst=worst,
-        )
-
-
-# ---------------------------------------------------------------------------
 # Run-level verdicts
 # ---------------------------------------------------------------------------
 
@@ -236,6 +172,8 @@ def run_verdicts(run: FlowRun, rows: Sequence[MonitorRow],
     """
     delta = refinement_deltas or {}
     t = np.asarray(run.times)
+    rp = np.asarray(run.r_plus)
+    rm = np.asarray(run.r_minus)
     verdicts = []
     gates: dict = {"maxF_growth": run.max_f[-1] / run.max_f[0]}
 
@@ -255,23 +193,27 @@ def run_verdicts(run: FlowRun, rows: Sequence[MonitorRow],
     if len(run.times) >= 3:
         verdicts.append(assert_trend(
             run.r_plus, "non-increasing", SLACK_FLOOR, name="r_plus", times=t))
-        rr = np.asarray(run.r_plus) / np.asarray(run.r_minus)
+        rr = rp / rm
         verdicts.append(assert_trend(
             rr, "non-increasing", RATIO_SLACK_FLOOR + delta.get("radii_ratio", 0.0),
             name="radii_ratio", times=t))
         gates["eps_radii_ratio_final"] = float(rr[-1] - 1.0)
 
     if run.termination == REACHED_MAX_F and len(run.times) >= 10:
-        rep = roundness(run, rows)
+        # the sandwich r_minus^2 <= 2(T_hat - t) <= r_plus^2, its slack the
+        # final interval width (T_hat is only known to half that width)
+        rem = 2.0 * (run.t_hat - t)
+        worst = float(max((rm**2 - rem).max(), (rem - rp**2).max()))
+        slack = run.t_hat_width + SLACK_FLOOR
         verdicts.append(TrendVerdict(
-            series="extinction_sandwich", claim="sandwich",
-            slack_used=rep.t_hat_width + SLACK_FLOOR, passed=rep.sandwich_ok,
-            worst_violation=(float(run.times[-1]), rep.sandwich_worst)))
-        finite = rep.hausdorff_rescaled[np.isfinite(rep.hausdorff_rescaled)]
-        if finite.size:
-            gates["hausdorff_rescaled_final"] = float(finite[-1])
-        gates["t_hat"] = rep.t_hat
-        gates["t_hat_width"] = rep.t_hat_width
+            series="extinction_sandwich", claim="sandwich", slack_used=slack,
+            passed=bool(worst <= slack), worst_violation=(float(run.times[-1]), worst)))
+        hd = [r.hausdorff_rescaled for r in rows
+              if r.hausdorff_rescaled is not None and np.isfinite(r.hausdorff_rescaled)]
+        if hd:
+            gates["hausdorff_rescaled_final"] = float(hd[-1])
+        gates["t_hat"] = run.t_hat
+        gates["t_hat_width"] = run.t_hat_width
 
     return {"verdicts": [v.to_dict() for v in verdicts],
             "passed": all(v.passed for v in verdicts),

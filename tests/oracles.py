@@ -499,12 +499,12 @@ def ball_curvature_field_sweep(body):
     An extremum within DIAG_TIE_RTOL of the principal curvature is a tie,
     which the diagonal wins, as in the library's field."""
     from noncollapse.geometry import (CURVE, DIAG_TIE_RTOL, SEP_FACTOR,
-                                      BallCurvatureField, check_convex, embed)
+                                      BallCurvatureField, _points, check_convex)
 
     r = check_convex(body)
     kappa = 1.0 / r
     N = body.N
-    pts, nus = embed(body)
+    pts, nus = _points(body), body.directions()
 
     k_lower = np.empty(N)
     k_upper = np.empty(N)

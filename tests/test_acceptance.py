@@ -9,12 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from noncollapse.cli import main as cli_main
-from noncollapse.flow import FlowConfig, build_body, build_speed, run
+from noncollapse.cli import main as cli_main, refinement_deltas
+from noncollapse.flow import FlowConfig, build_speed, run
 from noncollapse.geometry import (CURVE, ConvexBody, ball_curvature_field,
-                                  make_ellipse, radii, scale, translate)
-from noncollapse.monitor import (SLACK_FLOOR, assert_trend, monitor_rows,
-                                 ratios, roundness)
+                                  make_ellipse, scale, translate)
+from noncollapse.monitor import SLACK_FLOOR, assert_trend, monitor_rows, run_verdicts
 from noncollapse.oracle import (_boundary_terms, boundary_suite,
                                 brute_force_boundary, counterexample_search,
                                 interior_suite, q_second_derivative_check,
@@ -62,16 +61,11 @@ def ellipsoid_suite():
         fr2 = run(_ellipsoid_cfg(speed, 511, "radii", 12000))
         rows2 = monitor_rows(fr2, sp, fields=False)
 
-        body_n = build_body(_ellipsoid_cfg(speed, 256, "full", 1).body)
-        body_2n = build_body(_ellipsoid_cfg(speed, 511, "full", 1).body)
-        lo_n = ratios(ball_curvature_field(body_n), sp).min_ratio_lower
-        lo_2n = ratios(ball_curvature_field(body_2n), sp).min_ratio_lower
-        rep_n, rep_2n = radii(body_n), radii(body_2n)
+        deltas = refinement_deltas(_ellipsoid_cfg(speed, 256, "full", 1), sp)
         out[speed] = {
             "run": fr, "rows": rows, "run2": fr2, "rows2": rows2,
-            "delta_lower": abs(lo_n - lo_2n),
-            "delta_rr": abs(rep_n.r_plus / rep_n.r_minus
-                            - rep_2n.r_plus / rep_2n.r_minus),
+            "delta_lower": deltas["ratio_lower"],
+            "delta_rr": deltas["radii_ratio"],
         }
         out["wall"][speed] = time.perf_counter() - t0
     return out
@@ -235,8 +229,9 @@ def test_criterion_7_roundness(ellipsoid_suite):
             v = assert_trend(rr, "non-increasing", 1e-4 + data["delta_rr"],
                              name="radii_ratio", times=fr.times)
             assert v.passed, (speed, key, v)
-            rep = roundness(fr, rows)
-            assert rep.sandwich_ok, (speed, key, rep.sandwich_worst, rep.t_hat_width)
+            (sw,) = [v for v in run_verdicts(fr, rows)["verdicts"]
+                     if v["series"] == "extinction_sandwich"]
+            assert sw["pass"], (speed, key, sw["worst_violation"], sw["slack_used"])
         eps_n = ellipsoid_suite[speed]["run"]
         eps_2n = ellipsoid_suite[speed]["run2"]
         ratio_n = eps_n.r_plus[-1] / eps_n.r_minus[-1] - 1.0

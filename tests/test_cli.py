@@ -239,6 +239,28 @@ def test_flow_stop_factor_not_above_one_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, argv", [
+    ("stop_max_f_factor", float("inf"), ()),
+    ("t_end", float("nan"), ()),
+    (None, None, ("--stop-max-f", "inf")),
+], ids=["inf-factor", "nan-t-end", "inf-stop-flag"])
+def test_flow_non_finite_stop_exit_1(tmp_path, capsys, key, value, argv):
+    # a stop or end time that is not finite is refused before anything is
+    # written, not run on to StepUnderflow or silently ignored
+    path = sphere_config(tmp_path)
+    if key is not None:
+        with open(path) as fh:
+            cfg = json.load(fh)
+        cfg[key] = value
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+    out = tmp_path / "r"
+    assert run_cli("flow", "--config", path, "--out", str(out), *argv) == 1
+    err = capsys.readouterr().err
+    assert "error: bad config" in err and "and be finite" in err
+    assert not out.exists()
+
+
 def test_flow_bad_config_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

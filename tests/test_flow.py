@@ -452,6 +452,14 @@ def test_config_validation():
                                        "shape": {"kind": "support", "h": [1.0] * 4}})
     with pytest.raises(ValueError):
         run(sphere_cfg(CURVE, 32, stop_factor=0.5))
+    # the end time and the max-F stops are finite and positive, a factor above 1
+    for key in ("t_end", "stop_max_f", "stop_max_f_factor"):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=key):
+                FlowConfig(speed="mean", body={}, **{key: bad})
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t_end"):
+            FlowConfig(speed="mean", body={}, t_end=bad)
 
 
 def test_build_body_shapes():

@@ -7,7 +7,7 @@ from noncollapse.errors import (CenterOutside, ConvexityLost, DiagonalWitness,
 from noncollapse.geometry import (AXISYMMETRIC, CURVE, SEP_FACTOR, ConvexBody,
                                   area, axi_derivs, ball_curvature_field,
                                   ball_curvature_pair, check_convex,
-                                  curve_derivs, embed,
+                                  curve_derivs,
                                   hausdorff_to_unit_sphere, make_ellipse,
                                   make_ellipsoid, make_sphere,
                                   principal_radii, radii, recenter, scale,
@@ -231,7 +231,7 @@ def test_eigenbasis_stack_matches_rows(mode):
 
 def test_embed_unit_circle():
     b = make_sphere(CURVE, 64)
-    pts, nus = embed(b)
+    pts, nus = _points(b), b.directions()
     assert np.abs(pts - nus).max() < 1e-14
     assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-14
 
@@ -240,14 +240,14 @@ def test_embed_hand_value():
     N = 128
     th = 2 * np.pi * np.arange(N) / N
     b = ConvexBody(mode=CURVE, h=1.0 + 0.1 * np.cos(2 * th))
-    pts, _ = embed(b)
+    pts = _points(b)
     # h'(0) = 0, so X(0) = (h(0), 0) = (1.1, 0)
     assert np.allclose(pts[0], [1.1, 0.0], atol=1e-12)
 
 
 def test_support_round_trip():
     b = make_ellipse(256, 1.0, 2.0)
-    pts, _ = embed(b)
+    pts = _points(b)
     h_rec = (pts @ b.directions().T).max(axis=0)
     assert np.abs(h_rec - b.h).max() <= 1e-8
 
@@ -697,7 +697,7 @@ def test_hausdorff_center_outside():
 def test_tangent_diagnostic_ellipse():
     b = make_ellipse(512, 1.0, 2.0)
     fld = ball_curvature_field(b)
-    assert np.array_equal(fld.points, embed(b)[0])
+    assert np.array_equal(fld.points, _points(b))
     res = tangent_plane_diagnostic(b, fld, 128)
     assert res <= 1e-3
 

@@ -4,12 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from noncollapse.errors import RunTooShort
-from noncollapse.flow import FlowConfig, build_speed, run
+from noncollapse.flow import REACHED_MAX_F, FlowConfig, build_speed, run
 from noncollapse.geometry import (AXISYMMETRIC, CURVE, ball_curvature_field,
                                   make_ellipse, make_sphere, scale)
-from noncollapse.monitor import (CSV_COLUMNS, RATIO_SLACK_FLOOR, assert_trend,
-                                 monitor_rows, ratios, roundness, run_verdicts,
+from noncollapse.monitor import (CSV_COLUMNS, RATIO_SLACK_FLOOR, SLACK_FLOOR,
+                                 assert_trend, monitor_rows, ratios, run_verdicts,
                                  write_monitor_csv)
 
 
@@ -146,47 +145,70 @@ def test_monitor_csv_schema(tmp_path, sphere_run):
 
 
 # ---------------------------------------------------------------------------
-# roundness
+# roundness: the extinction sandwich and the rescaled Hausdorff gate
 # ---------------------------------------------------------------------------
 
+def _sandwich(out):
+    return [v for v in out["verdicts"] if v["series"] == "extinction_sandwich"]
+
+
 def test_roundness_sphere(sphere_run):
-    rep = roundness(sphere_run, monitor_rows(sphere_run, build_speed("mean", CURVE),
-                                             fields=False))
-    assert np.abs(rep.ratio - 1.0).max() < 1e-8
-    finite = np.isfinite(rep.lower_rescaled)
-    assert np.abs(rep.lower_rescaled[finite] - 1.0).max() < 1e-6
-    assert np.abs(rep.upper_rescaled[finite] - 1.0).max() < 1e-6
-    assert np.nanmax(rep.center_drift) < 1e-8
-    assert rep.sandwich_ok
-    assert np.nanmax(rep.hausdorff_rescaled) < 1e-6
+    # the unit circle under curve shortening: r^2 = 1 - 2t, extinct at 1/2
+    out = run_verdicts(sphere_run, monitor_rows(sphere_run, build_speed("mean", CURVE),
+                                                fields=False))
+    (sw,) = _sandwich(out)
+    assert sw["pass"] and sw["claim"] == "sandwich"
+    assert sw["slack_used"] == sphere_run.t_hat_width + SLACK_FLOOR
+    assert out["gates"]["hausdorff_rescaled_final"] < 1e-6
+    assert out["gates"]["t_hat"] == pytest.approx(0.5, abs=1e-9)
+    assert out["gates"]["t_hat_width"] == sphere_run.t_hat_width
 
 
 def test_roundness_reads_rows_hausdorff_column(sphere_run):
-    import copy
     rows = monitor_rows(sphere_run, build_speed("mean", CURVE), fields=False)
-    rows[2] = copy.copy(rows[2])
-    rows[2].hausdorff_rescaled = None
-    hd = roundness(sphere_run, rows).hausdorff_rescaled
-    assert np.isnan(hd[2])
-    assert [hd[i] for i in (0, 1, 3)] == [rows[i].hausdorff_rescaled for i in (0, 1, 3)]
+    assert rows[-1].hausdorff_rescaled is not None
+    gates = run_verdicts(sphere_run, rows)["gates"]
+    assert gates["hausdorff_rescaled_final"] == rows[-1].hausdorff_rescaled
+    # an empty or non-finite last cell hands the gate to the cell before it
+    for blank in (None, float("nan")):
+        cut = [replace(r) for r in rows]
+        cut[-1].hausdorff_rescaled = blank
+        gates = run_verdicts(sphere_run, cut)["gates"]
+        assert gates["hausdorff_rescaled_final"] == rows[-2].hausdorff_rescaled
+    # no filled cell, no gate
+    empty = [replace(r, hausdorff_rescaled=None) for r in rows]
+    assert "hausdorff_rescaled_final" not in run_verdicts(sphere_run, empty)["gates"]
 
 
 def test_roundness_requires_maxf_termination(sphere_run):
-    import copy
-    short = copy.copy(sphere_run)
-    short.termination = "ReachedTEnd"
-    with pytest.raises(RunTooShort):
-        roundness(short, [])
+    short = replace(sphere_run, termination="ReachedTEnd")
+    out = run_verdicts(short, monitor_rows(short, build_speed("mean", CURVE), fields=False))
+    assert not _sandwich(out)
+    assert "t_hat" not in out["gates"] and "t_hat_width" not in out["gates"]
+    assert "hausdorff_rescaled_final" not in out["gates"]
+
+
+def test_roundness_requires_ten_snapshots():
+    # a max-F stop after fewer than 10 snapshots gives too short a series
+    fr = run(FlowConfig(speed="mean",
+                        body={"mode": "curve", "N": 64,
+                              "shape": {"kind": "sphere", "radius": 1.0}},
+                        cfl=0.25, stop_max_f_factor=2.0, snapshot_every=120,
+                        monitor="radii"))
+    assert fr.termination == REACHED_MAX_F and 3 <= len(fr.times) < 10
+    out = run_verdicts(fr, monitor_rows(fr, build_speed("mean", CURVE), fields=False))
+    assert not _sandwich(out)
+    assert "t_hat" not in out["gates"]
+    assert {v["series"] for v in out["verdicts"]} == {"r_plus", "radii_ratio"}
 
 
 def test_roundness_flags_synthetic_sandwich_violation(sphere_run):
-    import copy
-    bad = copy.copy(sphere_run)
-    bad.r_minus = list(bad.r_minus)
+    bad = replace(sphere_run, r_minus=list(sphere_run.r_minus))
     bad.r_minus[3] = bad.r_plus[3] * 1.5  # impossible inradius
-    rep = roundness(bad, monitor_rows(bad, build_speed("mean", CURVE), fields=False))
-    assert not rep.sandwich_ok
-    assert rep.sandwich_worst > 0
+    out = run_verdicts(bad, monitor_rows(bad, build_speed("mean", CURVE), fields=False))
+    (sw,) = _sandwich(out)
+    assert not sw["pass"] and not out["passed"]
+    assert sw["worst_violation"][1] > 0
 
 
 # ---------------------------------------------------------------------------
