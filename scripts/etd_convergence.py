@@ -84,7 +84,7 @@ def main():
     t0 = time.perf_counter()
     ref = rk4_reference_run(cfg)
     ref_wall = time.perf_counter() - t0
-    h_ref = absolute_h(ref.snapshots[-1])
+    h_ref = absolute_h(ref.snapshots[-1].body)
 
     def error(h):
         return float(np.abs(h - h_ref).max() / np.abs(h_ref).max())
@@ -101,7 +101,8 @@ def main():
     fr = run(cfg)
     wall = time.perf_counter() - t0
     adaptive = {"steps": fr.steps, "counters": fr.counters,
-                "max_rel_error": error(absolute_h(fr.snapshots[-1])), "wall_s": round(wall, 4)}
+                "max_rel_error": error(absolute_h(fr.snapshots[-1].body)),
+                "wall_s": round(wall, 4)}
     print(f"adaptive: {fr.steps} steps ({fr.counters['rk4_attempts']} ETDRK4 steps), "
           f"error {adaptive['max_rel_error']:.3e}, {wall:.2f} s; "
           f"RK4 reference {ref.steps} steps, {ref_wall:.2f} s")

@@ -17,6 +17,6 @@ from .geometry import (BallCurvatureField, ConvexBody, RadiiReport, area,
                        hausdorff_to_unit_sphere, make_ellipse, make_ellipsoid,
                        make_sphere, radii, recenter, scale,
                        tangent_plane_diagnostic, translate)
-from .flow import FlowConfig, FlowRun, build_body, build_speed, run
+from .flow import FlowConfig, FlowRun, Snapshot, build_body, build_speed, run
 from .monitor import (MonitorRow, RatioExtremes, TrendVerdict, assert_trend,
                       monitor_rows, ratios, run_verdicts, write_monitor_csv)

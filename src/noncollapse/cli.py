@@ -128,8 +128,8 @@ def cmd_flow(args) -> int:
     fr = run_flow(cfg, speed=speed, body=body)
     rows = monitor_rows(fr, speed, fields=(cfg.monitor == "full"))
     write_monitor_csv(rows, os.path.join(out, "monitor.csv"))
-    for i, body in enumerate(fr.snapshots):
-        _write_json(os.path.join(out, "snapshots", f"{i:05d}.json"), body.to_dict())
+    for i, snap in enumerate(fr.snapshots):
+        _write_json(os.path.join(out, "snapshots", f"{i:05d}.json"), snap.body.to_dict())
 
     deltas = {}
     if cfg.monitor == "full":

@@ -5,9 +5,10 @@ samples; run() is the one stepping path: the exponential integrator ETDRK4
 (Cox & Matthews 2002) under step-doubling error control, a convexity check
 on every step (a failed step is retried at half the step) and the final
 step bisected onto the max-F stop.  Every snapshot moves the support origin
-to the in-center and records the body, its radii, and the extinction-time
-interval [t + r_minus^2/2, t + r_plus^2/2] read off the avoidance bounds.
-The flow draws no random numbers: a config alone fixes a run.
+to the in-center and appends a Snapshot to FlowRun.snapshots: the body, max
+and min F and the radii, which give the extinction-time interval
+[t + r_minus^2/2, t + r_plus^2/2] by the avoidance bounds.  The flow draws
+no random numbers: a config alone fixes a run.
 
 The stiffness is per direction.  With r_i = 1/kappa_i and g = dF/dkappa, a
 perturbation u of h obeys, linearised, du/dt = sum_i g_i kappa_i^2 L_i u,
@@ -118,8 +119,11 @@ class FlowConfig:
             v = getattr(self, name)
             if v is not None and not low < v < math.inf:
                 raise ValueError(f"{name} must exceed {low:g} and be finite")
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
+        if not isinstance(self.speed, str):
+            raise ValueError(f"speed must be a speed name, got {self.speed!r}")
+        if not _whole(self.snapshot_every):
+            raise ValueError(f"snapshot_every must be a whole number >= 1, "
+                             f"got {self.snapshot_every!r}")
         if self.monitor not in ("full", "radii"):
             raise ValueError("monitor must be 'full' or 'radii'")
         # the full monitor's refinement deltas rebuild the body on the nested
@@ -136,8 +140,15 @@ class FlowConfig:
             return FlowConfig(**json.load(fh))
 
 
+def _whole(x) -> bool:
+    """True for a finite whole number >= 1 (an int or an integral float)."""
+    return isinstance(x, (int, float)) and math.isfinite(x) and x >= 1 and x == int(x)
+
+
 def build_body(spec: dict) -> ConvexBody:
     mode = spec["mode"]
+    if not _whole(spec["N"]):
+        raise ValueError(f"body N must be a whole number >= 1, got {spec['N']!r}")
     N = int(spec["N"])
     shape = spec.get("shape", {"kind": "sphere", "radius": 1.0})
     kind = shape["kind"]
@@ -247,17 +258,27 @@ def _dt_of(ws: _Workspace, r: np.ndarray, speed: SpeedFunction, cfl: float) -> f
 # Running
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Snapshot:
+    """One sample of a run: the body moved to its in-center, max and min F, and
+    its radii, whose avoidance bounds put extinction in [t_hat_lo, t_hat_hi]."""
+    body: ConvexBody
+    max_f: float
+    min_f: float
+    r_plus: float
+    r_minus: float
+
+    t = property(lambda self: self.body.t)
+    t_hat_lo = property(lambda self: self.t + 0.5 * self.r_minus**2)
+    t_hat_hi = property(lambda self: self.t + 0.5 * self.r_plus**2)
+    t_hat = property(lambda self: 0.5 * (self.t_hat_lo + self.t_hat_hi))
+    t_hat_width = property(lambda self: self.t_hat_hi - self.t_hat_lo)
+
+
 @dataclass
 class FlowRun:
     config: FlowConfig
-    times: list = dc_field(default_factory=list)
-    snapshots: list = dc_field(default_factory=list)
-    max_f: list = dc_field(default_factory=list)
-    min_f: list = dc_field(default_factory=list)
-    r_plus: list = dc_field(default_factory=list)
-    r_minus: list = dc_field(default_factory=list)
-    t_hat_lo: list = dc_field(default_factory=list)
-    t_hat_hi: list = dc_field(default_factory=list)
+    snapshots: list = dc_field(default_factory=list)  # Snapshot records, in time order
     termination: str = ""
     steps: int = 0
     rk4_attempts: int = 0          # ETDRK4 steps, a stacked pair counting two: three
@@ -277,14 +298,9 @@ class FlowRun:
                 "bisection_iterations": self.bisection_iterations,
                 "dt_min": self.dt_min, "dt_max": self.dt_max}
 
-    @property
-    def t_hat(self) -> float:
-        """Extinction-time estimate: midpoint of the final avoidance interval."""
-        return 0.5 * (self.t_hat_lo[-1] + self.t_hat_hi[-1])
-
-    @property
-    def t_hat_width(self) -> float:
-        return self.t_hat_hi[-1] - self.t_hat_lo[-1]
+    # the extinction-time estimate of the final snapshot
+    t_hat = property(lambda self: self.snapshots[-1].t_hat)
+    t_hat_width = property(lambda self: self.snapshots[-1].t_hat_width)
 
 
 def stop_threshold(config: FlowConfig, body: ConvexBody, speed: SpeedFunction) -> float:
@@ -304,17 +320,11 @@ def stop_threshold(config: FlowConfig, body: ConvexBody, speed: SpeedFunction) -
 
 
 def _sample(run_: FlowRun, ws: _Workspace, speed: SpeedFunction, b: ConvexBody) -> ConvexBody:
-    """Record body b as a snapshot of run_, moved to its in-center."""
+    """Record body b as a snapshot of run_ and return it moved to its in-center."""
     F = _speed_of_radii(ws.radii(b.h), speed)
     b, rep = recenter(b)
-    run_.times.append(b.t)
-    run_.snapshots.append(b)
-    run_.max_f.append(float(F.max()))
-    run_.min_f.append(float(F.min()))
-    run_.r_plus.append(rep.r_plus)
-    run_.r_minus.append(rep.r_minus)
-    run_.t_hat_lo.append(b.t + 0.5 * rep.r_minus**2)
-    run_.t_hat_hi.append(b.t + 0.5 * rep.r_plus**2)
+    run_.snapshots.append(Snapshot(body=b, max_f=float(F.max()), min_f=float(F.min()),
+                                   r_plus=rep.r_plus, r_minus=rep.r_minus))
     return b
 
 
@@ -359,19 +369,18 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
                     del recent[next(iter(recent))]
         return w
 
-    def sample(b: ConvexBody) -> ConvexBody:
-        return _sample(run_, ws, speed, b)
-
     def step(dt, w, lin, c0, n0):
         run_.rk4_attempts += np.size(dt)  # a stack of steps counts each
         return _rk4(eig, speed, dt, w, lin, c0, n0)
 
-    body = sample(body)
-    config_mode = body.mode
-    h, t, offset = body.h, body.t, body.center_offset
-    c = eig.forward(h)
-    r = eig.radii(c)
-    neg_f = eig.forward(-_speed_of_radii(r, speed))  # coefficients of -F at c
+    def restart(b: ConvexBody) -> tuple:
+        """Record b as a snapshot and return the recentred h, t, origin, c, r, -F's c."""
+        b = _sample(run_, ws, speed, b)
+        c = eig.forward(b.h)
+        r = eig.radii(c)
+        return b.h, b.t, b.center_offset, c, r, eig.forward(-_speed_of_radii(r, speed))
+
+    h, t, offset, c, r, neg_f = restart(body)
     dt_unit = _dt_of(ws, r, speed, config.cfl)
     run_.dt_refreshes += 1
     clock = 0.0  # stable-step units since the last snapshot
@@ -379,7 +388,7 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
     failure = STEP_UNDERFLOW
 
     def as_body(hh, tt):
-        return ConvexBody(mode=config_mode, h=hh, t=tt, center_offset=offset)
+        return ConvexBody(mode=body.mode, h=hh, t=tt, center_offset=offset)
 
     while True:
         if config.t_end is not None and config.t_end - t <= 0.0:
@@ -452,7 +461,7 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
                     if f_trial < stop_f * (1.0 + 1e-9):
                         break
             run_.steps += 1
-            sample(as_body(h_best, t + dt_best))
+            _sample(run_, ws, speed, as_body(h_best, t + dt_best))
             run_.termination = REACHED_MAX_F
             break
 
@@ -463,7 +472,7 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
         run_.dt_min = dt if run_.dt_min is None else min(run_.dt_min, dt)
         run_.dt_max = dt if run_.dt_max is None else max(run_.dt_max, dt)
         if ends:
-            sample(as_body(h, t))
+            _sample(run_, ws, speed, as_body(h, t))
             run_.termination = REACHED_T_END
             break
         # the clock takes the trapezoid of 1/dt_unit over the step, while a
@@ -474,18 +483,13 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
         clock += 0.5 * dt * (1.0 / dt_unit + 1.0 / dt_next)
         dt_unit = dt_next
         if lands or clock >= config.snapshot_every:
-            b = sample(as_body(h, t))
-            h, t, offset = b.h, b.t, b.center_offset
-            c = eig.forward(h)
-            r = eig.radii(c)
-            neg_f = eig.forward(-_speed_of_radii(r, speed))
+            h, t, offset, c, r, neg_f = restart(as_body(h, t))
             half = 0.5 * config.snapshot_every
             clock = min(max(clock - config.snapshot_every, -half), half)
 
-    if run_.termination in (CONVEXITY_LOST, STEP_UNDERFLOW):
-        if not run_.times or run_.times[-1] < t:
-            try:
-                sample(as_body(h, t))
-            except (ConvexityLost, DomainError):
-                pass
+    if run_.termination in (CONVEXITY_LOST, STEP_UNDERFLOW) and run_.snapshots[-1].t < t:
+        try:
+            _sample(run_, ws, speed, as_body(h, t))
+        except (ConvexityLost, DomainError):
+            pass
     return run_

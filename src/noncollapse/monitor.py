@@ -3,7 +3,8 @@
 The headline series is min over the body of (exterior ball curvature)/F,
 which is non-decreasing along convex runs with inverse-concave speeds; its
 interior counterpart max (interior ball curvature)/F is non-increasing for
-concave speeds.  Roundness is judged by run_verdicts on a run that reached
+concave speeds.  A MonitorRow adds to a run's Snapshot only the columns the
+monitor computes.  Roundness is judged by run_verdicts on a run that reached
 its max-F stop: the extinction sandwich r_minus^2 <= 2(T_hat - t) <= r_plus^2
 against the shrinking-sphere law, and the rescaled Hausdorff gate: monitor_rows
 scales each snapshot by 1/sqrt(2(T_hat - t)) about the final in-center and
@@ -17,13 +18,13 @@ discretisation.
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .flow import REACHED_MAX_F, FlowRun
+from .flow import REACHED_MAX_F, FlowRun, Snapshot
 from .geometry import (BallCurvatureField, ConvexBody, ball_curvature_field,
                        hausdorff_to_unit_sphere, tangent_plane_diagnostic)
 from .speeds import SpeedFunction
@@ -95,16 +96,10 @@ def assert_trend(series: Sequence[float], claim: str, slack: float,
 
 @dataclass
 class MonitorRow:
-    t: float
-    max_f: float
-    min_f: float
-    r_plus: float
-    r_minus: float
+    snapshot: Snapshot
     min_ratio_lower: Optional[float] = None
     max_ratio_upper: Optional[float] = None
     hausdorff_rescaled: Optional[float] = None
-    t_hat_lo: float = 0.0
-    t_hat_hi: float = 0.0
     diag_residual: Optional[float] = None
 
 
@@ -118,12 +113,9 @@ def monitor_rows(run: FlowRun, speed: SpeedFunction,
     """One row per snapshot.  fields=False skips the ball-curvature fields
     (the ratio and tangent-residual columns stay empty)."""
     rows = []
-    for i, body in enumerate(run.snapshots):
-        row = MonitorRow(
-            t=run.times[i], max_f=run.max_f[i], min_f=run.min_f[i],
-            r_plus=run.r_plus[i], r_minus=run.r_minus[i],
-            t_hat_lo=run.t_hat_lo[i], t_hat_hi=run.t_hat_hi[i],
-        )
+    for snap in run.snapshots:
+        body = snap.body
+        row = MonitorRow(snapshot=snap)
         if fields:
             fld = ball_curvature_field(body)
             ext = ratios(fld, speed)
@@ -131,18 +123,12 @@ def monitor_rows(run: FlowRun, speed: SpeedFunction,
             row.max_ratio_upper = ext.max_ratio_upper
             if not fld.diagonal_lower(ext.argmin_index):
                 row.diag_residual = tangent_plane_diagnostic(body, fld, ext.argmin_index)
+        s = np.sqrt(max(2.0 * (run.t_hat - body.t), 0.0))
+        if run.termination == REACHED_MAX_F and s > 0.0:
+            center_local = run.snapshots[-1].body.center_offset - body.center_offset
+            rescaled = ConvexBody(mode=body.mode, h=body.h / s, t=body.t)
+            row.hausdorff_rescaled = hausdorff_to_unit_sphere(rescaled, center_local / s)
         rows.append(row)
-
-    if run.termination == REACHED_MAX_F and rows:
-        t_hat = run.t_hat
-        p = run.snapshots[-1].center_offset
-        for i, body in enumerate(run.snapshots):
-            s = np.sqrt(max(2.0 * (t_hat - run.times[i]), 0.0))
-            if s > 0.0:
-                center_local = p - body.center_offset
-                rescaled = ConvexBody(mode=body.mode, h=body.h / s, t=body.t)
-                rows[i].hausdorff_rescaled = hausdorff_to_unit_sphere(
-                    rescaled, center_local / s)
     return rows
 
 
@@ -154,7 +140,11 @@ def write_monitor_csv(rows: Sequence[MonitorRow], path: str) -> None:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
         for r in rows:
-            w.writerow([fmt(x) for x in astuple(r)])
+            s = r.snapshot
+            w.writerow([fmt(x) for x in (s.t, s.max_f, s.min_f, s.r_plus, s.r_minus,
+                                         r.min_ratio_lower, r.max_ratio_upper,
+                                         r.hausdorff_rescaled, s.t_hat_lo, s.t_hat_hi,
+                                         r.diag_residual)])
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +155,21 @@ def run_verdicts(run: FlowRun, rows: Sequence[MonitorRow],
                  refinement_deltas: Optional[Mapping] = None) -> dict:
     """Trend verdicts and improvement gates for one run.
 
+    Every series comes from the rows and their Snapshot records, T_hat
+    from the last record; of the run only its termination is read.
+
     Slacks follow the monitor model: absolute floor plus the measured N->2N
     discretisation delta of the same series, refinement_deltas[series] for
     the series "ratio_lower", "ratio_upper" and "radii_ratio", as
     cli.refinement_deltas returns them (0 for a series not measured).
     """
     delta = refinement_deltas or {}
-    t = np.asarray(run.times)
-    rp = np.asarray(run.r_plus)
-    rm = np.asarray(run.r_minus)
+    snaps = [r.snapshot for r in rows]
+    t = np.asarray([s.t for s in snaps])
+    rp = np.asarray([s.r_plus for s in snaps])
+    rm = np.asarray([s.r_minus for s in snaps])
     verdicts = []
-    gates: dict = {"maxF_growth": run.max_f[-1] / run.max_f[0]}
+    gates: dict = {"maxF_growth": snaps[-1].max_f / snaps[0].max_f}
 
     have_fields = all(r.min_ratio_lower is not None for r in rows)
     if have_fields and len(rows) >= 3:
@@ -190,30 +184,31 @@ def run_verdicts(run: FlowRun, rows: Sequence[MonitorRow],
         gates["delta_lower_final"] = 1.0 - lower[-1]
         gates["eps_upper_final"] = upper[-1] - 1.0
 
-    if len(run.times) >= 3:
+    if len(rows) >= 3:
         verdicts.append(assert_trend(
-            run.r_plus, "non-increasing", SLACK_FLOOR, name="r_plus", times=t))
+            rp, "non-increasing", SLACK_FLOOR, name="r_plus", times=t))
         rr = rp / rm
         verdicts.append(assert_trend(
             rr, "non-increasing", RATIO_SLACK_FLOOR + delta.get("radii_ratio", 0.0),
             name="radii_ratio", times=t))
         gates["eps_radii_ratio_final"] = float(rr[-1] - 1.0)
 
-    if run.termination == REACHED_MAX_F and len(run.times) >= 10:
+    if run.termination == REACHED_MAX_F and len(rows) >= 10:
         # the sandwich r_minus^2 <= 2(T_hat - t) <= r_plus^2, its slack the
         # final interval width (T_hat is only known to half that width)
-        rem = 2.0 * (run.t_hat - t)
+        last = snaps[-1]
+        rem = 2.0 * (last.t_hat - t)
         worst = float(max((rm**2 - rem).max(), (rem - rp**2).max()))
-        slack = run.t_hat_width + SLACK_FLOOR
+        slack = last.t_hat_width + SLACK_FLOOR
         verdicts.append(TrendVerdict(
             series="extinction_sandwich", claim="sandwich", slack_used=slack,
-            passed=bool(worst <= slack), worst_violation=(float(run.times[-1]), worst)))
+            passed=bool(worst <= slack), worst_violation=(float(last.t), worst)))
         hd = [r.hausdorff_rescaled for r in rows
               if r.hausdorff_rescaled is not None and np.isfinite(r.hausdorff_rescaled)]
         if hd:
             gates["hausdorff_rescaled_final"] = float(hd[-1])
-        gates["t_hat"] = run.t_hat
-        gates["t_hat_width"] = run.t_hat_width
+        gates["t_hat"] = last.t_hat
+        gates["t_hat_width"] = last.t_hat_width
 
     return {"verdicts": [v.to_dict() for v in verdicts],
             "passed": all(v.passed for v in verdicts),

@@ -479,7 +479,7 @@ def rk4_reference_run(config, speed=None, body=None, dt_of=None):
             steps_since_sample = 0
 
     if run_.termination in (flow.CONVEXITY_LOST, flow.STEP_UNDERFLOW):
-        if not run_.times or run_.times[-1] < t:
+        if run_.snapshots[-1].t < t:
             try:
                 sample(as_body(h, t))
             except (ConvexityLost, DomainError):

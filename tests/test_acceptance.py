@@ -169,9 +169,8 @@ def test_criterion_5_sphere_exactness():
                          cfl=0.25, stop_max_f=1e3, snapshot_every=500,
                          monitor="radii")
         fr = run(cfg)
-        err = max(np.abs(b.h - np.sqrt(1 - 2 * t)).max()
-                  for t, b in zip(fr.times, fr.snapshots))
-        lo, hi = fr.t_hat_lo[-1], fr.t_hat_hi[-1]
+        err = max(np.abs(s.body.h - np.sqrt(1 - 2 * s.t)).max() for s in fr.snapshots)
+        lo, hi = fr.snapshots[-1].t_hat_lo, fr.snapshots[-1].t_hat_hi
         width = hi - lo
         contains = lo - 1e-8 <= 0.5 <= hi + 1e-8
         details.append((mode, err, width, contains))
@@ -200,12 +199,12 @@ def test_criterion_6_ratio_monotone(ellipsoid_suite):
     for speed in FIXTURE_SPEEDS:
         data = ellipsoid_suite[speed]
         fr, rows = data["run"], data["rows"]
-        growth = fr.max_f[-1] / fr.max_f[0]
+        growth = fr.snapshots[-1].max_f / fr.snapshots[0].max_f
         assert growth >= 100.0 * (1 - 1e-9), growth
         slack = 1e-4 + data["delta_lower"]
         series = [r.min_ratio_lower for r in rows]
         v = assert_trend(series, "non-decreasing", slack,
-                         name="min_ratio_lower", times=fr.times)
+                         name="min_ratio_lower", times=[s.t for s in fr.snapshots])
         details.append(f"{speed}: worst dip {v.worst_violation[1]:.2g} "
                        f"vs slack {slack:.2g}, growth {growth:.0f}x, "
                        f"{ellipsoid_suite['wall'][speed]:.0f}s")
@@ -225,17 +224,17 @@ def test_criterion_7_roundness(ellipsoid_suite):
         data = ellipsoid_suite[speed]
         for key, rkey in (("run", "rows"), ("run2", "rows2")):
             fr, rows = data[key], data[rkey]
-            rr = np.asarray(fr.r_plus) / np.asarray(fr.r_minus)
+            rr = np.array([s.r_plus / s.r_minus for s in fr.snapshots])
             v = assert_trend(rr, "non-increasing", 1e-4 + data["delta_rr"],
-                             name="radii_ratio", times=fr.times)
+                             name="radii_ratio", times=[s.t for s in fr.snapshots])
             assert v.passed, (speed, key, v)
             (sw,) = [v for v in run_verdicts(fr, rows)["verdicts"]
                      if v["series"] == "extinction_sandwich"]
             assert sw["pass"], (speed, key, sw["worst_violation"], sw["slack_used"])
         eps_n = ellipsoid_suite[speed]["run"]
         eps_2n = ellipsoid_suite[speed]["run2"]
-        ratio_n = eps_n.r_plus[-1] / eps_n.r_minus[-1] - 1.0
-        ratio_2n = eps_2n.r_plus[-1] / eps_2n.r_minus[-1] - 1.0
+        ratio_n = eps_n.snapshots[-1].r_plus / eps_n.snapshots[-1].r_minus - 1.0
+        ratio_2n = eps_2n.snapshots[-1].r_plus / eps_2n.snapshots[-1].r_minus - 1.0
         hd_n = data["rows"][-1].hausdorff_rescaled
         hd_2n = data["rows2"][-1].hausdorff_rescaled
         assert ratio_n <= 0.05, (speed, ratio_n)

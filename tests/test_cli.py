@@ -19,14 +19,14 @@ def run_cli(*argv):
 
 
 def sphere_config(tmp_path, N=48, stop_factor=20.0, monitor="radii", mode="curve",
-                  shape=None, speed="mean"):
+                  shape=None, speed="mean", snapshot_every=150):
     cfg = {
         "speed": speed,
         "body": {"mode": mode, "N": N,
                  "shape": shape or {"kind": "sphere", "radius": 1.0}},
         "cfl": 0.25,
         "stop_max_f_factor": stop_factor,
-        "snapshot_every": 150,
+        "snapshot_every": snapshot_every,
         "monitor": monitor,
     }
     path = tmp_path / "config.json"
@@ -261,6 +261,28 @@ def test_flow_non_finite_stop_exit_1(tmp_path, capsys, key, value, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"snapshot_every": float("nan")}, "snapshot_every must be a whole number"),
+    ({"snapshot_every": float("inf")}, "snapshot_every must be a whole number"),
+    ({"snapshot_every": 2.5}, "snapshot_every must be a whole number"),
+    ({"snapshot_every": 0}, "snapshot_every must be a whole number"),
+    ({"N": 64.9}, "body N must be a whole number"),
+    ({"N": "64"}, "body N must be a whole number"),
+    ({"speed": 3}, "speed must be a speed name"),
+], ids=["nan-interval", "inf-interval", "fractional-interval", "zero-interval",
+        "fractional-N", "string-N", "numeric-speed"])
+def test_flow_malformed_config_value_exit_1(tmp_path, capsys, kw, message):
+    # refused before anything is written: a NaN or infinite interval never
+    # lands a snapshot between the first and the last, so no trend verdict
+    # could run; N = 64.9 ran on 64 points; a numeric speed raised a
+    # traceback from the speed parser
+    out = tmp_path / "r"
+    assert run_cli("flow", "--config", sphere_config(tmp_path, **kw), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "error: bad config" in err and message in err
+    assert not out.exists()
+
+
 def test_flow_bad_config_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -425,10 +447,20 @@ def test_etd_convergence_script_smoke(tmp_path):
     assert json.loads(out.read_text())["problem"]["N"] == 33
 
 
-def test_ellipsoid_roundness_script_smoke():
+def test_ellipsoid_roundness_script_smoke(tmp_path, capsys):
     lines = _run_script("ellipsoid_roundness.py", "--speeds", "mean", "--grid", "33",
-                        "--growth", "3", "--snapshot-every", "50")
+                        "--growth", "3", "--snapshot-every", "50", "--out", str(tmp_path))
     assert lines[0].startswith("mean: steps ") and "passed = True" in lines[0]
+    # the script's run directory is a `flow` run directory, which report reads
+    run_dir = tmp_path / "ellipsoid-mean-N33"
+    assert lines[-1] == f"    wrote {run_dir}"
+    assert run_cli("report", str(run_dir), "--out", str(tmp_path / "rep")) == 0
+    assert "skipping" not in capsys.readouterr().err
+    (row,) = json.loads((tmp_path / "rep" / "report.json").read_text())["runs"]
+    assert (row["speed"], row["grid"], row["passed"]) == ("mean", 33, True)
+    verdicts = json.loads((run_dir / "verdicts.json").read_text())
+    assert {"config", "refinement_deltas", "counters"} <= set(verdicts)
+    assert lines[0].startswith(f"mean: steps {verdicts['counters']['steps']}, ")
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +476,31 @@ def test_benchmark_tracer_installs():
                            "from tracing import Tracer; Tracer().install()"],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_counts_a_flow(tmp_path):
+    # the tracer's flow counters read FlowRun.steps and FlowRun.snapshots:
+    # they must agree with the run directory the traced flow writes
+    cfg = sphere_config(tmp_path)
+    out = tmp_path / "run"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]))
+    code = ("import json, sys\n"
+            "from tracing import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "from noncollapse import cli\n"
+            "code = cli.main(['flow', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(json.dumps({'exit': code, 'counters': tracer.counters}))\n")
+    proc = subprocess.run([sys.executable, "-c", code, cfg, str(out)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["exit"] == 0
+    verdicts = json.loads((out / "verdicts.json").read_text())
+    snaps = list((out / "snapshots").glob("*.json"))
+    assert got["counters"]["steps"] == verdicts["counters"]["steps"] > 0
+    assert got["counters"]["snapshots"] == len(snaps) >= 3
 
 
 def test_cli_import_leaves_scipy_out():

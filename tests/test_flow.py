@@ -43,20 +43,20 @@ def absolute_h(b):
 
 def test_sphere_step_exact():
     fr = run(t_end_cfg(sphere_body(CURVE, 128), 1e-3))
-    assert fr.termination == REACHED_T_END and fr.times[-1] == 1e-3
-    assert np.abs(absolute_h(fr.snapshots[-1]) - np.sqrt(1 - 2e-3)).max() < 1e-12
+    assert fr.termination == REACHED_T_END and fr.snapshots[-1].t == 1e-3
+    assert np.abs(absolute_h(fr.snapshots[-1].body) - np.sqrt(1 - 2e-3)).max() < 1e-12
 
 
 def test_sphere_step_any_normalised_speed():
     for name in ("mean", "harmonic", "sigma-ratio:2", "power:0.5"):
         fr = run(t_end_cfg(sphere_body(AXISYMMETRIC, 65), 1e-3, speed=name))
-        assert fr.times[-1] == 1e-3
-        assert np.abs(absolute_h(fr.snapshots[-1]) - np.sqrt(1 - 2e-3)).max() < 1e-12
+        assert fr.snapshots[-1].t == 1e-3
+        assert np.abs(absolute_h(fr.snapshots[-1].body) - np.sqrt(1 - 2e-3)).max() < 1e-12
 
 
 def test_mode_consistency_on_sphere():
-    c = absolute_h(run(t_end_cfg(sphere_body(CURVE, 128), 1e-3)).snapshots[-1])
-    a = absolute_h(run(t_end_cfg(sphere_body(AXISYMMETRIC, 128), 1e-3)).snapshots[-1])
+    c = absolute_h(run(t_end_cfg(sphere_body(CURVE, 128), 1e-3)).snapshots[-1].body)
+    a = absolute_h(run(t_end_cfg(sphere_body(AXISYMMETRIC, 128), 1e-3)).snapshots[-1].body)
     assert np.abs(c - a[0]).max() < 1e-12
     assert np.abs(c - c[0]).max() < 1e-12
 
@@ -182,13 +182,14 @@ def test_per_direction_step_stable_at_cfl_max(c, N, name):
     assert ref.termination == REACHED_MAX_F
     if name == "mean":
         assert fr.steps == ref.steps
-        assert np.array_equal(fr.snapshots[-1].h, ref.snapshots[-1].h)
+        assert np.array_equal(fr.snapshots[-1].body.h, ref.snapshots[-1].body.h)
     else:
         assert fr.steps < ref.steps
-    for a, b in ((fr.times[-1], ref.times[-1]), (fr.t_hat, ref.t_hat),
-                 (fr.r_plus[-1], ref.r_plus[-1]), (fr.r_minus[-1], ref.r_minus[-1])):
+    last, last_ref = fr.snapshots[-1], ref.snapshots[-1]
+    for a, b in ((last.t, last_ref.t), (fr.t_hat, ref.t_hat),
+                 (last.r_plus, last_ref.r_plus), (last.r_minus, last_ref.r_minus)):
         assert a == pytest.approx(b, rel=1e-8, abs=0.0)
-    h, h_ref = fr.snapshots[-1].h, ref.snapshots[-1].h
+    h, h_ref = last.body.h, last_ref.body.h
     assert np.abs(h - h_ref).max() <= 1e-8 * np.abs(h_ref).max()
 
 
@@ -227,11 +228,12 @@ def test_etd_matches_rk4_reference(case):
     fr, ref = run(cfg), rk4_reference_run(cfg)
     assert fr.termination == ref.termination == REACHED_MAX_F
     assert fr.counters["rollbacks"] == 0
-    assert len(fr.times) == len(ref.times)
-    for a, b in ((fr.times[-1], ref.times[-1]), (fr.t_hat, ref.t_hat),
-                 (fr.r_plus[-1], ref.r_plus[-1]), (fr.r_minus[-1], ref.r_minus[-1])):
+    assert len(fr.snapshots) == len(ref.snapshots)
+    last, last_ref = fr.snapshots[-1], ref.snapshots[-1]
+    for a, b in ((last.t, last_ref.t), (fr.t_hat, ref.t_hat),
+                 (last.r_plus, last_ref.r_plus), (last.r_minus, last_ref.r_minus)):
         assert a == pytest.approx(b, rel=1e-9, abs=0.0)
-    h, h_ref = fr.snapshots[-1].h, ref.snapshots[-1].h
+    h, h_ref = last.body.h, last_ref.body.h
     assert np.abs(h - h_ref).max() <= 1e-9 * np.abs(h_ref).max()
     assert fr.steps < ref.steps
 
@@ -250,11 +252,13 @@ def test_coefficient_radii_run_matches_grid_radii_run(monkeypatch):
               "bisection_iterations")
     assert [fr.counters[k] for k in counts] == [ref.counters[k] for k in counts]
     assert fr.termination == ref.termination == REACHED_MAX_F
-    assert len(fr.times) == len(ref.times)
+    assert len(fr.snapshots) == len(ref.snapshots)
     for a, b in zip(fr.snapshots, ref.snapshots):
         assert a.t == pytest.approx(b.t, rel=1e-10, abs=0.0)
-        assert np.abs(a.h - b.h).max() <= 1e-10 * np.abs(b.h).max()
-    for a, b in ((fr.r_plus, ref.r_plus), (fr.r_minus, ref.r_minus), (fr.max_f, ref.max_f)):
+        assert np.abs(a.body.h - b.body.h).max() <= 1e-10 * np.abs(b.body.h).max()
+    for key in ("r_plus", "r_minus", "max_f"):
+        a = [getattr(s, key) for s in fr.snapshots]
+        b = [getattr(s, key) for s in ref.snapshots]
         assert np.abs(np.subtract(a, b)).max() <= 1e-10 * np.abs(b).max()
 
 
@@ -322,8 +326,8 @@ def test_area_loss_rate_curve_shortening():
     t_target = 0.02
     fr = run(t_end_cfg({"mode": "curve", "N": 256,
                         "shape": {"kind": "ellipse", "a": 1.0, "b": 1.3}}, t_target))
-    assert fr.times[-1] == t_target
-    a0, a1 = area(fr.snapshots[0]), area(fr.snapshots[-1])
+    assert fr.snapshots[-1].t == t_target
+    a0, a1 = area(fr.snapshots[0].body), area(fr.snapshots[-1].body)
     assert a1 - a0 == pytest.approx(-2 * np.pi * t_target, rel=1e-8)
 
 
@@ -335,11 +339,11 @@ def test_sphere_run_exactness_and_extinction():
     for mode in (CURVE, AXISYMMETRIC):
         fr = run(sphere_cfg(mode, 64))
         assert fr.termination == REACHED_MAX_F
-        for t, b in zip(fr.times, fr.snapshots):
-            assert np.abs(b.h - np.sqrt(1 - 2 * t)).max() < 1e-8
+        for s in fr.snapshots:
+            assert np.abs(s.body.h - np.sqrt(1 - 2 * s.t)).max() < 1e-8
         assert fr.t_hat == pytest.approx(0.5, abs=1e-8)
         assert fr.t_hat_width < 1e-6
-        assert fr.max_f[-1] == pytest.approx(100.0, rel=1e-6)
+        assert fr.snapshots[-1].max_f == pytest.approx(100.0, rel=1e-6)
 
 
 def test_run_reaches_t_end():
@@ -349,7 +353,7 @@ def test_run_reaches_t_end():
     cfg.stop_max_f = 1e9
     fr = run(cfg)
     assert fr.termination == REACHED_T_END
-    assert fr.times[-1] == pytest.approx(0.05, abs=1e-12)
+    assert fr.snapshots[-1].t == pytest.approx(0.05, abs=1e-12)
 
 
 def test_run_rejects_nonconvex_initial():
@@ -390,10 +394,10 @@ def test_parabolic_rescaling_invariance():
                       cfl=0.25, stop_max_f_factor=20.0, snapshot_every=100,
                       monitor="radii")
     r1, r2 = run(cfg1), run(cfg2)
-    assert len(r1.times) == len(r2.times)
-    for t1, b1, t2, b2 in zip(r1.times, r1.snapshots, r2.times, r2.snapshots):
-        assert t2 == pytest.approx(s**2 * t1, rel=1e-10, abs=1e-14)
-        assert np.abs(b2.h - s * b1.h).max() < 1e-8
+    assert len(r1.snapshots) == len(r2.snapshots)
+    for s1, s2 in zip(r1.snapshots, r2.snapshots):
+        assert s2.t == pytest.approx(s**2 * s1.t, rel=1e-10, abs=1e-14)
+        assert np.abs(s2.body.h - s * s1.body.h).max() < 1e-8
 
 
 def test_avoidance_interval_nesting():
@@ -404,8 +408,8 @@ def test_avoidance_interval_nesting():
                      monitor="radii")
     fr = run(cfg)
     assert fr.termination == REACHED_MAX_F
-    lo = np.array(fr.t_hat_lo)
-    hi = np.array(fr.t_hat_hi)
+    lo = np.array([s.t_hat_lo for s in fr.snapshots])
+    hi = np.array([s.t_hat_hi for s in fr.snapshots])
     width = hi - lo
     assert np.all(lo <= hi + 1e-12)
     # successive intervals intersect and are nested up to monitor tolerance
@@ -413,7 +417,7 @@ def test_avoidance_interval_nesting():
     assert np.all(hi[1:] <= hi[:-1] + (1e-6 + 0.02 * width[:-1]))
     assert np.all(np.diff(width) <= 1e-6 + 0.02 * width[:-1])
     # enclosing spheres shrink strictly
-    assert np.all(np.diff(np.array(fr.r_plus)) < 0)
+    assert np.all(np.diff([s.r_plus for s in fr.snapshots]) < 0)
     assert fr.steps > 0
 
 
@@ -427,8 +431,8 @@ def test_refinement_convergence_order():
     def h_at(N):
         fr = run(t_end_cfg({"mode": "curve", "N": N,
                             "shape": {"kind": "ellipse", "a": 1.0, "b": 1.3}}, t_star))
-        assert fr.times[-1] == t_star
-        return absolute_h(fr.snapshots[-1])
+        assert fr.snapshots[-1].t == t_star
+        return absolute_h(fr.snapshots[-1].body)
 
     h32, h64, h128 = h_at(32), h_at(64), h_at(128)
     d1 = np.abs(h32 - h64[::2]).max()

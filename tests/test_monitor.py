@@ -92,13 +92,13 @@ def test_trend_needs_three_samples():
 def test_monitor_rows_sphere(sphere_run):
     sp = build_speed("mean", CURVE)
     rows = monitor_rows(sphere_run, sp)
-    assert len(rows) == len(sphere_run.times)
+    assert len(rows) == len(sphere_run.snapshots)
     for r in rows:
         assert r.min_ratio_lower == pytest.approx(1.0, abs=1e-10)
         assert r.max_ratio_upper == pytest.approx(1.0, abs=1e-10)
         assert r.hausdorff_rescaled is not None
         assert r.hausdorff_rescaled < 1e-6
-        assert r.t_hat_lo <= r.t_hat_hi + 1e-15
+        assert r.snapshot.t_hat_lo <= r.snapshot.t_hat_hi + 1e-15
 
 
 def test_diagonal_ties_survive_perturbation():
@@ -118,16 +118,17 @@ def test_diagonal_ties_survive_perturbation():
         return np.concatenate([fld.witness_lower[:, 0] < 0, fld.witness_upper[:, 0] < 0])
 
     cells = [r.diag_residual is None for r in monitor_rows(fr, sp)]
-    rows = [diagonal_rows(b) for b in fr.snapshots]
+    rows = [diagonal_rows(s.body) for s in fr.snapshots]
     assert len(cells) > 10
     rng = np.random.default_rng(96)
     for _ in range(3):
-        snaps = [replace(b, h=b.h * (1.0 + 1e-13 * rng.standard_normal(b.N)))
-                 for b in fr.snapshots]
+        snaps = [replace(s, body=replace(s.body, h=s.body.h * (1.0 + 1e-13 *
+                                                              rng.standard_normal(s.body.N))))
+                 for s in fr.snapshots]
         assert [r.diag_residual is None
                 for r in monitor_rows(replace(fr, snapshots=snaps), sp)] == cells
-        for b, d in zip(snaps, rows):
-            assert np.array_equal(diagonal_rows(b), d)
+        for s, d in zip(snaps, rows):
+            assert np.array_equal(diagonal_rows(s.body), d)
 
 
 def test_monitor_csv_schema(tmp_path, sphere_run):
@@ -141,7 +142,7 @@ def test_monitor_csv_schema(tmp_path, sphere_run):
     assert len(got) == len(rows) + 1
     # radii-only rows leave the field columns empty
     assert got[1][5] == "" and got[1][10] == ""
-    assert float(got[1][0]) == rows[0].t
+    assert float(got[1][0]) == rows[0].snapshot.t
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,7 @@ def test_roundness_requires_ten_snapshots():
                               "shape": {"kind": "sphere", "radius": 1.0}},
                         cfl=0.25, stop_max_f_factor=2.0, snapshot_every=120,
                         monitor="radii"))
-    assert fr.termination == REACHED_MAX_F and 3 <= len(fr.times) < 10
+    assert fr.termination == REACHED_MAX_F and 3 <= len(fr.snapshots) < 10
     out = run_verdicts(fr, monitor_rows(fr, build_speed("mean", CURVE), fields=False))
     assert not _sandwich(out)
     assert "t_hat" not in out["gates"]
@@ -203,8 +204,9 @@ def test_roundness_requires_ten_snapshots():
 
 
 def test_roundness_flags_synthetic_sandwich_violation(sphere_run):
-    bad = replace(sphere_run, r_minus=list(sphere_run.r_minus))
-    bad.r_minus[3] = bad.r_plus[3] * 1.5  # impossible inradius
+    snaps = list(sphere_run.snapshots)
+    snaps[3] = replace(snaps[3], r_minus=snaps[3].r_plus * 1.5)  # impossible inradius
+    bad = replace(sphere_run, snapshots=snaps)
     out = run_verdicts(bad, monitor_rows(bad, build_speed("mean", CURVE), fields=False))
     (sw,) = _sandwich(out)
     assert not sw["pass"] and not out["passed"]
@@ -230,8 +232,9 @@ def test_ellipsoid_trends_both_sided():
     lower = [r.min_ratio_lower for r in rows]
     upper = [r.max_ratio_upper for r in rows]
     slack = 1e-4 + 5e-4  # floor + coarse-grid discretisation allowance at N=96
-    assert assert_trend(lower, "non-decreasing", slack, times=fr.times).passed
-    assert assert_trend(upper, "non-increasing", slack, times=fr.times).passed
+    t = [s.t for s in fr.snapshots]
+    assert assert_trend(lower, "non-decreasing", slack, times=t).passed
+    assert assert_trend(upper, "non-increasing", slack, times=t).passed
     assert lower[-1] > lower[0] + 0.3
     assert upper[-1] < upper[0] - 0.3
     assert 1.0 - lower[-1] < 0.15 and upper[-1] - 1.0 < 0.15
