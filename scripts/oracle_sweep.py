@@ -12,6 +12,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from noncollapse.cli import non_negative_int, positive_int  # noqa: E402
 from noncollapse.oracle import (boundary_suite, counterexample_search,  # noqa: E402
                                 interior_suite)
 from noncollapse.speeds import parse_speed  # noqa: E402
@@ -21,9 +22,9 @@ CATALOG = ["mean", "harmonic", "sigma-ratio:2", "sigma-root:2", "power:-1", "pow
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--trials", type=int, default=2000)
-    ap.add_argument("--dims", type=int, nargs="+", default=[2, 3])
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--trials", type=positive_int, default=2000)
+    ap.add_argument("--dims", type=positive_int, nargs="+", default=[2, 3])
+    ap.add_argument("--seed", type=non_negative_int, default=0)
     args = ap.parse_args(argv)
 
     print(f"{'speed':<14}{'n':>3}  {'interior min/tol':>18}  {'boundary min/tol':>18}")

@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("certify", help="certify concavity / inverse-concavity of a speed")
     c.add_argument("--speed", required=True)
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=positive_int, required=True)
     c.add_argument("--property", choices=PROPERTIES)
     c.add_argument("--trials", type=positive_int, default=2000)
     c.add_argument("--seed", type=non_negative_int, default=0)
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="2.2 = interior (shifted-inverse) estimate, "
                         "2.5 = boundary (smallest-eigenvalue) estimate")
     o.add_argument("--speed", required=True)
-    o.add_argument("--n", type=int, required=True)
+    o.add_argument("--n", type=positive_int, required=True)
     o.add_argument("--trials", type=positive_int, default=10000)
     o.add_argument("--seed", type=non_negative_int, default=0)
     o.add_argument("--out")

@@ -79,7 +79,7 @@ class SpeedFunction:
 
     def _check_normalisation(self) -> None:
         v = self.value(np.ones(self.n))
-        if abs(v - 1.0) > 1e-12:
+        if not abs(v - 1.0) <= 1e-12:  # NaN fails too
             raise AssertionError(f"{self.name}: value at ones is {v!r}, not 1")
 
     # -- batch interface --------------------------------------------------------
@@ -146,6 +146,8 @@ class PowerMean(SpeedFunction):
     """((1/n) sum z_i^p)^(1/p); the geometric mean for p = 0."""
 
     def __init__(self, n: int, p: float):
+        if not np.isfinite(p):
+            raise ValueError(f"power mean needs a finite p, got {p!r}")
         self.n = int(n)
         self.p = float(p)
         self.name = f"power:{p:g}"

@@ -949,6 +949,20 @@ def interior_draw_reference(n, rng):
     return A, b, k
 
 
+def interior_gaps_reference(f, A, b, k):
+    """Interior gaps and tolerance scales of stacked samples A (m, n, n),
+    b (m, n), k (m,) by the matrix path: one stacked eigh of A gives F(A)
+    and G = dF(A), then F(B) - F(A) - tr[G((A-kI) - (A-kI)(B-kI)^-1 (A-kI))]."""
+    n = b.shape[1]
+    lam, U = np.linalg.eigh(A)
+    FA = f.value_many(lam)
+    G = np.einsum("mik,mk,mjk->mij", U, f.grad_many(lam), U)
+    M = A - k[:, None, None] * np.eye(n)[None, :, :]
+    inner = M - np.einsum("mij,mj,mjl->mil", M, 1.0 / (b - k[:, None]), M)
+    gaps = f.value_many(b) - FA - np.einsum("mij,mij->m", G, inner)
+    return gaps, 1.0 + np.abs(FA)
+
+
 def boundary_draw_reference(n, rng):
     """(lam, B) of one boundary trial, drawn one trial at a time."""
     lam = np.sort(10.0 ** rng.uniform(-2.0, 2.0, n))

@@ -1,7 +1,7 @@
 """Each stacked fast path against its per-sample reference in oracles.py:
-the batched Hessians, boundary terms, trial draws, certify and the
-counterexample search.  Tolerances are multiples of eps times a stated
-scale; draws and certify reports must be identical."""
+the batched Hessians, boundary terms, interior gaps, trial draws, certify
+and the counterexample search.  Tolerances are multiples of eps times a
+stated scale; draws, witnesses and certify reports must be identical."""
 import dataclasses
 import itertools
 
@@ -11,12 +11,15 @@ import pytest
 from noncollapse import speeds
 from noncollapse.oracle import (BoundarySample, _boundary_draws,
                                 _boundary_terms_many, _interior_draws,
-                                boundary_suite, counterexample_search)
+                                _interior_matrices, boundary_suite,
+                                counterexample_search, interior_gaps_batched,
+                                interior_suite)
 from noncollapse.speeds import GAP_TOL, SpeedFunction, certify, parse_speed
 
 from oracles import (boundary_draw_reference, boundary_terms_reference,
                      certify_reference, counterexample_search_reference,
-                     hess_reference, interior_draw_reference)
+                     hess_reference, interior_draw_reference,
+                     interior_gaps_reference)
 
 EPS = np.finfo(float).eps
 CATALOG = ["mean", "harmonic", "sigma-ratio:2", "sigma-root:2", "power:-1",
@@ -116,17 +119,85 @@ def test_boundary_suite_witness_is_the_reference_argmin():
 
 
 # ---------------------------------------------------------------------------
+# Interior gaps
+# ---------------------------------------------------------------------------
+
+# The closed form evaluates each gap in the basis its trial was drawn in.  The
+# matrix-path reference recovers that basis by eigh of the formed A and
+# subtracts kI in the original basis, so it carries errors of about eps max(a)
+# in the eigenvalues and in A - kI, amplified by the gradient and by the
+# resolvent (B - kI)^-1; the gap itself rounds to about eps |f(b)|.  Scale:
+# 1 + |f(b)| + max(a) sum|g| (1 + max(s) / min(b - k)), s = a - k and
+# g = grad f(a).  Measured worst: 4.7 eps scale on the samples below, 6.3 over
+# 6000 trials per n with the same clustering and shifts; 1.6 for the
+# tolerance scales 1 + |f(a)|.
+INTERIOR_C = 16.0
+
+
+def _interior_cond(f, a, b, k):
+    s = a - k[:, None]
+    return 1.0 + np.abs(f.value_many(b)) + (
+        a.max(axis=1) * np.abs(f.grad_many(a)).sum(axis=1)
+        * (1.0 + s.max(axis=1) / (b - k[:, None]).min(axis=1)))
+
+
+def _interior_stack(n, m, seed):
+    """Drawn trials, then a third with a[1] equal to a[0] to 1e-9 relative,
+    a third with all of a equal to 1e-9 relative, and every other trial
+    shifted to k = 0.9 min(a, b), the top of the sampler's range."""
+    a, Q, b, k = _interior_draws(n, _rngs(seed, m), m)
+    if n > 1:
+        a[::3, 1] = a[::3, 0] * (1.0 + 1e-9)
+        jitter = np.random.default_rng(seed).uniform(-1.0, 1.0, a[1::3].shape)
+        a[1::3] = a[1::3, :1] * (1.0 + 1e-9 * jitter)
+    k[::2] = 0.9 * np.minimum(a.min(axis=1), b.min(axis=1))[::2]
+    return a, Q, b, k
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_interior_gaps_match_matrix_reference(n):
+    m = 300
+    a, Q, b, k = _interior_stack(n, m, seed=90 + n)
+    A = _interior_matrices(a, Q)
+    for f in catalog(n):
+        gaps, scales = interior_gaps_batched(f, a, Q, b, k)
+        ref_gaps, ref_scales = interior_gaps_reference(f, A, b, k)
+        bound = INTERIOR_C * EPS * _interior_cond(f, a, b, k)
+        assert np.all(np.abs(gaps - ref_gaps) <= bound), \
+            (f.name, np.max(np.abs(gaps - ref_gaps) * INTERIOR_C / bound))
+        assert np.all(np.abs(scales - ref_scales) <= bound), f.name
+
+
+def test_interior_suite_witness_is_the_reference_draw():
+    f = parse_speed("power:-2", 3)
+    trials, seed = 400, 62
+    rep = interior_suite(f, trials=trials, seed=seed)
+    draws = [interior_draw_reference(3, np.random.default_rng((seed, t)))
+             for t in range(trials)]
+    A, b, k = (np.array(x) for x in zip(*draws))
+    gaps, scales = interior_gaps_reference(f, A, b, k)
+    worst = int(np.argmin(gaps / (1e-7 * scales)))
+    assert rep["witness"] == {"A": A[worst].tolist(), "B_diag": b[worst].tolist(),
+                              "k": k[worst]}
+    cond = _interior_cond(f, np.linalg.eigvalsh(A[[worst]]), b[[worst]], k[[worst]])
+    assert abs(rep["min_value"] - gaps[worst]) <= INTERIOR_C * EPS * cond[0]
+
+
+# ---------------------------------------------------------------------------
 # Draws
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_batched_draws_bit_identical(n):
     m = 300
-    A, b, k = _interior_draws(n, _rngs(71, m), m)
+    a, Q, b, k = _interior_draws(n, _rngs(71, m), m)
+    A = _interior_matrices(a, Q)
     lam, B = _boundary_draws(n, _rngs(72, m), m)
     for t in range(m):
         A_ref, b_ref, k_ref = interior_draw_reference(n, np.random.default_rng((71, t)))
         assert np.array_equal(A[t], A_ref)
+        # one trial's matrix, as the witness and the search form it
+        assert np.array_equal(_interior_matrices(a[t], Q[t]), A_ref)
         assert np.array_equal(b[t], b_ref)
         assert k[t] == k_ref
         lam_ref, B_ref = boundary_draw_reference(n, np.random.default_rng((72, t)))

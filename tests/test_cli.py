@@ -69,6 +69,25 @@ def test_zero_trials_usage_error(capsys, command):
     assert "argument --trials: must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("command", [["certify"], ["oracle", "--prop", "2.2"],
+                                     ["oracle", "--prop", "2.5"]])
+def test_non_positive_n_usage_error(capsys, command, n):
+    # --n 0 ended in a traceback: a zero-size min in the interior draws, an
+    # IndexError in certify
+    assert run_cli(*command, "--speed", "mean", "--n", n) == 1
+    assert "argument --n: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [["certify"], ["oracle", "--prop", "2.2"],
+                                     ["oracle", "--prop", "2.5"]])
+def test_non_finite_power_usage_error(capsys, command, p):
+    # power:nan passed the normalisation check and reported "tol": NaN
+    assert run_cli(*command, "--speed", f"power:{p}", "--n", "3", "--trials", "50") == 1
+    assert "power mean needs a finite p" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["certify"], ["oracle", "--prop", "2.2"]])
 def test_negative_seed_usage_error(capsys, command):
     assert run_cli(*command, "--speed", "mean", "--n", "2", "--seed", "-1") == 1
@@ -269,13 +288,17 @@ def test_flow_non_finite_stop_exit_1(tmp_path, capsys, key, value, argv):
     ({"N": 64.9}, "body N must be a whole number"),
     ({"N": "64"}, "body N must be a whole number"),
     ({"speed": 3}, "speed must be a speed name"),
+    ({"speed": "power:nan"}, "power mean needs a finite p"),
+    ({"speed": "power:inf"}, "power mean needs a finite p"),
+    ({"speed": "power:-inf"}, "power mean needs a finite p"),
 ], ids=["nan-interval", "inf-interval", "fractional-interval", "zero-interval",
-        "fractional-N", "string-N", "numeric-speed"])
+        "fractional-N", "string-N", "numeric-speed", "nan-power", "inf-power",
+        "minus-inf-power"])
 def test_flow_malformed_config_value_exit_1(tmp_path, capsys, kw, message):
     # refused before anything is written: a NaN or infinite interval never
     # lands a snapshot between the first and the last, so no trend verdict
     # could run; N = 64.9 ran on 64 points; a numeric speed raised a
-    # traceback from the speed parser
+    # traceback from the speed parser; power:nan died in the step ladder
     out = tmp_path / "r"
     assert run_cli("flow", "--config", sphere_config(tmp_path, **kw), "--out", str(out)) == 1
     err = capsys.readouterr().err
@@ -416,13 +439,18 @@ def test_flow_rerun_byte_identical(tmp_path):
 # experiment scripts
 # ---------------------------------------------------------------------------
 
-def test_oracle_sweep_script_smoke(capsys):
+def _oracle_sweep():
     import importlib.util
 
     path = os.path.join(os.path.dirname(__file__), "..", "scripts", "oracle_sweep.py")
     spec = importlib.util.spec_from_file_location("oracle_sweep", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_oracle_sweep_script_smoke(capsys):
+    script = _oracle_sweep()
     script.main(["--trials", "50", "--dims", "2"])
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split() == ["speed", "n", "interior", "min/tol", "boundary", "min/tol"]
@@ -430,6 +458,19 @@ def test_oracle_sweep_script_smoke(capsys):
     assert [r[0] for r in rows] == script.CATALOG
     assert all(r[1] == "2" and float(r[2]) >= -1.0 and float(r[3]) >= -1.0 for r in rows)
     assert lines[-1].startswith("negative control power:-2: gap")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--trials", "0"], "argument --trials: must be >= 1"),
+    (["--dims", "2", "0"], "argument --dims: must be >= 1"),
+    (["--seed", "-1"], "argument --seed: must be >= 0"),
+])
+def test_oracle_sweep_script_refuses_out_of_range_arguments(capsys, argv, message):
+    # each ended in a ValueError traceback from the suites or the streams
+    with pytest.raises(SystemExit) as exc:
+        _oracle_sweep().main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def _run_script(name, *argv):

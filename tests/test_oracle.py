@@ -336,14 +336,12 @@ def test_closed_form_lambda_dominates_random_boundary():
 # ---------------------------------------------------------------------------
 
 def test_batched_gaps_match_scalar_path():
-    from noncollapse.oracle import interior_gaps_batched
+    from noncollapse.oracle import _interior_draws, interior_gaps_batched
 
     f = parse_speed("sigma-root:2", 5)
+    rngs = (np.random.default_rng((31, t)) for t in range(60))
+    gaps, scales = interior_gaps_batched(f, *_interior_draws(5, rngs, 60))
     samples = [sample_interior(f, np.random.default_rng((31, t))) for t in range(60)]
-    A = np.stack([s.A for s in samples])
-    b = np.stack([np.diag(s.B) for s in samples])
-    k = np.array([s.k for s in samples])
-    gaps, scales = interior_gaps_batched(f, A, b, k)
     for i, s in enumerate(samples):
         assert gaps[i] == pytest.approx(interior_gap(s), rel=1e-9, abs=1e-9)
         assert scales[i] == pytest.approx(interior_scale(s), rel=1e-9)

@@ -34,6 +34,16 @@ def test_normalisation_point():
             assert abs(f.value(np.ones(n)) - 1.0) < 1e-12
 
 
+def test_normalisation_check_refuses_nan():
+    # abs(nan - 1.0) > 1e-12 is False: a NaN value at ones used to pass
+    class NaNMean(ArithmeticMean):
+        def _v(self, Z):
+            return np.full(len(Z), np.nan)
+
+    with pytest.raises(AssertionError, match="not 1"):
+        NaNMean(2)
+
+
 def test_harmonic_value():
     assert HarmonicMean(2).value([1, 2]) == pytest.approx(4 / 3, abs=1e-14)
 
