@@ -3,10 +3,11 @@ non-collapsing: the interior estimate (shifted-inverse comparison with the
 closed-form optimal mixing matrix) and the boundary estimate (quadratic form
 with smallest-eigenvalue resolvent weights).
 
-Samplers are deterministic per (seed, trial index), so a witness can be
-replayed from its trial alone.  An interior trial is drawn as the
-eigendecomposition A = Q diag(a) Q^T and its gap evaluated in that basis;
-the matrix A is formed only where a sample is recorded or replayed.
+Trial t of a suite is drawn from its row of speeds.trial_uniforms(seed,
+trials, width), so a witness replays from (seed, t) alone.  An interior
+trial is drawn as the eigendecomposition A = Q diag(a) Q^T and its gap
+evaluated in that basis; the matrix A is formed only where a sample is
+recorded or replayed.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularShift
-from .speeds import GAP_TOL, SpeedFunction, hess_form_terms, matrix_eval, sum_terms, trial_rngs
+from .speeds import (GAP_TOL, SpeedFunction, hess_form_terms, matrix_eval, sum_terms,
+                     trial_uniforms)
 
 _SHIFT_FLOOR = 1e-12
 
@@ -123,28 +125,48 @@ def q_second_derivative_check(f: SpeedFunction, a, z, k: float):
     return lhs, rhs
 
 
-def _interior_draws(n: int, rngs, m: int):
-    """Stacked raw (a, Q, b, k) of one interior trial for each of m
-    Generators: A = Q diag(a) Q^T (formed by _interior_matrices) with a
-    log-uniform spectrum in [1e-2, 1e2] and Q a random rotation; B = diag(b),
-    b log-uniform in the same range; k uniform in [0, 0.9 min eig).  Each
-    Generator draws the standard doubles of a, then b, the Gaussian matrix,
-    then the double of k; the scaling, QR and shift run on the stack
-    (uniform(lo, hi) is lo + (hi - lo) times the same double).  Nonnegative
+def _normals(U: np.ndarray, count: int) -> np.ndarray:
+    """(m, count) standard normals from the (m, 2 ceil(count/2)) uniforms U
+    by Box-Muller: the first half of the columns gives the radii
+    sqrt(-2 log(1 - u)), finite at u = 0, and the second half the angles."""
+    p = U.shape[1] // 2
+    r = np.sqrt(-2.0 * np.log1p(-U[:, :p]))
+    theta = 2.0 * np.pi * U[:, p:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=1)[:, :count]
+
+
+def _normal_width(n: int) -> int:
+    """Uniforms per trial that _normals turns into an n x n Gaussian matrix."""
+    return 2 * ((n * n + 1) // 2)
+
+
+def _rotations(G: np.ndarray) -> np.ndarray:
+    """The orthonormal Q of G = QR with diag(R) > 0, for a stack G (m, n, n):
+    modified Gram-Schmidt on the columns, run twice so that Q^T Q = I to
+    rounding however ill-conditioned G is."""
+    V = np.moveaxis(G, 2, 0).copy()  # V[j] is column j of every matrix, (m, n)
+    for _ in range(2):
+        for j in range(len(V)):
+            for i in range(j):
+                V[j] -= (V[i] * V[j]).sum(axis=1)[:, None] * V[i]
+            V[j] /= np.sqrt((V[j] * V[j]).sum(axis=1))[:, None]
+    return np.ascontiguousarray(np.moveaxis(V, 0, 2))
+
+
+def _interior_draws(n: int, seed: int, trials):
+    """Stacked raw (a, Q, b, k) of the interior trials with indices trials:
+    A = Q diag(a) Q^T (formed by _interior_matrices) with a log-uniform
+    spectrum in [1e-2, 1e2] and Q a random rotation; B = diag(b), b
+    log-uniform in the same range; k uniform in [0, 0.9 min eig).  A trial's
+    2n + 1 + _normal_width(n) uniforms give a, then b, then k, then the
+    Gaussian matrix whose Gram-Schmidt Q is the rotation.  Nonnegative
     shifts only: the estimate is provably false for k < 0 (see the
     harmonic-mean counterexample test)."""
-    U = np.empty((m, 2 * n))
-    G = np.empty((m, n, n))
-    r = np.empty(m)
-    for i, rng in enumerate(rngs):
-        rng.random(out=U[i])
-        rng.standard_normal(out=G[i])
-        r[i] = rng.random()
-    ab = 10.0 ** (-2.0 + 4.0 * U)
+    U = trial_uniforms(seed, trials, 2 * n + 1 + _normal_width(n))
+    ab = 10.0 ** (-2.0 + 4.0 * U[:, :2 * n])
     a, b = ab[:, :n], ab[:, n:]
-    Q, R = np.linalg.qr(G)
-    Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
-    k = 0.9 * np.minimum(a.min(axis=1), b.min(axis=1)) * r
+    k = 0.9 * np.minimum(a.min(axis=1), b.min(axis=1)) * U[:, 2 * n]
+    Q = _rotations(_normals(U[:, 2 * n + 1:], n * n).reshape(-1, n, n))
     return a, Q, b, k
 
 
@@ -155,16 +177,11 @@ def _interior_matrices(a: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
-def _interior_draw(f: SpeedFunction, rng: np.random.Generator):
-    """The (A, b, k) of one interior trial; see _interior_draws."""
-    a, Q, b, k = _interior_draws(f.n, [rng], 1)
+def _interior_draw(f: SpeedFunction, seed: int, t: int):
+    """The (A, b, k) of interior trial t alone, bit for bit as in any
+    stack that holds it; see _interior_draws."""
+    a, Q, b, k = _interior_draws(f.n, seed, [t])
     return _interior_matrices(a[0], Q[0]), b[0], float(k[0])
-
-
-def sample_interior(f: SpeedFunction, rng: np.random.Generator) -> InteriorSample:
-    """The draw of _interior_draw, validated as an InteriorSample."""
-    A, b, k = _interior_draw(f, rng)
-    return InteriorSample(A=A, B=np.diag(b), k=k, f=f)
 
 
 def interior_gaps_batched(f: SpeedFunction, a: np.ndarray, Q: np.ndarray,
@@ -301,23 +318,16 @@ def brute_force_boundary(s: BoundarySample, restarts: int = 8, seed: int = 0) ->
     return float(best)
 
 
-def _boundary_draws(n: int, rngs, m: int):
-    """Stacked (lam, B) of one boundary trial for each of m Generators:
-    ascending log-uniform eigenvalues in [1e-2, 1e2] and a symmetrised
-    standard normal B with B[0,0] = 0 (draw order as in _interior_draws)."""
-    U = np.empty((m, n))
-    G = np.empty((m, n, n))
-    for i, rng in enumerate(rngs):
-        rng.random(out=U[i])
-        rng.standard_normal(out=G[i])
+def _boundary_draws(n: int, seed: int, trials):
+    """Stacked (lam, B) of the boundary trials with indices trials: ascending
+    log-uniform eigenvalues in [1e-2, 1e2] from a trial's first n uniforms,
+    and from the next _normal_width(n) a symmetrised standard normal B with
+    B[0,0] = 0."""
+    U = trial_uniforms(seed, trials, n + _normal_width(n))
+    G = _normals(U[:, n:], n * n).reshape(-1, n, n)
     B = 0.5 * (G + G.transpose(0, 2, 1))
     B[:, 0, 0] = 0.0
-    return np.sort(10.0 ** (-2.0 + 4.0 * U), axis=1), B
-
-
-def sample_boundary(f: SpeedFunction, rng: np.random.Generator) -> BoundarySample:
-    lam, B = _boundary_draws(f.n, [rng], 1)
-    return BoundarySample(lam=lam[0], B=B[0], f=f)
+    return np.sort(10.0 ** (-2.0 + 4.0 * U[:, :n]), axis=1), B
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +336,14 @@ def sample_boundary(f: SpeedFunction, rng: np.random.Generator) -> BoundarySampl
 
 def _suite(proposition: str, f: SpeedFunction, trials: int, seed: int,
            draws, evaluate, witness) -> dict:
-    """The report of one suite: draws(n, rngs, m) stacks one sample per
+    """The report of one suite: draws(n, seed, trials) stacks one sample per
     trial, evaluate(f, *stack) gives their values and tolerance scales, and
     witness(*sample) records the worst trial's sample when its value is
     below -1e-7 times its scale."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
-    stack = draws(f.n, trial_rngs(seed, range(trials)), trials)
+    stack = draws(f.n, seed, np.arange(trials))
     values, scales = evaluate(f, *stack)
     scaled = values / (1e-7 * scales)
     worst = int(np.argmin(scaled))
@@ -381,8 +391,8 @@ def counterexample_search(f: SpeedFunction, trials: int, seed: int = 0,
     over 1500 drawn trials of each catalog speed at n = 2, 3 and 5, well
     inside the screen."""
     for start in range(0, trials, _SEARCH_CHUNK):
-        chunk = range(start, min(start + _SEARCH_CHUNK, trials))
-        a, Q, b, k = _interior_draws(f.n, trial_rngs(seed, chunk), len(chunk))
+        chunk = np.arange(start, min(start + _SEARCH_CHUNK, trials))
+        a, Q, b, k = _interior_draws(f.n, seed, chunk)
         gaps, scales = interior_gaps_batched(f, a, Q, b, k)
         for i in np.flatnonzero(gaps < threshold + 1e-6 * scales):
             s = InteriorSample(A=_interior_matrices(a[i], Q[i]), B=np.diag(b[i]),
@@ -390,7 +400,7 @@ def counterexample_search(f: SpeedFunction, trials: int, seed: int = 0,
             gap = interior_gap(s)
             if gap < threshold:
                 return {
-                    "trial": chunk[i],
+                    "trial": int(chunk[i]),
                     "gap": float(gap),
                     "A": s.A.tolist(),
                     "B_diag": b[i].tolist(),

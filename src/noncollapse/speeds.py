@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -56,9 +56,32 @@ def _e_col(E: np.ndarray, k: int) -> np.ndarray:
     return E[:, k] if 0 <= k < E.shape[1] else np.zeros(E.shape[0])
 
 
-def _without_one(Z: np.ndarray, k: int) -> np.ndarray:
-    """(m, n): e_k of each row of Z with entry i left out, in column i."""
-    return np.stack([_e_col(_elem_without(Z, i), k) for i in range(Z.shape[1])], axis=1)
+def _without_one(Z: np.ndarray, *ks: int) -> list:
+    """For each k of ks, the (m, n) array of e_k of each row of Z with entry i
+    left out, in column i (0 unless 0 <= k < n).
+
+    With P[r, i] = e_r(z_1..z_{i-1}) and S[r, i] = e_r(z_{i+1}..z_n), built
+    once by the recurrence from each end (the m rows last, so every step is
+    a contiguous vector operation), e_k without z_i is
+    sum_r P[r, i] S[k - r, i]: a sum of nonnegative terms on the cone, where
+    e_k - z_i e_{k-1} (the recurrence run backwards) would cancel."""
+    m, n = Z.shape
+    Zt = Z.T
+    P = np.empty((n, n, m))
+    S = np.empty((n, n, m))
+    P[:, 0] = S[:, -1] = 0.0
+    P[0] = S[0] = 1.0
+    for i in range(1, n):
+        P[1:, i] = P[1:, i - 1] + Zt[i - 1] * P[:-1, i - 1]
+        S[1:, -1 - i] = S[1:, -i] + Zt[-i] * S[:-1, -i]
+    out = []
+    for k in ks:
+        e = np.zeros((n, m))
+        if 0 <= k < n:
+            for r in range(k + 1):
+                e += P[r] * S[k - r]
+        out.append(np.ascontiguousarray(e.T))
+    return out
 
 
 def _without_two(Z: np.ndarray, k: int) -> np.ndarray:
@@ -212,7 +235,7 @@ class SigmaRatio(SpeedFunction):
         k = self.k
         E = _elem_batch(Z)
         u, v = E[:, k, None], E[:, k - 1, None]
-        ui, vi = _without_one(Z, k - 1), _without_one(Z, k - 2)
+        ui, vi = _without_one(Z, k - 1, k - 2)
         return self.c * (ui * v - u * vi) / v**2
 
     def _h(self, Z):
@@ -222,7 +245,7 @@ class SigmaRatio(SpeedFunction):
         k, c = self.k, self.c
         E = _elem_batch(Z)
         u, v = E[:, k, None, None], E[:, k - 1, None, None]
-        ui, vi = _without_one(Z, k - 1), _without_one(Z, k - 2)
+        ui, vi = _without_one(Z, k - 1, k - 2)
         uij, vij = _without_two(Z, k - 2), _without_two(Z, k - 3)
         return c * (
             (uij * v + ui[:, :, None] * vi[:, None, :] - ui[:, None, :] * vi[:, :, None]
@@ -249,12 +272,12 @@ class SigmaRoot(SpeedFunction):
     def _g(self, Z):
         k = self.k
         u = _elem_batch(Z)[:, k]
-        return (self.c / k) * u[:, None] ** (1.0 / k - 1.0) * _without_one(Z, k - 1)
+        return (self.c / k) * u[:, None] ** (1.0 / k - 1.0) * _without_one(Z, k - 1)[0]
 
     def _h(self, Z):
         k, c = self.k, self.c
         u = _elem_batch(Z)[:, k, None, None]
-        ui = _without_one(Z, k - 1)
+        ui = _without_one(Z, k - 1)[0]
         return (c / k) * (
             (1.0 / k - 1.0) * u ** (1.0 / k - 2.0) * ui[:, :, None] * ui[:, None, :]
             + u ** (1.0 / k - 1.0) * _without_two(Z, k - 2)
@@ -389,104 +412,78 @@ class CertReport:
         return self.verdict == "certified-on-samples"
 
 
-_WORD = 1 << 32
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the state advances by
+# _GAMMA and each output is _mix64 of the new state, so position p of the
+# stream started at state s is _mix64(s + (p + 1) _GAMMA), reachable
+# without the p outputs before it.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_1, _MIX_2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_WORD = 1 << 64
 
 
-def _uint32_words(n: int) -> list:
-    """The little-endian 32-bit words numpy's SeedSequence makes of an int."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n % _WORD]
-    while n >= _WORD:
-        n //= _WORD
-        words.append(n % _WORD)
-    return words
-
-
-def _hash_constants(init: int, mult: int):
-    """(xor, multiplier) of successive hashmix calls: the hash constant
-    evolves the same way whatever the data, so it stays a Python int."""
-    c = init
-    while True:
-        nxt = c * mult % _WORD
-        yield np.uint32(c), np.uint32(nxt)
-        c = nxt
-
-
-def _hashmix(x: np.ndarray, consts) -> np.ndarray:
-    a, b = next(consts)
-    x = (x ^ a) * b
-    return x ^ (x >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return r ^ (r >> np.uint32(16))
-
-
-def _seed_states(seed_words: list, trials: np.ndarray) -> np.ndarray:
-    """SeedSequence(seed_words + [t]).generate_state(4, np.uint64) for every
-    uint32 t in trials, shape (m, 4): numpy's mix_entropy and generate_state
-    with each pool word a whole column, in wrapping uint32 arithmetic."""
-    entropy = [np.full(trials.shape, w, np.uint32) for w in seed_words] + [trials]
-    a = _hash_constants(_INIT_A, _MULT_A)
-    zero = np.zeros_like(trials)
-    pool = [_hashmix(entropy[i] if i < len(entropy) else zero, a) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(word, a))
-    b = _hash_constants(_INIT_B, _MULT_B)
-    state = np.stack([_hashmix(pool[i % 4], b) for i in range(8)], axis=1)
-    # two little-endian words make each uint64, as in generate_state
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def trial_rngs(seed: int, trials) -> Iterator[np.random.Generator]:
-    """One Generator per index t of trials (a range or list), each exactly
-    numpy's default_rng((seed, t)): any trial replays from its index alone.
-
-    The SeedSequence hash runs once, on the whole array of indices, and each
-    PCG64 is seeded from its row through a stand-in seed sequence: such a
-    Generator takes 2-3 us to build, default_rng about 20 us.  An
-    index outside [0, 2**32) hashes more than one word and goes to
-    default_rng itself.  numpy.random loads here, not on import: flows draw
-    no random numbers, and loading it costs some 15 ms.  A negative seed
-    raises ValueError at the call."""
-    from numpy.random import PCG64, Generator, default_rng
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Row(ISeedSequence):
-        """The precomputed generate_state(4, np.uint64) of one trial."""
-
-        def __init__(self, state):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    seed_words = _uint32_words(seed)
-    exact = np.fromiter((t for t in trials if 0 <= t < _WORD), dtype=np.uint32)
-    states = iter(_seed_states(seed_words, exact))
-    return (Generator(PCG64(Row(next(states)))) if 0 <= t < _WORD
-            else default_rng((seed, t)) for t in trials)
-
-
-def sample_cone_point(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Log-uniform over [1e-3, 1e3]^n, with occasional near-degenerate rays."""
-    z = 10.0 ** rng.uniform(-3.0, 3.0, n)
-    if n >= 2 and rng.uniform() < 0.25:
-        i, j = rng.choice(n, size=2, replace=False)
-        z[j] = z[i] * (1.0 + rng.uniform(-1.0, 1.0) * 1e-6)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, in place on a uint64 array (the
+    products wrap modulo 2**64)."""
+    z ^= z >> 30
+    z *= _MIX_1
+    z ^= z >> 27
+    z *= _MIX_2
+    z ^= z >> 31
     return z
+
+
+def _seed_state(seed: int) -> np.ndarray:
+    """The starting state of seed's stream, shape (1,): _mix64 absorbs the
+    number of 64-bit words of seed, then each little-endian word, so every
+    non-negative integer is a valid seed and one word maps one to one."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    words = [seed % _WORD]
+    while seed >= _WORD:
+        seed //= _WORD
+        words.append(seed % _WORD)
+    h = np.zeros(1, np.uint64)
+    for w in (len(words), *words):
+        h ^= np.uint64(w)
+        _mix64(h)
+    return h
+
+
+def trial_uniforms(seed: int, trials, k: int) -> np.ndarray:
+    """(m, k) uniforms in [0, 1) for the m trial indices in trials (an
+    integer array or range): row i holds positions t k, ..., t k + k - 1 of
+    seed's SplitMix64 stream, t = trials[i], each the top 53 bits of its
+    output times 2**-53.  A trial's row does not depend on which other
+    trials are drawn with it, so any trial replays from (seed, t) alone.
+    Pure NumPy: numpy.random is never imported.  A negative seed raises
+    ValueError."""
+    z = np.asarray(trials).astype(np.uint64)[:, None] * np.uint64(k) \
+        + np.arange(1, k + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += _seed_state(seed)
+    _mix64(z)
+    z >>= 11
+    u = z.astype(float)
+    u *= 2.0 ** -53
+    return u
+
+
+def _cone_points(n: int, seed: int, trials):
+    """certify's points Z (m, n) and scales s (m,) for the trial indices in
+    trials, from n + 5 uniforms a trial: z log-uniform over [1e-3, 1e3]^n
+    (columns 0..n-1); then, for n >= 2 and with probability 1/4 (column n),
+    a near-degenerate ray z_j = z_i (1 + 1e-6 v) with i != j drawn from
+    columns n + 1 and n + 2 and v uniform in [-1, 1) from column n + 3;
+    s log-uniform over [1e-2, 1e2] (column n + 4)."""
+    U = trial_uniforms(seed, trials, n + 5)
+    Z = 10.0 ** (-3.0 + 6.0 * U[:, :n])
+    if n >= 2:
+        near = np.flatnonzero(U[:, n] < 0.25)
+        i = (n * U[near, n + 1]).astype(int)
+        j = (i + 1 + ((n - 1) * U[near, n + 2]).astype(int)) % n
+        Z[near, j] = Z[near, i] * (1.0 + (-1.0 + 2.0 * U[near, n + 3]) * 1e-6)
+    return Z, 10.0 ** (-2.0 + 4.0 * U[:, n + 4])
 
 
 def _psd_tol(M: np.ndarray) -> np.ndarray:
@@ -507,8 +504,8 @@ def certify(f: SpeedFunction, property, trials: int = 2000, seed: int = 0):
     Inverse-concavity checks both the shifted-Hessian criterion
     hess + 2 diag(grad/z) >= 0 and concavity of the dual at dual points;
     either failing refutes with a witness.  Points are drawn per (seed,
-    trial) and checked as one stack; the witness is the last sample that
-    lowers the running minimum margin below its own -tol.
+    trial) by _cone_points and checked as one stack; the witness is the
+    last sample that lowers the running minimum margin below its own -tol.
     """
     names = [property] if isinstance(property, str) else list(property)
     if trials < 1:
@@ -517,14 +514,7 @@ def certify(f: SpeedFunction, property, trials: int = 2000, seed: int = 0):
         if name not in PROPERTIES:
             raise ValueError(f"unknown property {name!r}")
 
-    Z = np.empty((trials, f.n))
-    s = np.empty(trials)
-    scales = "homogeneous" in names
-    for t, rng in enumerate(trial_rngs(seed, range(trials))):
-        Z[t] = sample_cone_point(rng, f.n)
-        if scales:
-            s[t] = 10.0 ** rng.uniform(-2.0, 2.0)
-
+    Z, s = _cone_points(f.n, seed, np.arange(trials))
     reports = [_certify_on(f, name, Z, s) for name in names]
     return reports[0] if isinstance(property, str) else reports
 

@@ -938,15 +938,33 @@ def boundary_terms_reference(s):
 
 
 def interior_draw_reference(n, rng):
-    """(A, b, k) of one interior trial, drawn and assembled one trial at a time."""
+    """(a, Q, b, k) of one interior trial drawn from a Generator: a
+    log-uniform spectrum, then b, a sign-fixed QR rotation of a standard
+    normal matrix, and k uniform below 0.9 min(a, b).  The reference law of
+    the suites' draws, and the sampler of the tests that take a Generator."""
     a = 10.0 ** rng.uniform(-2.0, 2.0, n)
     b = 10.0 ** rng.uniform(-2.0, 2.0, n)
     Q, R = np.linalg.qr(rng.standard_normal((n, n)))
     Q = Q * np.sign(np.diag(R))
-    A = (Q * a) @ Q.T
-    A = 0.5 * (A + A.T)
     k = rng.uniform(0.0, 0.9 * min(a.min(), b.min()))
-    return A, b, k
+    return a, Q, b, k
+
+
+def interior_stack_reference(n, seed, m):
+    """Stacked (a, Q, b, k) of interior_draw_reference(n, default_rng((seed, t)))
+    for t < m."""
+    draws = [interior_draw_reference(n, np.random.default_rng((seed, t))) for t in range(m)]
+    return tuple(np.array(x) for x in zip(*draws))
+
+
+def sample_interior(f, rng):
+    """interior_draw_reference as a validated InteriorSample, A = Q diag(a) Q^T
+    symmetrised."""
+    from noncollapse.oracle import InteriorSample
+
+    a, Q, b, k = interior_draw_reference(f.n, rng)
+    A = (Q * a) @ Q.T
+    return InteriorSample(A=0.5 * (A + A.T), B=np.diag(b), k=k, f=f)
 
 
 def interior_gaps_reference(f, A, b, k):
@@ -964,7 +982,7 @@ def interior_gaps_reference(f, A, b, k):
 
 
 def boundary_draw_reference(n, rng):
-    """(lam, B) of one boundary trial, drawn one trial at a time."""
+    """(lam, B) of one boundary trial drawn from a Generator."""
     lam = np.sort(10.0 ** rng.uniform(-2.0, 2.0, n))
     B = rng.standard_normal((n, n))
     B = 0.5 * (B + B.T)
@@ -972,12 +990,28 @@ def boundary_draw_reference(n, rng):
     return lam, B
 
 
+def boundary_stack_reference(n, seed, m):
+    """Stacked (lam, B) of boundary_draw_reference(n, default_rng((seed, t)))
+    for t < m."""
+    draws = [boundary_draw_reference(n, np.random.default_rng((seed, t))) for t in range(m)]
+    return tuple(np.array(x) for x in zip(*draws))
+
+
+def sample_boundary(f, rng):
+    """boundary_draw_reference as a validated BoundarySample."""
+    from noncollapse.oracle import BoundarySample
+
+    lam, B = boundary_draw_reference(f.n, rng)
+    return BoundarySample(lam=lam, B=B, f=f)
+
+
 def counterexample_search_reference(f, trials, seed=0, threshold=-1e-4):
-    """First interior trial with gap below threshold, by the per-sample loop."""
-    from noncollapse.oracle import InteriorSample, interior_gap
+    """First interior trial with gap below threshold, by the per-sample loop
+    over one-trial replays."""
+    from noncollapse.oracle import InteriorSample, _interior_draw, interior_gap
 
     for t in range(trials):
-        A, b, k = interior_draw_reference(f.n, np.random.default_rng((seed, t)))
+        A, b, k = _interior_draw(f, seed, t)
         s = InteriorSample(A=A, B=np.diag(b), k=k, f=f)
         gap = interior_gap(s)
         if gap < threshold:
@@ -986,18 +1020,82 @@ def counterexample_search_reference(f, trials, seed=0, threshold=-1e-4):
     return None
 
 
+# ---------------------------------------------------------------------------
+# The counter-based trial stream, one trial at a time in Python integers
+# ---------------------------------------------------------------------------
+
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_mix(z):
+    """SplitMix64's output function on a Python int (Steele, Lea & Flood 2014)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
+
+
+def splitmix64_outputs(state, count):
+    """The next count outputs of a SplitMix64 generator at state, run
+    sequentially."""
+    out = []
+    for _ in range(count):
+        state = (state + _GAMMA) & _MASK
+        out.append(splitmix64_mix(state))
+    return out
+
+
+def splitmix64_uniforms(seed, t, k):
+    """Trial t's k uniforms of seed's stream: the stream starts at the state
+    that absorbs the word count of seed and then its 64-bit words,
+    little-endian, each by xor and mix; the trial skips the t k outputs
+    before it and keeps the top 53 bits of each of its own."""
+    words = []
+    while True:
+        words.append(seed & _MASK)
+        seed >>= 64
+        if not seed:
+            break
+    state = 0
+    for w in [len(words)] + words:
+        state = splitmix64_mix(state ^ w)
+    state = (state + t * k * _GAMMA) & _MASK
+    return [(z >> 11) * 2.0 ** -53 for z in splitmix64_outputs(state, k)]
+
+
+def cone_point_reference(n, seed, t):
+    """certify's point z and scale s of trial t, from its uniforms one trial
+    at a time: log-uniform z, a 1-in-4 near-degenerate ray z_j = z_i (1 +
+    1e-6 v) with i != j, and a log-uniform scale."""
+    u = np.array(splitmix64_uniforms(seed, t, n + 5))
+    z = 10.0 ** (-3.0 + 6.0 * u[:n])
+    if n >= 2 and u[n] < 0.25:
+        i = int(n * u[n + 1])
+        others = [j for j in range(n) if j != i]
+        j = others[(int((n - 1) * u[n + 2]) + i) % (n - 1)]
+        z[j] = z[i] * (1.0 + (-1.0 + 2.0 * u[n + 3]) * 1e-6)
+    # NumPy's array power, as on the stack: Python's float power may round
+    # differently in the last bit
+    return z, (10.0 ** (-2.0 + 4.0 * u[n + 4:]))[0]
+
+
+def without_one_reference(Z, k):
+    """(m, n): e_k of each row of Z with entry i left out, in column i, by the
+    recurrence over the other n - 1 entries in order."""
+    from noncollapse.speeds import _e_col, _elem_without
+
+    return np.stack([_e_col(_elem_without(Z, i), k) for i in range(Z.shape[1])], axis=1)
+
+
 def certify_reference(f, property, trials=2000, seed=0):
     """certify's report as a dict, by the per-sample loop: the witness is the
     last sample that lowers the running minimum below its own tolerance."""
-    from noncollapse import speeds
-
     dual = f.dual() if property == "inverse-concave" else None
     worst = np.inf
     witness = None
     witness_eig = None
     for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        z = speeds.sample_cone_point(rng, f.n)
+        z, s = cone_point_reference(f.n, seed, t)
         if property == "concave":
             H = f.hess(z)
             margin = float(-np.linalg.eigvalsh(H)[-1])
@@ -1013,7 +1111,6 @@ def certify_reference(f, property, trials=2000, seed=0):
             margin = float(f.grad(z).min())
             tol = 0.0
         else:
-            s = 10.0 ** rng.uniform(-2.0, 2.0)
             fz = f.value(z)
             margin = -abs(f.value(s * z) - s * fz) / (s * fz)
             tol = 1e-9

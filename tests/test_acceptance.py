@@ -16,11 +16,11 @@ from noncollapse.geometry import (CURVE, ConvexBody, ball_curvature_field,
 from noncollapse.monitor import SLACK_FLOOR, assert_trend, monitor_rows, run_verdicts
 from noncollapse.oracle import (_boundary_terms, boundary_suite,
                                 brute_force_boundary, counterexample_search,
-                                interior_suite, q_second_derivative_check,
-                                sample_boundary)
+                                interior_suite, q_second_derivative_check)
 from noncollapse.speeds import certify, parse_speed
 
-from oracles import fd_gradient, fd_hessian, random_convex_axisym, random_convex_curve
+from oracles import (fd_gradient, fd_hessian, random_convex_axisym, random_convex_curve,
+                     sample_boundary)
 
 SPEEDS = ["mean", "harmonic", "sigma-ratio:2", "sigma-root:2", "power:-1", "power:0.5"]
 

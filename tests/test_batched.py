@@ -3,23 +3,25 @@ the batched Hessians, boundary terms, interior gaps, trial draws, certify
 and the counterexample search.  Tolerances are multiples of eps times a
 stated scale; draws, witnesses and certify reports must be identical."""
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
 
 from noncollapse import speeds
 from noncollapse.oracle import (BoundarySample, _boundary_draws,
-                                _boundary_terms_many, _interior_draws,
-                                _interior_matrices, boundary_suite,
+                                _boundary_terms_many, _interior_draw,
+                                _interior_draws, _interior_matrices, _normal_width,
+                                _normals, _rotations, boundary_suite,
                                 counterexample_search, interior_gaps_batched,
                                 interior_suite)
-from noncollapse.speeds import GAP_TOL, SpeedFunction, certify, parse_speed
+from noncollapse.speeds import (GAP_TOL, SpeedFunction, _cone_points, certify,
+                                parse_speed, trial_uniforms)
 
-from oracles import (boundary_draw_reference, boundary_terms_reference,
+import oracles
+from oracles import (boundary_stack_reference, boundary_terms_reference,
                      certify_reference, counterexample_search_reference,
-                     hess_reference, interior_draw_reference,
-                     interior_gaps_reference)
+                     hess_reference, interior_gaps_reference,
+                     interior_stack_reference)
 
 EPS = np.finfo(float).eps
 CATALOG = ["mean", "harmonic", "sigma-ratio:2", "sigma-root:2", "power:-1",
@@ -30,10 +32,6 @@ CATALOG = ["mean", "harmonic", "sigma-ratio:2", "sigma-root:2", "power:-1",
 def catalog(n):
     specs = [s for s in CATALOG if not (s.startswith("sigma") and int(s.split(":")[1]) > n)]
     return [parse_speed(s, n) for s in specs]
-
-
-def _rngs(seed, m):
-    return (np.random.default_rng((seed, t)) for t in range(m))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +78,7 @@ BOUNDARY_C = 4.0
 def _boundary_stack(n, m, seed):
     """Drawn samples, then a quarter with lam[1] - lam[0] below GAP_TOL
     (the perturb path) and about a third of the B entries set to exact 0."""
-    lam, B = _boundary_draws(n, _rngs(seed, m), m)
+    lam, B = boundary_stack_reference(n, seed, m)
     lam[::4, 1] = lam[::4, 0] * (1.0 + 1e-9)
     lam = np.sort(lam, axis=1)
     zero = np.random.default_rng(seed).uniform(size=B.shape) < 0.3
@@ -111,7 +109,7 @@ def test_boundary_suite_witness_is_the_reference_argmin():
     rep = boundary_suite(f, trials=trials, seed=seed)
     refs = []
     for t in range(trials):
-        lam, B = boundary_draw_reference(3, np.random.default_rng((seed, t)))
+        lam, B = (x[0] for x in _boundary_draws(3, seed, [t]))
         refs.append((lam, B) + boundary_terms_reference(BoundarySample(lam=lam, B=B, f=f)))
     worst = min(refs, key=lambda r: r[2] / (1e-7 * r[3]))
     assert rep["witness"] == {"lam": worst[0].tolist(), "B": worst[1].tolist()}
@@ -145,7 +143,7 @@ def _interior_stack(n, m, seed):
     """Drawn trials, then a third with a[1] equal to a[0] to 1e-9 relative,
     a third with all of a equal to 1e-9 relative, and every other trial
     shifted to k = 0.9 min(a, b), the top of the sampler's range."""
-    a, Q, b, k = _interior_draws(n, _rngs(seed, m), m)
+    a, Q, b, k = interior_stack_reference(n, seed, m)
     if n > 1:
         a[::3, 1] = a[::3, 0] * (1.0 + 1e-9)
         jitter = np.random.default_rng(seed).uniform(-1.0, 1.0, a[1::3].shape)
@@ -172,8 +170,7 @@ def test_interior_suite_witness_is_the_reference_draw():
     f = parse_speed("power:-2", 3)
     trials, seed = 400, 62
     rep = interior_suite(f, trials=trials, seed=seed)
-    draws = [interior_draw_reference(3, np.random.default_rng((seed, t)))
-             for t in range(trials)]
+    draws = [_interior_draw(f, seed, t) for t in range(trials)]
     A, b, k = (np.array(x) for x in zip(*draws))
     gaps, scales = interior_gaps_reference(f, A, b, k)
     worst = int(np.argmin(gaps / (1e-7 * scales)))
@@ -189,20 +186,83 @@ def test_interior_suite_witness_is_the_reference_draw():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_batched_draws_bit_identical(n):
-    m = 300
-    a, Q, b, k = _interior_draws(n, _rngs(71, m), m)
+    # trial t alone, in the 1024-trial chunk of counterexample_search that
+    # holds it, and in the whole stack: the same bits
+    seed, whole, chunk = 71, np.arange(2100), np.arange(1024, 2048)
+    picks = [1024, 1025, 1500, 2047]
+    for draws in (_interior_draws, _boundary_draws, _cone_points):
+        stack = draws(n, seed, whole)
+        part = draws(n, seed, chunk)
+        for t in picks:
+            alone = draws(n, seed, [t])
+            for x, y, z in zip(stack, part, alone):
+                assert np.array_equal(x[t], y[t - 1024]), (draws.__name__, t)
+                assert np.array_equal(x[t], z[0]), (draws.__name__, t)
+    # one trial's matrix, as the witness and the search form it
+    a, Q, b, k = _interior_draws(n, seed, whole)
     A = _interior_matrices(a, Q)
-    lam, B = _boundary_draws(n, _rngs(72, m), m)
-    for t in range(m):
-        A_ref, b_ref, k_ref = interior_draw_reference(n, np.random.default_rng((71, t)))
-        assert np.array_equal(A[t], A_ref)
-        # one trial's matrix, as the witness and the search form it
-        assert np.array_equal(_interior_matrices(a[t], Q[t]), A_ref)
-        assert np.array_equal(b[t], b_ref)
-        assert k[t] == k_ref
-        lam_ref, B_ref = boundary_draw_reference(n, np.random.default_rng((72, t)))
-        assert np.array_equal(lam[t], lam_ref)
-        assert np.array_equal(B[t], B_ref)
+    for t in picks:
+        A_t, b_t, k_t = _interior_draw(parse_speed("mean", n), seed, t)
+        assert np.array_equal(A_t, A[t])
+        assert np.array_equal(_interior_matrices(a[t], Q[t]), A[t])
+        assert np.array_equal(b_t, b[t]) and k_t == k[t]
+
+
+def test_draws_follow_the_generator_laws():
+    # the counter-based draws against the Generator reference samplers, 4000
+    # trials a side at n = 3: two-sample KS on each coordinate's law
+    from scipy.stats import ks_2samp, kstest
+
+    n, m = 3, 4000
+    a, Q, b, k = _interior_draws(n, 3, np.arange(m))
+    a0, Q0, b0, k0 = interior_stack_reference(n, 3, m)
+    lam, B = _boundary_draws(n, 3, np.arange(m))
+    lam0, B0 = boundary_stack_reference(n, 3, m)
+    pairs = [(np.log10(a), np.log10(a0)), (np.log10(b), np.log10(b0)),
+             (k / np.minimum(a, b).min(axis=1), k0 / np.minimum(a0, b0).min(axis=1))]
+    pairs += [(Q[:, i, j], Q0[:, i, j]) for i in range(n) for j in range(n)]
+    pairs += [(lam[:, i], lam0[:, i]) for i in range(n)]
+    pairs += [(B[:, i, j], B0[:, i, j]) for i in range(n) for j in range(i, n) if i + j]
+    for new, old in pairs:
+        assert ks_2samp(new.ravel(), old.ravel()).pvalue > 1e-3
+    # certify's points: log-uniform scales, one trial in four near-degenerate
+    Z, s = _cone_points(n, 3, np.arange(m))
+    assert kstest((np.log10(s) + 2.0) / 4.0, "uniform").pvalue > 1e-3
+    Zs = np.sort(Z, axis=1)
+    near = np.mean(np.any(np.diff(Zs, axis=1) <= 1e-6 * Zs[:, 1:], axis=1))
+    assert abs(near - 0.25) < 4.0 * np.sqrt(0.25 * 0.75 / m)
+
+
+def test_box_muller_finite_at_the_ends():
+    u = np.array([[0.0, 0.0], [0.0, 1.0 - 2.0**-53], [1.0 - 2.0**-53, 0.5]])
+    Z = _normals(u, 2)
+    assert np.all(np.isfinite(Z))
+    assert np.array_equal(Z[:2], np.zeros((2, 2)))
+    assert np.hypot(*Z[2]) == pytest.approx(np.sqrt(2.0 * 53.0 * np.log(2.0)))
+    # the moments of a large draw
+    Z = _normals(trial_uniforms(5, np.arange(50000), 2), 2)
+    se = 1.0 / np.sqrt(Z.size)
+    assert abs(Z.mean()) < 5 * se and abs(Z.var() - 1.0) < 5 * np.sqrt(2.0) * se
+
+
+# Twice-run Gram-Schmidt is orthonormal to rounding whatever the conditioning;
+# its Q differs from the sign-fixed QR's by rounding amplified by the
+# condition number of G.  Measured worst over 12,000 drawn matrices per n and
+# seeds 1-3: |Q^T Q - I| 2.0 eps, |Q - Q_qr| 1.93 eps cond(G), cond(G) up to 3.1e5.
+ORTH_C, QR_C = 4.0, 4.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_rotations_are_the_sign_fixed_qr(n):
+    U = trial_uniforms(n, np.arange(12000), _normal_width(n))
+    G = _normals(U, n * n).reshape(-1, n, n)
+    Q = _rotations(G)
+    Q_qr, R = np.linalg.qr(G)
+    Q_qr = Q_qr * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    orth = np.abs(np.swapaxes(Q, 1, 2) @ Q - np.eye(n)).max(axis=(1, 2))
+    assert orth.max() <= ORTH_C * EPS
+    dist = np.abs(Q - Q_qr).max(axis=(1, 2))
+    assert np.all(dist <= QR_C * EPS * np.linalg.cond(G))
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +307,12 @@ class _ScriptedHessian(SpeedFunction):
 def test_certify_witness_is_last_running_minimum_below_its_tolerance(
         monkeypatch, points, witness):
     f = _ScriptedHessian()
-    reports = []
-    for run in (certify, certify_reference):
-        script = itertools.cycle(points)
-        monkeypatch.setattr(speeds, "sample_cone_point",
-                            lambda rng, n: np.array(next(script)))
-        rep = run(f, "concave", trials=len(points), seed=0)
-        reports.append(rep if isinstance(rep, dict) else dataclasses.asdict(rep))
+    monkeypatch.setattr(speeds, "_cone_points", lambda n, seed, trials: (
+        np.array(points, dtype=float), np.ones(len(points))))
+    monkeypatch.setattr(oracles, "cone_point_reference",
+                        lambda n, seed, t: (np.array(points[t], dtype=float), 1.0))
+    reports = [dataclasses.asdict(certify(f, "concave", trials=len(points), seed=0)),
+               certify_reference(f, "concave", trials=len(points), seed=0)]
     assert reports[0] == reports[1]
     assert reports[0]["verdict"] == "refuted"
     assert reports[0]["witness"] == witness
@@ -266,11 +325,11 @@ def test_certify_witness_is_last_running_minimum_below_its_tolerance(
 
 @pytest.mark.parametrize("spec, trials, seed, threshold", [
     ("power:-2", 3000, 0, -1e-4),     # witness in the first chunk
-    ("power:-2", 3000, 1, -5.0),      # first witness at trial 1965, second chunk
+    ("power:-2", 3000, 1, -5.0),      # first witness at trial 1455, second chunk
     ("harmonic", 2100, 0, -1e-4),     # inverse-concave: no witness in three chunks
 ])
 def test_counterexample_search_matches_per_sample_loop(spec, trials, seed, threshold):
-    f = parse_speed(spec, 2)
+    f = parse_speed(spec, 3)
     got = counterexample_search(f, trials=trials, seed=seed, threshold=threshold)
     assert got == counterexample_search_reference(f, trials, seed=seed, threshold=threshold)
     if spec == "harmonic":

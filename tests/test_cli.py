@@ -555,13 +555,25 @@ def test_cli_import_leaves_scipy_out():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_leaves_numpy_random_out():
-    # flows draw no random numbers, so numpy.random (some 15 ms to load)
-    # loads only when speeds.trial_rngs draws a trial
+def test_cli_import_leaves_numpy_random_out(tmp_path):
+    # trials draw from speeds.trial_uniforms, which is plain NumPy, and flows
+    # draw nothing: numpy.random (some 15 ms to load) stays out of every run
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys, noncollapse.cli; "
-                           "assert 'numpy.random' not in sys.modules, 'numpy.random imported'"],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    cfg = sphere_config(tmp_path, N=32, stop_factor=1.5)
+    runs = [
+        (None, 0),
+        (["oracle", "--prop", "2.2", "--speed", "power:-2", "--n", "3", "--trials", "500"], 2),
+        (["oracle", "--prop", "2.5", "--speed", "harmonic", "--n", "3", "--trials", "500"], 0),
+        (["certify", "--speed", "power:-2", "--n", "3", "--trials", "300"], 2),
+        (["flow", "--config", cfg, "--out", str(tmp_path / "run")], 0),
+    ]
+    for argv, expected in runs:
+        code = ("import json, sys\n"
+                "from noncollapse.cli import main\n"
+                "code = main(json.loads(sys.argv[1])) if sys.argv[1] != 'null' else 0\n"
+                "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
+                "sys.exit(code)\n")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], cwd=str(tmp_path),
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == expected, (argv, proc.stderr)

@@ -4,17 +4,17 @@ from scipy.optimize import minimize
 
 from noncollapse.errors import SingularShift
 from noncollapse.oracle import (BoundarySample, InteriorSample, _boundary_terms,
-                                _interior_draw, boundary_bracket, boundary_suite,
+                                boundary_bracket, boundary_suite,
                                 brute_force_boundary, counterexample_search,
                                 interior_bracket, interior_gap, interior_scale,
                                 interior_suite, optimal_lambda,
-                                q_second_derivative_check, sample_boundary,
-                                sample_interior)
+                                q_second_derivative_check)
 from noncollapse.speeds import (GAP_TOL, ArithmeticMean, HarmonicMean,
                                 PowerMean, SigmaRatio, matrix_hess_form,
                                 parse_speed)
 
-from oracles import q_reference
+from oracles import (interior_stack_reference, q_reference, sample_boundary,
+                     sample_interior)
 
 INVERSE_CONCAVE = ["mean", "harmonic", "sigma-ratio:2", "sigma-root:2",
                    "power:-1", "power:0.5"]
@@ -48,16 +48,6 @@ def test_optimal_lambda_dominates_perturbations():
         E = rng.standard_normal((3, 3))
         val = interior_bracket(f, s.A, s.B, s.k, L + 1e-3 * E)
         assert val <= base + 1e-10 * (1 + abs(base))
-
-
-def test_sample_interior_is_the_suite_draw():
-    f = parse_speed("sigma-ratio:2", 3)
-    for t in range(20):
-        A, b, k = _interior_draw(f, np.random.default_rng((7, t)))
-        s = sample_interior(f, np.random.default_rng((7, t)))
-        assert np.array_equal(s.A, A)
-        assert np.array_equal(s.B, np.diag(b))
-        assert s.k == k
 
 
 def test_interior_gap_equals_bracket_at_optimum():
@@ -336,11 +326,10 @@ def test_closed_form_lambda_dominates_random_boundary():
 # ---------------------------------------------------------------------------
 
 def test_batched_gaps_match_scalar_path():
-    from noncollapse.oracle import _interior_draws, interior_gaps_batched
+    from noncollapse.oracle import interior_gaps_batched
 
     f = parse_speed("sigma-root:2", 5)
-    rngs = (np.random.default_rng((31, t)) for t in range(60))
-    gaps, scales = interior_gaps_batched(f, *_interior_draws(5, rngs, 60))
+    gaps, scales = interior_gaps_batched(f, *interior_stack_reference(5, 31, 60))
     samples = [sample_interior(f, np.random.default_rng((31, t))) for t in range(60)]
     for i, s in enumerate(samples):
         assert gaps[i] == pytest.approx(interior_gap(s), rel=1e-9, abs=1e-9)

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from noncollapse.errors import DomainError, NotPositiveDefinite
 from noncollapse.speeds import (PROPERTIES, ArithmeticMean, HarmonicMean, PowerMean,
                                 SigmaRatio, SigmaRoot, certify, matrix_eval,
-                                matrix_hess_form, parse_speed, trial_rngs)
+                                matrix_hess_form, parse_speed, trial_uniforms,
+                                _without_one)
 
-from oracles import fd_gradient, fd_hessian, fd_second_along
+from oracles import (fd_gradient, fd_hessian, fd_second_along, splitmix64_outputs,
+                     splitmix64_uniforms, without_one_reference)
 
 CATALOG = ["mean", "harmonic", "sigma-ratio:2", "sigma-root:2", "power:-1",
            "power:0.5", "power:0"]
@@ -382,34 +384,60 @@ def test_certify_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Per-trial random streams
+# Left-out elementary symmetric polynomials
 # ---------------------------------------------------------------------------
 
-def assert_streams_match(seed, trials):
-    rngs = list(trial_rngs(seed, trials))
-    assert len(rngs) == len(trials)
-    for t, rng in zip(trials, rngs):
-        ref = np.random.default_rng((seed, t))
-        assert rng.bit_generator.state == ref.bit_generator.state, (seed, t)
-        assert np.array_equal(rng.standard_normal(50), ref.standard_normal(50)), (seed, t)
+# The prefix-suffix convolution adds the same nonnegative products as the
+# recurrence over the other entries, in another order.  Measured worst over
+# 20,000 log-uniform points in [1e-3, 1e3]^n, a third with a near-equal pair:
+# 0 at n = 3, 2.7 eps relative at n = 5.
+WITHOUT_ONE_C = 8.0
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_without_one_matches_recurrence(n):
+    rng = np.random.default_rng(30 + n)
+    Z = 10.0 ** rng.uniform(-3.0, 3.0, (2000, n))
+    Z[::3, 1] = Z[::3, 0] * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, Z[::3].shape[0]))
+    ks = list(range(-1, n + 1))
+    for k, got in zip(ks, _without_one(Z, *ks)):
+        ref = without_one_reference(Z, k)
+        assert np.all(np.abs(got - ref) <= WITHOUT_ONE_C * np.finfo(float).eps * ref), (n, k)
+
+
+# ---------------------------------------------------------------------------
+# Counter-based trial streams
+# ---------------------------------------------------------------------------
+
+def test_splitmix64_reference_known_answers():
+    # published SplitMix64 outputs for states 0 and 1234567
+    assert splitmix64_outputs(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                                        0x06C45D188009454F]
+    assert splitmix64_outputs(1234567, 2) == [6457827717110365317, 3203168211198807973]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1])
-def test_trial_rngs_match_default_rng(seed):
-    # seeds of one to five 32-bit words: the hash runs its extra-entropy
-    # loop only past the four pool words
-    assert_streams_match(seed, [0, 1, 12345, 2**32 - 1])
+def test_trial_uniforms_match_reference(seed):
+    # seeds of one to three 64-bit words; trial indices on both sides of 2**32
+    trials = [0, 1, 12345, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 7]
+    for k in (1, 8, 17):
+        U = trial_uniforms(seed, trials, k)
+        assert U.shape == (len(trials), k)
+        for row, t in zip(U, trials):
+            assert row.tolist() == splitmix64_uniforms(seed, t, k), (seed, t, k)
 
 
-@pytest.mark.parametrize("seed", [5, 2**128 + 1])
-def test_trial_rngs_across_the_word_boundary(seed):
-    # an index of 2**32 or more is two words of entropy, not its low word
-    trials = [2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**64 + 7, 3]
-    assert_streams_match(seed, trials)
+def test_trial_uniforms_seeds_distinct_and_in_range():
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 3, 2**128 + 1]
+    rows = [trial_uniforms(s, [0], 4)[0].tolist() for s in seeds]
+    assert len({tuple(r) for r in rows}) == len(seeds)
+    U = trial_uniforms(7, np.arange(20000), 16)
+    assert U.min() >= 0.0 and U.max() < 1.0
+    assert abs(U.mean() - 0.5) < 5 * np.sqrt(1 / 12 / U.size)
 
 
-def test_trial_rngs_reject_negative_seed():
+def test_trial_uniforms_reject_negative_seed():
     with pytest.raises(ValueError):
-        np.random.default_rng((-1, 0))
+        trial_uniforms(-1, range(3), 4)
     with pytest.raises(ValueError):
-        trial_rngs(-1, range(3))
+        certify(PowerMean(2, 2.0), "concave", trials=10, seed=-1)
