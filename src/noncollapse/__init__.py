@@ -5,18 +5,16 @@ inequalities."""
 __version__ = "0.1.0"
 
 from .errors import (CenterOutside, ConvexityLost, DiagonalWitness, DomainError,
-                     NotPositiveDefinite, PairTooClose, SingularShift)
+                     NotPositiveDefinite, SingularShift)
 from .speeds import (ArithmeticMean, CertReport, DualSpeed, HarmonicMean,
                      PowerMean, SigmaRatio, SigmaRoot, SpeedFunction, certify,
-                     matrix_eval, matrix_hess_form, parse_speed)
+                     matrix_eval, parse_speed)
 from .oracle import (BoundarySample, InteriorSample, boundary_suite,
-                     brute_force_boundary, counterexample_search, interior_gap,
-                     interior_suite, optimal_lambda, q_second_derivative_check)
-from .geometry import (BallCurvatureField, ConvexBody, RadiiReport, area,
-                       ball_curvature_field, ball_curvature_pair,
-                       hausdorff_to_unit_sphere, make_ellipse, make_ellipsoid,
-                       make_sphere, radii, recenter, scale,
-                       tangent_plane_diagnostic, translate)
+                     counterexample_search, interior_gap, interior_suite)
+from .geometry import (BallCurvatureField, ConvexBody, RadiiReport,
+                       ball_curvature_field, hausdorff_to_unit_sphere,
+                       make_ellipse, make_ellipsoid, make_sphere, radii,
+                       recenter, tangent_plane_diagnostic)
 from .flow import FlowConfig, FlowRun, Snapshot, build_body, build_speed, run
 from .monitor import (MonitorRow, RatioExtremes, TrendVerdict, assert_trend,
                       monitor_rows, ratios, run_verdicts, write_monitor_csv)

@@ -50,13 +50,17 @@ def _write_json(path: str, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _emit(obj: dict, out: Optional[str], filename: str,
-          volatile: tuple = ("runtime_ms",)) -> None:
+# report keys that vary between reruns: printed, but left out of the written
+# file so that it is byte-identical for fixed arguments and seed
+_VOLATILE = ("runtime_ms",)
+
+
+def _emit(obj: dict, out: Optional[str], filename: str) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
     if out:
         os.makedirs(out, exist_ok=True)
         _write_json(os.path.join(out, filename),
-                    {k: v for k, v in obj.items() if k not in volatile})
+                    {k: v for k, v in obj.items() if k not in _VOLATILE})
 
 
 # ---------------------------------------------------------------------------

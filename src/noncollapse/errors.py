@@ -17,10 +17,6 @@ class ConvexityLost(RuntimeError):
     """A principal radius of curvature dropped to zero or below."""
 
 
-class PairTooClose(ValueError):
-    """Chord shorter than the separation tolerance; use the diagonal extension."""
-
-
 class DiagonalWitness(ValueError):
     """The extremum witness is the diagonal; no off-diagonal tangent condition to check."""
 

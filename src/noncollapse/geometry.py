@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CenterOutside, ConvexityLost, DiagonalWitness,
-                     PairTooClose)
+from .errors import CenterOutside, ConvexityLost, DiagonalWitness
 
 CURVE = "curve"
 AXISYMMETRIC = "axisymmetric"
@@ -324,13 +323,10 @@ def axi_derivs(h: np.ndarray):
     return _workspace(AXISYMMETRIC, h.size).derivs(h)
 
 
-def principal_radii(body: ConvexBody) -> np.ndarray:
-    """(N, n) principal radii of curvature; poles take the meridian value."""
-    return _workspace(body.mode, body.N).radii(body.h)
-
-
 def check_convex(body: ConvexBody) -> np.ndarray:
-    r = principal_radii(body)
+    """(N, n) principal radii of curvature (poles take the meridian value),
+    checked positive."""
+    r = _workspace(body.mode, body.N).radii(body.h)
     if r.min() <= 0.0:
         raise ConvexityLost(f"min principal radius {r.min():.3e} <= 0 at t={body.t}")
     return r
@@ -352,14 +348,6 @@ def _points(body: ConvexBody) -> np.ndarray:
     h1, _ = axi_derivs(h)
     return np.stack([h * np.sin(th) + h1 * np.cos(th), np.zeros(body.N),
                      h * np.cos(th) - h1 * np.sin(th)], axis=1)
-
-
-def area(body: ConvexBody) -> float:
-    """Enclosed area of a curve-mode body, (1/2) oint (h^2 - h'^2) dtheta."""
-    if body.mode != CURVE:
-        raise ValueError("area is defined for curve mode")
-    h1, _ = curve_derivs(body.h)
-    return float(0.5 * body.grid_spacing * np.sum(body.h**2 - h1**2))
 
 
 # ---------------------------------------------------------------------------
@@ -387,26 +375,6 @@ class BallCurvatureField:
 
     def diagonal_upper(self, i: int) -> bool:
         return self.witness_upper[i, 0] < 0
-
-
-def ball_curvature_pair(body: ConvexBody, x_index: int, y_index: int,
-                        y_azimuth: float = 0.0) -> float:
-    """k(x, y) = 2 <X_x - X_y, nu_x> / |X_x - X_y|^2 for distinct grid points."""
-    r = check_convex(body)
-    pts, nus = _points(body), body.directions()
-    if body.mode == CURVE:
-        if y_azimuth != 0.0:
-            raise ValueError("curve mode has no azimuth")
-        Xy = pts[y_index]
-    else:
-        rho = pts[y_index, 0]
-        Xy = np.array([rho * np.cos(y_azimuth), rho * np.sin(y_azimuth), pts[y_index, 2]])
-    D = pts[x_index] - Xy
-    d2 = float(D @ D)
-    sep = SEP_FACTOR * body.grid_spacing * r[x_index].min()
-    if d2 <= sep * sep:
-        raise PairTooClose(f"chord {np.sqrt(d2):.3e} below separation {sep:.3e}")
-    return float(2.0 * (D @ nus[x_index]) / d2)
 
 
 def ball_curvature_field(body: ConvexBody) -> BallCurvatureField:
@@ -749,9 +717,9 @@ def radii(body: ConvexBody) -> RadiiReport:
 def hausdorff_to_unit_sphere(body: ConvexBody, center) -> float:
     """max over grid directions of |h(z) - <center, z> - 1| (support-function
     characterisation of the Hausdorff distance to the unit ball at center).
-    An axisymmetric body's center must lie on the axis, as in translate;
-    every azimuth of a meridian direction then gives the same value, so the
-    meridian alone is evaluated."""
+    An axisymmetric body's center must lie on the axis, its first two
+    coordinates zero; every azimuth of a meridian direction then gives the
+    same value, so the meridian alone is evaluated."""
     center = np.asarray(center, dtype=float)
     if center.shape != (body.dim,):
         raise ValueError("center has the wrong dimension")
@@ -764,24 +732,8 @@ def hausdorff_to_unit_sphere(body: ConvexBody, center) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Transformations and constructors
+# Recentering and constructors
 # ---------------------------------------------------------------------------
-
-def translate(body: ConvexBody, v) -> ConvexBody:
-    """Move the body by v (support origin stays put).  Axisymmetric bodies
-    only admit axial translations; anything else leaves the representable
-    class."""
-    v = np.asarray(v, dtype=float)
-    if body.mode == AXISYMMETRIC and np.abs(v[:2]).max() > 0.0:
-        raise ValueError("axisymmetric bodies can only be translated along the axis")
-    return ConvexBody(mode=body.mode, h=body.h + body.directions() @ v, t=body.t,
-                      center_offset=body.center_offset)
-
-
-def scale(body: ConvexBody, s: float) -> ConvexBody:
-    return ConvexBody(mode=body.mode, h=body.h * s, t=body.t,
-                      center_offset=body.center_offset * s)
-
 
 def recenter(body: ConvexBody) -> tuple[ConvexBody, RadiiReport]:
     """Shift the support origin to the in-center; returns (body, report).

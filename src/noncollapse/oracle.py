@@ -60,28 +60,6 @@ def _check_shift(A: np.ndarray, B: np.ndarray, k: float) -> None:
         raise SingularShift(f"shift margin {min(la - k, lb - k):.3e} below {_SHIFT_FLOOR:g}")
 
 
-def optimal_lambda(A, B, k: float) -> np.ndarray:
-    """The maximiser (A - kI)(B - kI)^-1 of the bracketed quadratic."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    _check_shift(A, B, k)
-    n = A.shape[0]
-    return (A - k * np.eye(n)) / (np.diag(B) - k)[None, :]
-
-
-def interior_bracket(f: SpeedFunction, A, B, k: float, L) -> float:
-    """Bracket value tr[G(kI-A)] - 2 tr[G L (kI-A)] + tr[G L (kI-B) L^T],
-    G the matrix derivative of the lift at A."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    L = np.asarray(L, dtype=float)
-    n = A.shape[0]
-    _, G = matrix_eval(f, A)
-    kA = k * np.eye(n) - A
-    kB = k * np.eye(n) - B
-    return float(np.trace(G @ kA) - 2.0 * np.trace(G @ L @ kA) + np.trace(G @ L @ kB @ L.T))
-
-
 def interior_gap(s: InteriorSample) -> float:
     """F(B) - F(A) - tr[G((A-kI) - (A-kI)(B-kI)^-1 (A-kI))], G = dF at A.
 
@@ -95,34 +73,6 @@ def interior_gap(s: InteriorSample) -> float:
     M = s.A - s.k * np.eye(n)
     inner = M - M @ (M / (np.diag(s.B) - s.k)[:, None])
     return float(FB - FA - np.sum(G * inner))
-
-
-def interior_scale(s: InteriorSample) -> float:
-    """Tolerance scale for the interior gap: 1 + |F(A)|."""
-    return 1.0 + abs(s.f.value(np.linalg.eigvalsh(s.A)))
-
-
-def q_second_derivative_check(f: SpeedFunction, a, z, k: float):
-    """Both sides of the shifted-Hessian identity, assembled independently.
-
-    lhs comes from derivatives of the comparison function
-    q_a(z) = f(z) - f(a) - sum_i grad_i(a) [(a_i-k) - (a_i-k)^2/(z_i-k)],
-    rhs from derivatives of f alone; the two agree identically.
-    """
-    a = np.asarray(a, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if min(a.min(), z.min()) - k <= _SHIFT_FLOOR:
-        raise SingularShift("k too close to min(a) or min(z)")
-    ga = f.grad(a)
-    gz = f.grad(z)
-    Hz = f.hess(z)
-    sa = a - k
-    sz = z - k
-    q_dot = gz - ga * sa**2 / sz**2
-    q_ddot = Hz + 2.0 * np.diag(ga * sa**2 / sz**3)
-    lhs = q_ddot + 2.0 * np.diag(q_dot / sz)
-    rhs = Hz + 2.0 * np.diag(gz / sz)
-    return lhs, rhs
 
 
 def _normals(U: np.ndarray, count: int) -> np.ndarray:
@@ -263,59 +213,6 @@ def _boundary_terms(s: BoundarySample):
     near zero only when the first row of B is near zero."""
     value, scale, sup = _boundary_terms_many(s.f, s.lam[None], s.B[None])
     return float(value[0]), float(scale[0]), float(sup[0])
-
-
-def boundary_bracket(s: BoundarySample, L) -> float:
-    """The bracketed quadratic in the mixing matrix, evaluated from its
-    definition (black box used by the brute-force maximiser)."""
-    L = np.asarray(L, dtype=float)
-    n = s.f.n
-    g = s.f.grad(s.lam)
-    total = 0.0
-    for k in range(n):
-        lin = 0.0
-        quad = 0.0
-        for p in range(n):
-            c_lin = s.B[k, p] - (s.B[k, 0] if p == 0 else 0.0)
-            lin += L[k, p] * c_lin
-            quad += L[k, p] ** 2 * (s.lam[p] - s.lam[0])
-        total += 2.0 * g[k] * (2.0 * lin - quad)
-    return float(total)
-
-
-def brute_force_boundary(s: BoundarySample, restarts: int = 8, seed: int = 0) -> float:
-    """Maximise the bracketed quadratic numerically: exact stationary-point
-    solve on the probed quadratic plus random restarts; independent of the
-    closed-form optimiser."""
-    n = s.f.n
-    m = n * n
-
-    def Q(vec):
-        return boundary_bracket(s, vec.reshape(n, n))
-
-    q0 = Q(np.zeros(m))
-    Hq = np.empty((m, m))
-    eye = np.eye(m)
-    # quadratic => exact gradient/Hessian from unit-step probes
-    plus = np.array([Q(eye[i]) for i in range(m)])
-    minus = np.array([Q(-eye[i]) for i in range(m)])
-    grad = 0.5 * (plus - minus)
-    for i in range(m):
-        for j in range(i, m):
-            if i == j:
-                Hq[i, i] = plus[i] + minus[i] - 2.0 * q0
-            else:
-                qpp = Q(eye[i] + eye[j])
-                Hq[i, j] = Hq[j, i] = qpp - plus[i] - plus[j] + q0
-    x0, *_ = np.linalg.lstsq(Hq, -grad, rcond=1e-10)
-    best = Q(x0)
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        x = rng.standard_normal(m)
-        # one exact Newton step from a random start lands on the stationary set
-        step, *_ = np.linalg.lstsq(Hq, -(grad + Hq @ x), rcond=1e-10)
-        best = max(best, Q(x + step))
-    return float(best)
 
 
 def _boundary_draws(n: int, seed: int, trials):

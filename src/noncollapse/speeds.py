@@ -37,13 +37,17 @@ def _cone_batch(Z, n: int) -> np.ndarray:
 
 
 def _elem_batch(Z: np.ndarray) -> np.ndarray:
-    """Elementary symmetric polynomials e_0..e_n of each row of Z, shape (m, n+1)."""
+    """Elementary symmetric polynomials e_0..e_n of each row of Z, shape (m, n+1).
+
+    The table is built with the m rows last, so every step of the
+    recurrence is a contiguous vector operation, and returned transposed."""
     m, n = Z.shape
-    E = np.zeros((m, n + 1))
-    E[:, 0] = 1.0
+    Zt = Z.T
+    E = np.zeros((n + 1, m))
+    E[0] = 1.0
     for j in range(n):
-        E[:, 1:] = E[:, 1:] + Z[:, j : j + 1] * E[:, :-1]
-    return E
+        E[1:] = E[1:] + Zt[j] * E[:-1]
+    return E.T
 
 
 def _elem_without(Z: np.ndarray, *skip: int) -> np.ndarray:
@@ -382,14 +386,6 @@ def sum_terms(T: np.ndarray) -> np.ndarray:
     for j in range(1, T.shape[1]):
         total += T[:, j]
     return total
-
-
-def matrix_hess_form(f: SpeedFunction, lam, B) -> float:
-    """Second-derivative quadratic form of the matrix lift at eigenvalues lam
-    (B expressed in the eigenbasis of A); see hess_form_terms."""
-    lam = _cone_batch(np.atleast_1d(lam)[None], f.n)
-    B = np.asarray(B, dtype=float)[None, :, :]
-    return float(sum_terms(hess_form_terms(lam, B, f._g(lam), f._h(lam)))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ import math
 
 import numpy as np
 
+from noncollapse.errors import SingularShift
+from noncollapse.geometry import (AXISYMMETRIC, CURVE, SEP_FACTOR, ConvexBody, _points,
+                                  _workspace, check_convex, curve_derivs)
+from noncollapse.oracle import _SHIFT_FLOOR, BoundarySample, InteriorSample, _check_shift
+from noncollapse.speeds import (SpeedFunction, _cone_batch, hess_form_terms, matrix_eval,
+                                sum_terms)
+
 
 # ---------------------------------------------------------------------------
 # Finite differences for speed functions
@@ -69,6 +76,123 @@ def q_reference(f, a, b, k):
         terms.append(-ga[i] * (a[i] - k))
         terms.append(ga[i] * (a[i] - k) ** 2 / (b[i] - k))
     return math.fsum(terms)
+
+
+# ---------------------------------------------------------------------------
+# The matrix inequalities from their definitions: the optimal mixing matrix,
+# the bracketed quadratics, the q identity and the brute-force boundary
+# maximiser, which the closed forms of noncollapse.oracle are checked against
+# ---------------------------------------------------------------------------
+
+def matrix_hess_form(f: SpeedFunction, lam, B) -> float:
+    """Second-derivative quadratic form of the matrix lift at eigenvalues lam
+    (B expressed in the eigenbasis of A); see hess_form_terms."""
+    lam = _cone_batch(np.atleast_1d(lam)[None], f.n)
+    B = np.asarray(B, dtype=float)[None, :, :]
+    return float(sum_terms(hess_form_terms(lam, B, f._g(lam), f._h(lam)))[0])
+
+
+def optimal_lambda(A, B, k: float) -> np.ndarray:
+    """The maximiser (A - kI)(B - kI)^-1 of the bracketed quadratic."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    _check_shift(A, B, k)
+    n = A.shape[0]
+    return (A - k * np.eye(n)) / (np.diag(B) - k)[None, :]
+
+
+def interior_bracket(f: SpeedFunction, A, B, k: float, L) -> float:
+    """Bracket value tr[G(kI-A)] - 2 tr[G L (kI-A)] + tr[G L (kI-B) L^T],
+    G the matrix derivative of the lift at A."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    L = np.asarray(L, dtype=float)
+    n = A.shape[0]
+    _, G = matrix_eval(f, A)
+    kA = k * np.eye(n) - A
+    kB = k * np.eye(n) - B
+    return float(np.trace(G @ kA) - 2.0 * np.trace(G @ L @ kA) + np.trace(G @ L @ kB @ L.T))
+
+
+def interior_scale(s: InteriorSample) -> float:
+    """Tolerance scale for the interior gap: 1 + |F(A)|."""
+    return 1.0 + abs(s.f.value(np.linalg.eigvalsh(s.A)))
+
+
+def q_second_derivative_check(f: SpeedFunction, a, z, k: float):
+    """Both sides of the shifted-Hessian identity, assembled independently.
+
+    lhs comes from derivatives of the comparison function
+    q_a(z) = f(z) - f(a) - sum_i grad_i(a) [(a_i-k) - (a_i-k)^2/(z_i-k)],
+    rhs from derivatives of f alone; the two agree identically.
+    """
+    a = np.asarray(a, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if min(a.min(), z.min()) - k <= _SHIFT_FLOOR:
+        raise SingularShift("k too close to min(a) or min(z)")
+    ga = f.grad(a)
+    gz = f.grad(z)
+    Hz = f.hess(z)
+    sa = a - k
+    sz = z - k
+    q_dot = gz - ga * sa**2 / sz**2
+    q_ddot = Hz + 2.0 * np.diag(ga * sa**2 / sz**3)
+    lhs = q_ddot + 2.0 * np.diag(q_dot / sz)
+    rhs = Hz + 2.0 * np.diag(gz / sz)
+    return lhs, rhs
+
+
+def boundary_bracket(s: BoundarySample, L) -> float:
+    """The bracketed quadratic in the mixing matrix, evaluated from its
+    definition (black box used by the brute-force maximiser)."""
+    L = np.asarray(L, dtype=float)
+    n = s.f.n
+    g = s.f.grad(s.lam)
+    total = 0.0
+    for k in range(n):
+        lin = 0.0
+        quad = 0.0
+        for p in range(n):
+            c_lin = s.B[k, p] - (s.B[k, 0] if p == 0 else 0.0)
+            lin += L[k, p] * c_lin
+            quad += L[k, p] ** 2 * (s.lam[p] - s.lam[0])
+        total += 2.0 * g[k] * (2.0 * lin - quad)
+    return float(total)
+
+
+def brute_force_boundary(s: BoundarySample, restarts: int = 8, seed: int = 0) -> float:
+    """Maximise the bracketed quadratic numerically: exact stationary-point
+    solve on the probed quadratic plus random restarts; independent of the
+    closed-form optimiser."""
+    n = s.f.n
+    m = n * n
+
+    def Q(vec):
+        return boundary_bracket(s, vec.reshape(n, n))
+
+    q0 = Q(np.zeros(m))
+    Hq = np.empty((m, m))
+    eye = np.eye(m)
+    # quadratic => exact gradient/Hessian from unit-step probes
+    plus = np.array([Q(eye[i]) for i in range(m)])
+    minus = np.array([Q(-eye[i]) for i in range(m)])
+    grad = 0.5 * (plus - minus)
+    for i in range(m):
+        for j in range(i, m):
+            if i == j:
+                Hq[i, i] = plus[i] + minus[i] - 2.0 * q0
+            else:
+                qpp = Q(eye[i] + eye[j])
+                Hq[i, j] = Hq[j, i] = qpp - plus[i] - plus[j] + q0
+    x0, *_ = np.linalg.lstsq(Hq, -grad, rcond=1e-10)
+    best = Q(x0)
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts):
+        x = rng.standard_normal(m)
+        # one exact Newton step from a random start lands on the stationary set
+        step, *_ = np.linalg.lstsq(Hq, -(grad + Hq @ x), rcond=1e-10)
+        best = max(best, Q(x + step))
+    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +272,64 @@ def random_convex_axisym(rng, N=65, modes=5, strength=0.3):
         amp = rng.uniform(-1.0, 1.0) * strength / (modes * m * m)
         h += amp * np.cos(m * th)
     return h
+
+
+# ---------------------------------------------------------------------------
+# Geometry that only the tests use: unchecked radii, curve area, one
+# ball-curvature pair, rigid motions and dilations
+# ---------------------------------------------------------------------------
+
+class PairTooClose(ValueError):
+    """Chord shorter than the separation tolerance; use the diagonal extension."""
+
+
+def principal_radii(body: ConvexBody) -> np.ndarray:
+    """(N, n) principal radii of curvature; poles take the meridian value."""
+    return _workspace(body.mode, body.N).radii(body.h)
+
+
+def area(body: ConvexBody) -> float:
+    """Enclosed area of a curve-mode body, (1/2) oint (h^2 - h'^2) dtheta."""
+    if body.mode != CURVE:
+        raise ValueError("area is defined for curve mode")
+    h1, _ = curve_derivs(body.h)
+    return float(0.5 * body.grid_spacing * np.sum(body.h**2 - h1**2))
+
+
+def ball_curvature_pair(body: ConvexBody, x_index: int, y_index: int,
+                        y_azimuth: float = 0.0) -> float:
+    """k(x, y) = 2 <X_x - X_y, nu_x> / |X_x - X_y|^2 for distinct grid points."""
+    r = check_convex(body)
+    pts, nus = _points(body), body.directions()
+    if body.mode == CURVE:
+        if y_azimuth != 0.0:
+            raise ValueError("curve mode has no azimuth")
+        Xy = pts[y_index]
+    else:
+        rho = pts[y_index, 0]
+        Xy = np.array([rho * np.cos(y_azimuth), rho * np.sin(y_azimuth), pts[y_index, 2]])
+    D = pts[x_index] - Xy
+    d2 = float(D @ D)
+    sep = SEP_FACTOR * body.grid_spacing * r[x_index].min()
+    if d2 <= sep * sep:
+        raise PairTooClose(f"chord {np.sqrt(d2):.3e} below separation {sep:.3e}")
+    return float(2.0 * (D @ nus[x_index]) / d2)
+
+
+def translate(body: ConvexBody, v) -> ConvexBody:
+    """Move the body by v (support origin stays put).  Axisymmetric bodies
+    only admit axial translations; anything else leaves the representable
+    class."""
+    v = np.asarray(v, dtype=float)
+    if body.mode == AXISYMMETRIC and np.abs(v[:2]).max() > 0.0:
+        raise ValueError("axisymmetric bodies can only be translated along the axis")
+    return ConvexBody(mode=body.mode, h=body.h + body.directions() @ v, t=body.t,
+                      center_offset=body.center_offset)
+
+
+def scale(body: ConvexBody, s: float) -> ConvexBody:
+    return ConvexBody(mode=body.mode, h=body.h * s, t=body.t,
+                      center_offset=body.center_offset * s)
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +995,17 @@ def radii_reference(body):
 # the draws and the certifier (the loops the library replaced by stacked
 # arrays; same formulas, evaluated one point at a time)
 # ---------------------------------------------------------------------------
+
+def elem_batch_reference(Z):
+    """e_0..e_n of each row of Z, shape (m, n+1), by the recurrence on the
+    (m, n+1) table one column of Z at a time."""
+    m, n = Z.shape
+    E = np.zeros((m, n + 1))
+    E[:, 0] = 1.0
+    for j in range(n):
+        E[:, 1:] = E[:, 1:] + Z[:, j : j + 1] * E[:, :-1]
+    return E
+
 
 def _e_subset(z, k):
     """e_k of the entries of z; 0 outside 0 <= k <= len(z)."""

@@ -11,16 +11,15 @@ import pytest
 
 from noncollapse.cli import main as cli_main, refinement_deltas
 from noncollapse.flow import FlowConfig, build_speed, run
-from noncollapse.geometry import (CURVE, ConvexBody, ball_curvature_field,
-                                  make_ellipse, scale, translate)
+from noncollapse.geometry import CURVE, ConvexBody, ball_curvature_field, make_ellipse
 from noncollapse.monitor import SLACK_FLOOR, assert_trend, monitor_rows, run_verdicts
-from noncollapse.oracle import (_boundary_terms, boundary_suite,
-                                brute_force_boundary, counterexample_search,
-                                interior_suite, q_second_derivative_check)
+from noncollapse.oracle import (_boundary_terms, boundary_suite, counterexample_search,
+                                interior_suite)
 from noncollapse.speeds import certify, parse_speed
 
-from oracles import (fd_gradient, fd_hessian, random_convex_axisym, random_convex_curve,
-                     sample_boundary)
+from oracles import (brute_force_boundary, fd_gradient, fd_hessian,
+                     q_second_derivative_check, random_convex_axisym, random_convex_curve,
+                     sample_boundary, scale, translate)
 
 SPEEDS = ["mean", "harmonic", "sigma-ratio:2", "sigma-root:2", "power:-1", "power:0.5"]
 

@@ -5,10 +5,10 @@ from noncollapse.errors import ConvexityLost
 from noncollapse.flow import (CFL_MAX, REACHED_MAX_F, REACHED_T_END, FlowConfig,
                               _dt_of, _etd_coefficients, _rk4, _speed_coefficients,
                               build_body, build_speed, run)
-from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, _Eigenbasis, _workspace, area,
+from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, _Eigenbasis, _workspace,
                                   make_ellipse, make_ellipsoid, make_sphere)
 
-from oracles import (dt_reference, random_convex_axisym, random_convex_curve,
+from oracles import (area, dt_reference, random_convex_axisym, random_convex_curve,
                      eigenbasis_radii_reference, rk4_reference_run)
 
 

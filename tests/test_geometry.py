@@ -2,32 +2,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noncollapse.errors import (CenterOutside, ConvexityLost, DiagonalWitness,
-                                PairTooClose)
+from noncollapse.errors import CenterOutside, ConvexityLost, DiagonalWitness
 from noncollapse.geometry import (AXISYMMETRIC, CURVE, SEP_FACTOR, ConvexBody,
-                                  area, axi_derivs, ball_curvature_field,
-                                  ball_curvature_pair, check_convex,
+                                  axi_derivs, ball_curvature_field, check_convex,
                                   curve_derivs,
                                   hausdorff_to_unit_sphere, make_ellipse,
-                                  make_ellipsoid, make_sphere,
-                                  principal_radii, radii, recenter, scale,
+                                  make_ellipsoid, make_sphere, radii, recenter,
                                   _chord, _circumball_axi, _circumball_curve,
                                   _first_admissible,
                                   _points, _Workspace, _workspace,
-                                  tangent_plane_diagnostic,
-                                  translate)
+                                  tangent_plane_diagnostic)
 
-from oracles import (ball_curvature_field_bisection,
+from oracles import (PairTooClose, area, ball_curvature_field_bisection,
+                     ball_curvature_pair,
                      ball_curvature_field_sweep, circumball_axi_bisection,
                      circumball_welzl,
                      eigenbasis_extended,
                      ellipse_curvature_parametric,
                      ellipsoid_curvatures_parametric, fd_derivs_even,
-                     fd_derivs_periodic, principal_radii_reference,
+                     fd_derivs_periodic, principal_radii, principal_radii_reference,
                      principal_radii_three_transform, radii_dense,
                      radii_reference,
-                     random_convex_axisym, random_convex_curve,
-                     spectral_derivs_extended)
+                     random_convex_axisym, random_convex_curve, scale,
+                     spectral_derivs_extended, translate)
 
 
 # ---------------------------------------------------------------------------

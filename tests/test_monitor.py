@@ -6,10 +6,12 @@ import pytest
 
 from noncollapse.flow import REACHED_MAX_F, FlowConfig, build_speed, run
 from noncollapse.geometry import (AXISYMMETRIC, CURVE, ball_curvature_field,
-                                  make_ellipse, make_sphere, scale)
+                                  make_ellipse, make_sphere)
 from noncollapse.monitor import (CSV_COLUMNS, RATIO_SLACK_FLOOR, SLACK_FLOOR,
                                  assert_trend, monitor_rows, ratios, run_verdicts,
                                  write_monitor_csv)
+
+from oracles import principal_radii, scale
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +41,6 @@ def test_ratios_two_computations_agree():
     fld = ball_curvature_field(b)
     ext = ratios(fld, sp)
     # independent recomputation through the recorded witnesses
-    from noncollapse.geometry import principal_radii
     F = sp.value_many(1.0 / principal_radii(b))
     direct = (fld.k_lower / F).min()
     assert ext.min_ratio_lower == pytest.approx(direct, abs=1e-10)

@@ -4,17 +4,15 @@ from scipy.optimize import minimize
 
 from noncollapse.errors import SingularShift
 from noncollapse.oracle import (BoundarySample, InteriorSample, _boundary_terms,
-                                boundary_bracket, boundary_suite,
-                                brute_force_boundary, counterexample_search,
-                                interior_bracket, interior_gap, interior_scale,
-                                interior_suite, optimal_lambda,
-                                q_second_derivative_check)
+                                boundary_suite, counterexample_search,
+                                interior_gap, interior_suite)
 from noncollapse.speeds import (GAP_TOL, ArithmeticMean, HarmonicMean,
-                                PowerMean, SigmaRatio, matrix_hess_form,
-                                parse_speed)
+                                PowerMean, SigmaRatio, parse_speed)
 
-from oracles import (interior_stack_reference, q_reference, sample_boundary,
-                     sample_interior)
+from oracles import (boundary_bracket, brute_force_boundary, interior_bracket,
+                     interior_scale, interior_stack_reference, matrix_hess_form,
+                     optimal_lambda, q_reference, q_second_derivative_check,
+                     sample_boundary, sample_interior)
 
 INVERSE_CONCAVE = ["mean", "harmonic", "sigma-ratio:2", "sigma-root:2",
                    "power:-1", "power:0.5"]

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from noncollapse.errors import DomainError, NotPositiveDefinite
 from noncollapse.speeds import (PROPERTIES, ArithmeticMean, HarmonicMean, PowerMean,
                                 SigmaRatio, SigmaRoot, certify, matrix_eval,
-                                matrix_hess_form, parse_speed, trial_uniforms,
-                                _without_one)
+                                parse_speed, trial_uniforms, _elem_batch, _without_one)
 
-from oracles import (fd_gradient, fd_hessian, fd_second_along, splitmix64_outputs,
-                     splitmix64_uniforms, without_one_reference)
+from oracles import (elem_batch_reference, fd_gradient, fd_hessian, fd_second_along,
+                     matrix_hess_form, splitmix64_outputs, splitmix64_uniforms,
+                     without_one_reference)
 
 CATALOG = ["mean", "harmonic", "sigma-ratio:2", "sigma-root:2", "power:-1",
            "power:0.5", "power:0"]
@@ -384,8 +384,18 @@ def test_certify_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Left-out elementary symmetric polynomials
+# Elementary symmetric polynomials, all and with entries left out
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_elem_batch_matches_column_recurrence_bitwise(n):
+    # the trials-last table runs the same recurrence, entry for entry
+    rng = np.random.default_rng(20 + n)
+    Z = 10.0 ** rng.uniform(-3.0, 3.0, (2000, n))
+    got = _elem_batch(Z)
+    assert got.shape == (2000, n + 1)
+    assert np.array_equal(got, elem_batch_reference(Z))
+
 
 # The prefix-suffix convolution adds the same nonnegative products as the
 # recurrence over the other entries, in another order.  Measured worst over
