@@ -4,14 +4,12 @@ inequalities."""
 
 __version__ = "0.1.0"
 
-from .errors import (CenterOutside, ConvexityLost, DiagonalWitness, DomainError,
-                     NotPositiveDefinite, SingularShift)
-from .speeds import (ArithmeticMean, CertReport, DualSpeed, HarmonicMean,
-                     PowerMean, SigmaRatio, SigmaRoot, SpeedFunction, certify,
-                     matrix_eval, parse_speed)
+from .speeds import (ArithmeticMean, CertReport, DomainError, DualSpeed,
+                     HarmonicMean, PowerMean, SigmaRatio, SigmaRoot, SpeedFunction,
+                     certify, matrix_eval, parse_speed)
 from .oracle import (BoundarySample, InteriorSample, boundary_suite,
                      counterexample_search, interior_gap, interior_suite)
-from .geometry import (BallCurvatureField, ConvexBody, RadiiReport,
+from .geometry import (BallCurvatureField, ConvexBody, ConvexityLost, RadiiReport,
                        ball_curvature_field, hausdorff_to_unit_sphere,
                        make_ellipse, make_ellipsoid, make_sphere, radii,
                        recenter, tangent_plane_diagnostic)

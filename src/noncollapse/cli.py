@@ -19,8 +19,8 @@ import time
 from typing import Optional
 
 from . import __version__
-from .errors import ConvexityLost
-from .flow import FlowConfig, build_body, build_speed, run as run_flow, stop_threshold
+from .flow import (CONVEXITY_LOST, FlowConfig, build_body, build_speed, run as run_flow,
+                   stop_threshold)
 from .monitor import monitor_rows, ratios, run_verdicts, write_monitor_csv
 from .oracle import boundary_suite, interior_suite
 from .speeds import PROPERTIES, certify, parse_speed
@@ -111,7 +111,7 @@ def cmd_flow(args) -> int:
         return EXIT_USAGE
     try:
         stop_threshold(cfg, body, speed)
-    except ConvexityLost as e:
+    except geometry.ConvexityLost as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONVEXITY
     except ValueError as e:
@@ -147,7 +147,7 @@ def cmd_flow(args) -> int:
     manifest["wall_time_s"] = round(time.perf_counter() - t0, 3)
     _write_json(manifest_path, manifest)
 
-    if fr.termination == "ConvexityLost":
+    if fr.termination == CONVEXITY_LOST:
         return EXIT_CONVEXITY
     return EXIT_OK if verdicts["passed"] else EXIT_VERDICT_FAIL
 
@@ -179,12 +179,17 @@ def cmd_report(args) -> int:
         if not os.path.exists(mpath):
             print(f"warning: {d}: no manifest, skipping", file=sys.stderr)
             continue
-        with open(mpath) as fh:
-            manifest = json.load(fh)
-        verdicts = {}
-        if os.path.exists(vpath):
-            with open(vpath) as fh:
-                verdicts = json.load(fh)
+        try:
+            with open(mpath) as fh:
+                manifest = json.load(fh)
+            verdicts = {}
+            if os.path.exists(vpath):
+                with open(vpath) as fh:
+                    verdicts = json.load(fh)
+        except ValueError as e:  # a JSONDecodeError, or bytes that are not UTF-8
+            print(f"warning: {d}: {os.path.basename(fh.name)} is not valid JSON ({e}), "
+                  "skipping", file=sys.stderr)
+            continue
         cfg = verdicts.get("config", {})
         gates = verdicts.get("gates", {})
         rows.append({
@@ -197,6 +202,7 @@ def cmd_report(args) -> int:
             "eps_upper_final": gates.get("eps_upper_final"),
             "delta_lower_final": gates.get("delta_lower_final"),
             "hausdorff_rescaled_final": gates.get("hausdorff_rescaled_final"),
+            "termination": verdicts.get("termination"),
             "passed": verdicts.get("passed"),
             "version": manifest.get("tool_version"),
         })
@@ -205,7 +211,7 @@ def cmd_report(args) -> int:
         return EXIT_USAGE
 
     cols = ["dir", "speed", "mode", "grid", "maxF_growth",
-            "eps_radii_ratio_final", "hausdorff_rescaled_final", "passed"]
+            "eps_radii_ratio_final", "hausdorff_rescaled_final", "termination", "passed"]
     widths = {c: max(len(c), *(len(_cell(r.get(c))) for r in rows)) for c in cols}
     print("  ".join(c.ljust(widths[c]) for c in cols))
     for r in rows:

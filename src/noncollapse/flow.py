@@ -70,16 +70,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConvexityLost, DomainError
-from .geometry import (AXISYMMETRIC, CURVE, ConvexBody, _Eigenbasis, _Workspace,
-                       _workspace, check_convex, make_ellipse, make_ellipsoid, make_sphere,
-                       recenter)
-from .speeds import SpeedFunction, parse_speed
+from .geometry import (AXISYMMETRIC, CURVE, ConvexBody, ConvexityLost, _Eigenbasis,
+                       _Workspace, _workspace, check_convex, make_ellipse, make_ellipsoid,
+                       make_sphere, recenter)
+from .speeds import DomainError, SpeedFunction, parse_speed
 
 REACHED_MAX_F = "ReachedMaxF"
 REACHED_T_END = "ReachedTEnd"
@@ -292,11 +291,9 @@ class FlowRun:
 
     @property
     def counters(self) -> dict:
-        return {"steps": self.steps, "rk4_attempts": self.rk4_attempts,
-                "rejected": self.rejected, "rollbacks": self.rollbacks,
-                "dt_refreshes": self.dt_refreshes,
-                "bisection_iterations": self.bisection_iterations,
-                "dt_min": self.dt_min, "dt_max": self.dt_max}
+        """The fields after termination, by name."""
+        names = [f.name for f in fields(self)]
+        return {n: getattr(self, n) for n in names[names.index("termination") + 1:]}
 
     # the extinction-time estimate of the final snapshot
     t_hat = property(lambda self: self.snapshots[-1].t_hat)
@@ -391,9 +388,6 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
         return ConvexBody(mode=body.mode, h=hh, t=tt, center_offset=offset)
 
     while True:
-        if config.t_end is not None and config.t_end - t <= 0.0:
-            run_.termination = REACHED_T_END
-            break
         lin = unit_z / dt_unit
         n0 = neg_f - lin * c
         floor = 1e-14 * max(1.0, t)
@@ -434,7 +428,8 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
                 j += max(0, _rungs(err))
             break
         if dt < floor:
-            run_.termination = failure
+            # a step clipped to t_end that falls below the floor has arrived
+            run_.termination = REACHED_T_END if ends else failure
             break
 
         if float(F_new.max()) >= stop_f:
@@ -487,7 +482,8 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
             half = 0.5 * config.snapshot_every
             clock = min(max(clock - config.snapshot_every, -half), half)
 
-    if run_.termination in (CONVEXITY_LOST, STEP_UNDERFLOW) and run_.snapshots[-1].t < t:
+    # a run that stopped between snapshots records its last accepted state
+    if run_.snapshots[-1].t < t:
         try:
             _sample(run_, ws, speed, as_body(h, t))
         except (ConvexityLost, DomainError):

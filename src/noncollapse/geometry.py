@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CenterOutside, ConvexityLost, DiagonalWitness
-
 CURVE = "curve"
 AXISYMMETRIC = "axisymmetric"
 
@@ -102,12 +100,6 @@ class ConvexBody:
             "h": self.h.tolist(),
             "center_offset": self.center_offset.tolist(),
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ConvexBody":
-        return ConvexBody(mode=d["mode"], h=np.array(d["h"]), t=float(d["t"]),
-                          center_offset=np.array(d.get("center_offset"))
-                          if d.get("center_offset") is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +315,10 @@ def axi_derivs(h: np.ndarray):
     return _workspace(AXISYMMETRIC, h.size).derivs(h)
 
 
+class ConvexityLost(RuntimeError):
+    """A principal radius of curvature dropped to zero or below."""
+
+
 def check_convex(body: ConvexBody) -> np.ndarray:
     """(N, n) principal radii of curvature (poles take the meridian value),
     checked positive."""
@@ -372,9 +368,6 @@ class BallCurvatureField:
 
     def diagonal_lower(self, i: int) -> bool:
         return self.witness_lower[i, 0] < 0
-
-    def diagonal_upper(self, i: int) -> bool:
-        return self.witness_upper[i, 0] < 0
 
 
 def ball_curvature_field(body: ConvexBody) -> BallCurvatureField:
@@ -527,7 +520,7 @@ def tangent_plane_diagnostic(body: ConvexBody, fld: BallCurvatureField,
     O(grid spacing^2) when the discrete witness tracks a smooth off-diagonal
     minimum."""
     if fld.diagonal_lower(x_index):
-        raise DiagonalWitness(f"k_lower witness at x={x_index} is the diagonal")
+        raise ValueError(f"k_lower witness at x={x_index} is the diagonal")
     pts, nus = fld.points, body.directions()
     th = body.thetas
     k = fld.k_lower[x_index]
@@ -727,7 +720,7 @@ def hausdorff_to_unit_sphere(body: ConvexBody, center) -> float:
         raise ValueError("an axisymmetric body's center must lie on the axis")
     g = body.h - body.directions() @ center
     if g.min() <= 0.0:
-        raise CenterOutside(f"support relative to center dips to {g.min():.3e}")
+        raise ValueError(f"support relative to center dips to {g.min():.3e}")
     return float(np.abs(g - 1.0).max())
 
 

@@ -23,11 +23,10 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
 from .flow import REACHED_MAX_F, FlowRun, Snapshot
 from .geometry import (BallCurvatureField, ConvexBody, ball_curvature_field,
                        hausdorff_to_unit_sphere, tangent_plane_diagnostic)
-from .speeds import SpeedFunction
+from .speeds import DomainError, SpeedFunction
 
 SLACK_FLOOR = 1e-6  # absolute measurement-noise floor for interval/refinement checks
 RATIO_SLACK_FLOOR = 1e-4  # absolute floor of the ball-ratio and radii-ratio trend slacks

@@ -9,7 +9,7 @@ functions.
 Batch entry points ``value_many`` / ``grad_many`` / ``hess_many`` take an
 (m, n) array of cone points: the flow engine calls the first two per grid
 sweep, the oracles and the certifier the third on stacked samples.  The
-scalar ``value`` / ``grad`` / ``hess`` are their one-row cases.
+scalar ``value`` / ``grad`` are the one-row cases of the first two.
 """
 from __future__ import annotations
 
@@ -20,7 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveDefinite
+
+class DomainError(ValueError):
+    """Argument outside the open positive cone (some entry <= 0)."""
+
 
 # Relative eigenvalue gap below which divided differences switch to their
 # analytic limit (correct continuous extension for symmetric functions).
@@ -138,13 +141,6 @@ class SpeedFunction:
 
     def grad(self, z) -> np.ndarray:
         return self.grad_many(np.atleast_1d(z)[None])[0]
-
-    def hess(self, z) -> np.ndarray:
-        return self.hess_many(np.atleast_1d(z)[None])[0]
-
-    def trace_grad(self, z) -> float:
-        """Sum of the gradient entries, i.e. tr of the matrix derivative."""
-        return float(self.grad(z).sum())
 
     def dual(self) -> "SpeedFunction":
         return DualSpeed(self)
@@ -320,9 +316,6 @@ class DualSpeed(SpeedFunction):
         out[:, diag, diag] -= 2.0 * g * Z**3 / f**2
         return out
 
-    def dual(self) -> SpeedFunction:
-        return self.base
-
 
 def parse_speed(spec: str, n: int) -> SpeedFunction:
     """Build a speed from its config/CLI name ("mean", "power:<p>", ...)."""
@@ -351,7 +344,7 @@ def matrix_eval(f: SpeedFunction, A) -> tuple[float, np.ndarray]:
         raise ValueError("A must be a symmetric n x n matrix")
     lam, U = np.linalg.eigh(A)
     if lam[0] <= 0.0:
-        raise NotPositiveDefinite(f"min eigenvalue {lam[0]:.3e} <= 0")
+        raise ValueError(f"min eigenvalue {lam[0]:.3e} <= 0")
     value = f.value(lam)
     grad = (U * f.grad(lam)) @ U.T
     return value, grad

@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 
-from noncollapse.errors import SingularShift
 from noncollapse.geometry import (AXISYMMETRIC, CURVE, SEP_FACTOR, ConvexBody, _points,
                                   _workspace, check_convex, curve_derivs)
 from noncollapse.oracle import _SHIFT_FLOOR, BoundarySample, InteriorSample, _check_shift
@@ -129,10 +128,10 @@ def q_second_derivative_check(f: SpeedFunction, a, z, k: float):
     a = np.asarray(a, dtype=float)
     z = np.asarray(z, dtype=float)
     if min(a.min(), z.min()) - k <= _SHIFT_FLOOR:
-        raise SingularShift("k too close to min(a) or min(z)")
+        raise ValueError("k too close to min(a) or min(z)")
     ga = f.grad(a)
     gz = f.grad(z)
-    Hz = f.hess(z)
+    Hz = f.hess_many([z])[0]
     sa = a - k
     sz = z - k
     q_dot = gz - ga * sa**2 / sz**2
@@ -552,8 +551,8 @@ def rk4_reference_run(config, speed=None, body=None, dt_of=None):
     take their radii from radii_dense; the stop threshold and the snapshots
     are flow's own.  Its stability needs cfl <= flow.CFL_MAX."""
     from noncollapse import flow
-    from noncollapse.errors import ConvexityLost, DomainError
-    from noncollapse.geometry import ConvexBody, _workspace
+    from noncollapse.geometry import ConvexBody, ConvexityLost, _workspace
+    from noncollapse.speeds import DomainError
 
     dt_of = flow._dt_of if dt_of is None else dt_of
     body = flow.build_body(config.body) if body is None else body
@@ -1290,13 +1289,13 @@ def certify_reference(f, property, trials=2000, seed=0):
     for t in range(trials):
         z, s = cone_point_reference(f.n, seed, t)
         if property == "concave":
-            H = f.hess(z)
+            H = f.hess_many([z])[0]
             margin = float(-np.linalg.eigvalsh(H)[-1])
             tol = 1e-8 * (1.0 + np.abs(H).max())
         elif property == "inverse-concave":
-            M = f.hess(z) + 2.0 * np.diag(f.grad(z) / z)
+            M = f.hess_many([z])[0] + 2.0 * np.diag(f.grad(z) / z)
             m1 = float(np.linalg.eigvalsh(M)[0])
-            Hd = dual.hess(1.0 / z)
+            Hd = dual.hess_many([1.0 / z])[0]
             m2 = float(-np.linalg.eigvalsh(Hd)[-1])
             margin = min(m1, m2)
             tol = max(1e-8 * (1.0 + np.abs(M).max()), 1e-8 * (1.0 + np.abs(Hd).max()))

@@ -393,6 +393,36 @@ def test_report_skips_missing_manifest(tmp_path, capsys):
     assert "skipping" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b'{"passed": tr', b'{"passed": \xff}'],
+                         ids=["truncated", "not-utf8"])
+@pytest.mark.parametrize("name", ["manifest.json", "verdicts.json"])
+def test_report_skips_unreadable_json(tmp_path, capsys, name, content):
+    # a file that is not valid JSON ended report in a JSONDecodeError traceback
+    cfg = sphere_config(tmp_path)
+    good, bad = tmp_path / "a", tmp_path / "b"
+    for out in (good, bad):
+        assert run_cli("flow", "--config", cfg, "--out", str(out)) == 0
+    (bad / name).write_bytes(content)
+    capsys.readouterr()
+    assert run_cli("report", str(good), str(bad), "--out", str(tmp_path / "rep")) == 0
+    assert f"{bad}: {name} is not valid JSON" in capsys.readouterr().err
+    rows = json.loads((tmp_path / "rep" / "report.json").read_text())["runs"]
+    assert [r["dir"] for r in rows] == [str(good)]
+
+
+def test_report_prints_termination(tmp_path, capsys):
+    # a run that stops short of its max-F stop exits 0 with passed True;
+    # the termination column tells it apart
+    out = tmp_path / "a"
+    cfg = sphere_config(tmp_path, N=32)
+    assert run_cli("flow", "--config", cfg, "--stop-max-f", "1e12", "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("report", str(out)) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split()[-2:] == ["termination", "passed"]
+    assert row.split()[-2:] == ["StepUnderflow", "True"]
+
+
 def test_report_empty_exit_1():
     assert run_cli("report") == 1
 

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from noncollapse.errors import ConvexityLost
 from noncollapse.flow import (CFL_MAX, REACHED_MAX_F, REACHED_T_END, FlowConfig,
                               _dt_of, _etd_coefficients, _rk4, _speed_coefficients,
                               build_body, build_speed, run)
-from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, _Eigenbasis, _workspace,
-                                  make_ellipse, make_ellipsoid, make_sphere)
+from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, ConvexityLost, _Eigenbasis,
+                                  _workspace, make_ellipse, make_ellipsoid, make_sphere)
 
 from oracles import (area, dt_reference, random_convex_axisym, random_convex_curve,
                      eigenbasis_radii_reference, rk4_reference_run)
@@ -354,6 +353,18 @@ def test_run_reaches_t_end():
     fr = run(cfg)
     assert fr.termination == REACHED_T_END
     assert fr.snapshots[-1].t == pytest.approx(0.05, abs=1e-12)
+
+
+@pytest.mark.parametrize("t0, t_end", [(0.0, 1e-15), (1.0 - 1e-15, 1.0), (2.0, 1.0)],
+                         ids=["t_end-below-floor", "within-floor-of-t_end", "past-t_end"])
+def test_run_at_t_end_ends_reached_t_end_without_a_step(t0, t_end):
+    # with t_end - t below the step floor 1e-14 max(1, t), the step clipped
+    # to t_end underflowed and the run ended StepUnderflow
+    body = ConvexBody(mode=CURVE, h=np.ones(32), t=t0)
+    fr = run(t_end_cfg(sphere_body(CURVE, 32), t_end), body=body)
+    assert fr.termination == REACHED_T_END
+    assert fr.steps == 0 and fr.rk4_attempts == 0
+    assert [s.t for s in fr.snapshots] == [t0]
 
 
 def test_run_rejects_nonconvex_initial():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from noncollapse.errors import SingularShift
 from noncollapse.oracle import (BoundarySample, InteriorSample, _boundary_terms,
                                 boundary_suite, counterexample_search,
                                 interior_gap, interior_suite)
@@ -32,7 +31,7 @@ def test_optimal_lambda_diagonal():
 
 
 def test_optimal_lambda_singular_shift():
-    with pytest.raises(SingularShift):
+    with pytest.raises(ValueError, match="shift margin"):
         optimal_lambda(np.diag([2.0, 3.0]), np.diag([4.0, 5.0]), 2.0 - 1e-15)
 
 
