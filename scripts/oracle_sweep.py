@@ -13,8 +13,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from noncollapse.cli import non_negative_int, positive_int  # noqa: E402
-from noncollapse.oracle import (boundary_suite, counterexample_search,  # noqa: E402
-                                interior_suite)
+from noncollapse.oracle import boundary_suite, interior_suite  # noqa: E402
 from noncollapse.speeds import parse_speed  # noqa: E402
 
 CATALOG = ["mean", "harmonic", "sigma-ratio:2", "sigma-root:2", "power:-1", "power:0.5"]
@@ -37,10 +36,10 @@ def main(argv=None):
             rb = boundary_suite(f, trials=args.trials, seed=args.seed)
             print(f"{spec:<14}{n:>3}  {ri['min_scaled']:>18.4g}  {rb['min_scaled']:>18.4g}")
 
-    witness = counterexample_search(parse_speed("power:-2", 2),
-                                    trials=args.trials * 10, seed=args.seed)
-    if witness:
-        print(f"\nnegative control power:-2: gap {witness['gap']:.4g} "
+    rep = interior_suite(parse_speed("power:-2", 2), trials=args.trials * 10, seed=args.seed)
+    if "witness" in rep:
+        witness = rep["witness"]
+        print(f"\nnegative control power:-2: gap {rep['min_value']:.4g} "
               f"at trial {witness['trial']} (k={witness['k']:.3f})")
     else:
         print("\nnegative control power:-2: no violation found (increase --trials)")

@@ -87,10 +87,12 @@ def cmd_oracle(args) -> int:
     except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    if args.prop == "2.2":
-        report = interior_suite(f, trials=args.trials, seed=args.seed)
-    else:
-        report = boundary_suite(f, trials=args.trials, seed=args.seed)
+    suite = interior_suite if args.prop == "2.2" else boundary_suite
+    try:
+        report = suite(f, trials=args.trials, seed=args.seed)
+    except ValueError as e:  # a trial the speed cannot evaluate
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     report["seed"] = args.seed
     _emit(report, args.out, "oracle.json")
     return EXIT_OK if report["min_scaled"] >= -1.0 else EXIT_REFUTED
@@ -180,15 +182,10 @@ def cmd_report(args) -> int:
             print(f"warning: {d}: no manifest, skipping", file=sys.stderr)
             continue
         try:
-            with open(mpath) as fh:
-                manifest = json.load(fh)
-            verdicts = {}
-            if os.path.exists(vpath):
-                with open(vpath) as fh:
-                    verdicts = json.load(fh)
-        except ValueError as e:  # a JSONDecodeError, or bytes that are not UTF-8
-            print(f"warning: {d}: {os.path.basename(fh.name)} is not valid JSON ({e}), "
-                  "skipping", file=sys.stderr)
+            manifest = _read_object(mpath)
+            verdicts = _read_object(vpath) if os.path.exists(vpath) else {}
+        except ValueError as e:
+            print(f"warning: {d}: {e}, skipping", file=sys.stderr)
             continue
         cfg = verdicts.get("config", {})
         gates = verdicts.get("gates", {})
@@ -220,6 +217,19 @@ def cmd_report(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "report.json"), {"runs": rows})
     return EXIT_OK
+
+
+def _read_object(path: str) -> dict:
+    """The JSON object in path, or a ValueError naming the file."""
+    name = os.path.basename(path)
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except ValueError as e:  # a JSONDecodeError, or bytes that are not UTF-8
+        raise ValueError(f"{name} is not valid JSON ({e})") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} is not a JSON object")
+    return obj
 
 
 def _cell(v) -> str:

@@ -4,75 +4,24 @@ closed-form optimal mixing matrix) and the boundary estimate (quadratic form
 with smallest-eigenvalue resolvent weights).
 
 Trial t of a suite is drawn from its row of speeds.trial_uniforms(seed,
-trials, width), so a witness replays from (seed, t) alone.  An interior
-trial is drawn as the eigendecomposition A = Q diag(a) Q^T and its gap
-evaluated in that basis; the matrix A is formed only where a sample is
-recorded or replayed.
+trials, width), so a witness, which records its t as "trial", replays from
+(seed, t) alone.  An interior trial is drawn as the eigendecomposition
+A = Q diag(a) Q^T and its gap evaluated in that basis; the matrix A is
+formed only where a sample is recorded or replayed.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .speeds import (GAP_TOL, SpeedFunction, hess_form_terms, matrix_eval, sum_terms,
-                     trial_uniforms)
-
-_SHIFT_FLOOR = 1e-12
+from .speeds import GAP_TOL, SpeedFunction, hess_form_terms, sum_terms, trial_uniforms
 
 
 # ---------------------------------------------------------------------------
 # Interior estimate
 # ---------------------------------------------------------------------------
-
-@dataclass
-class InteriorSample:
-    """A symmetric PD matrix, a diagonal PD matrix, and a shift k below both spectra."""
-
-    A: np.ndarray
-    B: np.ndarray
-    k: float
-    f: SpeedFunction
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
-        n = self.f.n
-        if self.A.shape != (n, n) or self.B.shape != (n, n):
-            raise ValueError("A, B must be n x n")
-        if np.abs(self.B - np.diag(np.diag(self.B))).max() > 0.0:
-            raise ValueError("B must be diagonal")
-        lam_a = np.linalg.eigvalsh(self.A)
-        b = np.diag(self.B)
-        if lam_a[0] <= 0.0 or b.min() <= 0.0:
-            raise ValueError("A and B must be positive definite")
-        if not (self.k < lam_a[0] and self.k < b.min()):
-            raise ValueError("need k < min eig(A) and k < min eig(B)")
-
-
-def _check_shift(A: np.ndarray, B: np.ndarray, k: float) -> None:
-    la = np.linalg.eigvalsh(A)[0]
-    lb = np.diag(B).min()
-    if la - k <= _SHIFT_FLOOR or lb - k <= _SHIFT_FLOOR:
-        raise ValueError(f"shift margin {min(la - k, lb - k):.3e} below {_SHIFT_FLOOR:g}")
-
-
-def interior_gap(s: InteriorSample) -> float:
-    """F(B) - F(A) - tr[G((A-kI) - (A-kI)(B-kI)^-1 (A-kI))], G = dF at A.
-
-    Equals the gap of the diagonalised comparison when A is diagonal; for an
-    inverse-concave speed and 0 <= k < min eig the value is nonnegative.
-    """
-    _check_shift(s.A, s.B, s.k)
-    n = s.f.n
-    FA, G = matrix_eval(s.f, s.A)
-    FB = s.f.value(np.diag(s.B))
-    M = s.A - s.k * np.eye(n)
-    inner = M - M @ (M / (np.diag(s.B) - s.k)[:, None])
-    return float(FB - FA - np.sum(G * inner))
-
 
 def _normals(U: np.ndarray, count: int) -> np.ndarray:
     """(m, count) standard normals from the (m, 2 ceil(count/2)) uniforms U
@@ -138,11 +87,13 @@ def interior_gaps_batched(f: SpeedFunction, a: np.ndarray, Q: np.ndarray,
     """Interior gaps and tolerance scales of stacked drawn trials, evaluated
     in the basis each trial was drawn in: a, b (m, n), Q (m, n, n), k (m,).
 
-    With s = a - k and g = grad f(a), A - kI = Q diag(s) Q^T and dF(A) =
-    Q diag(g) Q^T, so the gap of interior_gap is
+    The gap is F(B) - F(A) - tr[G((A-kI) - (A-kI)(B-kI)^-1 (A-kI))], G = dF
+    at A, which is nonnegative for an inverse-concave speed and 0 <= k <
+    min eig.  With s = a - k and g = grad f(a), A - kI = Q diag(s) Q^T and
+    G = Q diag(g) Q^T, so it is
         f(b) - f(a) - sum_i g_i s_i (1 - s_i w_i),  w_i = sum_j Q_ji^2 / (b_j - k),
-    and its scale 1 + |f(a)|.  Matches interior_gap of the formed sample
-    (cross-checked in tests)."""
+    and its scale 1 + |f(a)|.  Cross-checked in tests against the formed
+    matrix path, tests/oracles.py::interior_gap."""
     s = a - k[:, None]
     w = np.einsum("mji,mj->mi", Q * Q, 1.0 / (b - k[:, None]))
     FA = f.value_many(a)
@@ -234,13 +185,18 @@ def _suite(proposition: str, f: SpeedFunction, trials: int, seed: int,
            draws, evaluate, witness) -> dict:
     """The report of one suite: draws(n, seed, trials) stacks one sample per
     trial, evaluate(f, *stack) gives their values and tolerance scales, and
-    witness(*sample) records the worst trial's sample when its value is
-    below -1e-7 times its scale."""
+    witness(*sample) records the worst trial's sample, with its index as
+    "trial", when its value is below -1e-7 times its scale.  A trial whose
+    value or scale is not finite raises ValueError."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
     stack = draws(f.n, seed, np.arange(trials))
     values, scales = evaluate(f, *stack)
+    bad = np.flatnonzero(~(np.isfinite(values) & np.isfinite(scales)))
+    if bad.size:
+        raise ValueError(f"{f.name} at n = {f.n} gives a non-finite value or scale "
+                         f"at trial {bad[0]} of seed {seed}")
     scaled = values / (1e-7 * scales)
     worst = int(np.argmin(scaled))
     report = {
@@ -254,7 +210,7 @@ def _suite(proposition: str, f: SpeedFunction, trials: int, seed: int,
         "runtime_ms": round(1000.0 * (time.perf_counter() - t0), 3),
     }
     if scaled[worst] < -1.0:
-        report["witness"] = witness(*(x[worst] for x in stack))
+        report["witness"] = dict(witness(*(x[worst] for x in stack)), trial=worst)
     return report
 
 
@@ -272,34 +228,3 @@ def _boundary_values(f: SpeedFunction, lam: np.ndarray, B: np.ndarray):
 def boundary_suite(f: SpeedFunction, trials: int, seed: int = 0) -> dict:
     return _suite("2.5", f, trials, seed, _boundary_draws, _boundary_values,
                   lambda lam, B: {"lam": lam.tolist(), "B": B.tolist()})
-
-
-_SEARCH_CHUNK = 1024
-
-
-def counterexample_search(f: SpeedFunction, trials: int, seed: int = 0,
-                          threshold: float = -1e-4) -> Optional[dict]:
-    """First interior trial with gap below threshold, or None.
-
-    Trials are screened in chunks by the batched gaps, keeping every trial
-    within 1e-6 scale of the threshold; interior_gap of the formed sample
-    decides.  The two gaps differ by rounding only: at most 1.1e-9 scale
-    over 1500 drawn trials of each catalog speed at n = 2, 3 and 5, well
-    inside the screen."""
-    for start in range(0, trials, _SEARCH_CHUNK):
-        chunk = np.arange(start, min(start + _SEARCH_CHUNK, trials))
-        a, Q, b, k = _interior_draws(f.n, seed, chunk)
-        gaps, scales = interior_gaps_batched(f, a, Q, b, k)
-        for i in np.flatnonzero(gaps < threshold + 1e-6 * scales):
-            s = InteriorSample(A=_interior_matrices(a[i], Q[i]), B=np.diag(b[i]),
-                               k=float(k[i]), f=f)
-            gap = interior_gap(s)
-            if gap < threshold:
-                return {
-                    "trial": int(chunk[i]),
-                    "gap": float(gap),
-                    "A": s.A.tolist(),
-                    "B_diag": b[i].tolist(),
-                    "k": s.k,
-                }
-    return None

@@ -2,14 +2,14 @@
 
 Every speed is normalised so that its value at (1, ..., 1) is exactly 1.
 Each built-in exposes exact closed-form first and second derivatives; the
-matrix lifts (eigenvalue functions of symmetric matrices) and the
-sampling-based concavity / inverse-concavity certifier live here as module
-functions.
+second-derivative terms of the matrix lifts (eigenvalue functions of
+symmetric matrices) and the sampling-based concavity / inverse-concavity
+certifier live here as module functions.
 
 Batch entry points ``value_many`` / ``grad_many`` / ``hess_many`` take an
 (m, n) array of cone points: the flow engine calls the first two per grid
 sweep, the oracles and the certifier the third on stacked samples.  The
-scalar ``value`` / ``grad`` are the one-row cases of the first two.
+scalar ``value`` is the one-row case of the first.
 """
 from __future__ import annotations
 
@@ -138,9 +138,6 @@ class SpeedFunction:
     # -- scalar interface -----------------------------------------------------
     def value(self, z) -> float:
         return float(self.value_many(np.atleast_1d(z)[None])[0])
-
-    def grad(self, z) -> np.ndarray:
-        return self.grad_many(np.atleast_1d(z)[None])[0]
 
     def dual(self) -> "SpeedFunction":
         return DualSpeed(self)
@@ -336,19 +333,6 @@ def parse_speed(spec: str, n: int) -> SpeedFunction:
 # ---------------------------------------------------------------------------
 # Matrix lifts
 # ---------------------------------------------------------------------------
-
-def matrix_eval(f: SpeedFunction, A) -> tuple[float, np.ndarray]:
-    """F(A) = f(eigenvalues of A) and its matrix derivative U diag(grad) U^T."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (f.n, f.n) or not np.allclose(A, A.T, atol=1e-10 * (1 + np.abs(A).max())):
-        raise ValueError("A must be a symmetric n x n matrix")
-    lam, U = np.linalg.eigh(A)
-    if lam[0] <= 0.0:
-        raise ValueError(f"min eigenvalue {lam[0]:.3e} <= 0")
-    value = f.value(lam)
-    grad = (U * f.grad(lam)) @ U.T
-    return value, grad
-
 
 def hess_form_terms(lam: np.ndarray, B: np.ndarray, g: np.ndarray,
                     H: np.ndarray) -> np.ndarray:

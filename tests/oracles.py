@@ -4,14 +4,14 @@ library code paths they check."""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from noncollapse.geometry import (AXISYMMETRIC, CURVE, SEP_FACTOR, ConvexBody, _points,
                                   _workspace, check_convex, curve_derivs)
-from noncollapse.oracle import _SHIFT_FLOOR, BoundarySample, InteriorSample, _check_shift
-from noncollapse.speeds import (SpeedFunction, _cone_batch, hess_form_terms, matrix_eval,
-                                sum_terms)
+from noncollapse.oracle import BoundarySample
+from noncollapse.speeds import SpeedFunction, _cone_batch, hess_form_terms, sum_terms
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,75 @@ def fd_second_along(fun_of_matrix, A, B, rel=1e-4):
 
 
 # ---------------------------------------------------------------------------
+# The interior estimate on a formed matrix: the matrix lift by eigh and the
+# gap from its definition, which oracle.interior_gaps_batched is checked
+# against
+# ---------------------------------------------------------------------------
+
+def matrix_eval(f: SpeedFunction, A) -> tuple[float, np.ndarray]:
+    """F(A) = f(eigenvalues of A) and its matrix derivative U diag(grad) U^T."""
+    A = np.asarray(A, dtype=float)
+    if A.shape != (f.n, f.n) or not np.allclose(A, A.T, atol=1e-10 * (1 + np.abs(A).max())):
+        raise ValueError("A must be a symmetric n x n matrix")
+    lam, U = np.linalg.eigh(A)
+    if lam[0] <= 0.0:
+        raise ValueError(f"min eigenvalue {lam[0]:.3e} <= 0")
+    value = f.value(lam)
+    grad = (U * f.grad_many([lam])[0]) @ U.T
+    return value, grad
+
+
+_SHIFT_FLOOR = 1e-12
+
+
+@dataclass
+class InteriorSample:
+    """A symmetric PD matrix, a diagonal PD matrix, and a shift k below both spectra."""
+
+    A: np.ndarray
+    B: np.ndarray
+    k: float
+    f: SpeedFunction
+
+    def __post_init__(self):
+        self.A = np.asarray(self.A, dtype=float)
+        self.B = np.asarray(self.B, dtype=float)
+        n = self.f.n
+        if self.A.shape != (n, n) or self.B.shape != (n, n):
+            raise ValueError("A, B must be n x n")
+        if np.abs(self.B - np.diag(np.diag(self.B))).max() > 0.0:
+            raise ValueError("B must be diagonal")
+        lam_a = np.linalg.eigvalsh(self.A)
+        b = np.diag(self.B)
+        if lam_a[0] <= 0.0 or b.min() <= 0.0:
+            raise ValueError("A and B must be positive definite")
+        if not (self.k < lam_a[0] and self.k < b.min()):
+            raise ValueError("need k < min eig(A) and k < min eig(B)")
+
+
+def _check_shift(A: np.ndarray, B: np.ndarray, k: float) -> None:
+    la = np.linalg.eigvalsh(A)[0]
+    lb = np.diag(B).min()
+    if la - k <= _SHIFT_FLOOR or lb - k <= _SHIFT_FLOOR:
+        raise ValueError(f"shift margin {min(la - k, lb - k):.3e} below {_SHIFT_FLOOR:g}")
+
+
+def interior_gap(s: InteriorSample) -> float:
+    """F(B) - F(A) - tr[G((A-kI) - (A-kI)(B-kI)^-1 (A-kI))], G = dF at A.
+
+    Equals the gap of the diagonalised comparison when A is diagonal; for an
+    inverse-concave speed and 0 <= k < min eig the value is nonnegative.
+    """
+    _check_shift(s.A, s.B, s.k)
+    n = s.f.n
+    FA, G = matrix_eval(s.f, s.A)
+    FB = s.f.value(np.diag(s.B))
+    M = s.A - s.k * np.eye(n)
+    inner = M - M @ (M / (np.diag(s.B) - s.k)[:, None])
+    return float(FB - FA - np.sum(G * inner))
+
+
+# ---------------------------------------------------------------------------
 # Reference comparison function for the interior estimate
 # ---------------------------------------------------------------------------
 
@@ -69,7 +138,7 @@ def q_reference(f, a, b, k):
     assembled with fsum in a different order than the library."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    ga = f.grad(a)
+    ga = f.grad_many([a])[0]
     terms = [float(f.value(b)), -float(f.value(a))]
     for i in range(a.size):
         terms.append(-ga[i] * (a[i] - k))
@@ -129,8 +198,8 @@ def q_second_derivative_check(f: SpeedFunction, a, z, k: float):
     z = np.asarray(z, dtype=float)
     if min(a.min(), z.min()) - k <= _SHIFT_FLOOR:
         raise ValueError("k too close to min(a) or min(z)")
-    ga = f.grad(a)
-    gz = f.grad(z)
+    ga = f.grad_many([a])[0]
+    gz = f.grad_many([z])[0]
     Hz = f.hess_many([z])[0]
     sa = a - k
     sz = z - k
@@ -146,7 +215,7 @@ def boundary_bracket(s: BoundarySample, L) -> float:
     definition (black box used by the brute-force maximiser)."""
     L = np.asarray(L, dtype=float)
     n = s.f.n
-    g = s.f.grad(s.lam)
+    g = s.f.grad_many([s.lam])[0]
     total = 0.0
     for k in range(n):
         lin = 0.0
@@ -1076,7 +1145,7 @@ def hess_reference(f, z):
     if isinstance(f, DualSpeed):
         x = 1.0 / z
         fx = f.base.value(x)
-        g = f.base.grad(x)
+        g = f.base.grad_many([x])[0]
         H = hess_reference(f.base, x)
         gx2 = g * x**2
         out = 2.0 * np.outer(gx2, gx2) / fx**3 - H * np.outer(x**2, x**2) / fx**2
@@ -1118,7 +1187,7 @@ def boundary_terms_reference(s):
     tol = GAP_TOL * (1.0 + abs(lam[0]))
     if np.any(gaps < tol):
         lam = lam + np.arange(n) * 10.0 * tol
-    g = s.f.grad(lam)
+    g = s.f.grad_many([lam])[0]
     terms = hess_form_terms_reference(lam, s.B, g, hess_reference(s.f, lam))
     sup_part = 0.0
     for p in range(n):
@@ -1152,8 +1221,6 @@ def interior_stack_reference(n, seed, m):
 def sample_interior(f, rng):
     """interior_draw_reference as a validated InteriorSample, A = Q diag(a) Q^T
     symmetrised."""
-    from noncollapse.oracle import InteriorSample
-
     a, Q, b, k = interior_draw_reference(f.n, rng)
     A = (Q * a) @ Q.T
     return InteriorSample(A=0.5 * (A + A.T), B=np.diag(b), k=k, f=f)
@@ -1195,21 +1262,6 @@ def sample_boundary(f, rng):
 
     lam, B = boundary_draw_reference(f.n, rng)
     return BoundarySample(lam=lam, B=B, f=f)
-
-
-def counterexample_search_reference(f, trials, seed=0, threshold=-1e-4):
-    """First interior trial with gap below threshold, by the per-sample loop
-    over one-trial replays."""
-    from noncollapse.oracle import InteriorSample, _interior_draw, interior_gap
-
-    for t in range(trials):
-        A, b, k = _interior_draw(f, seed, t)
-        s = InteriorSample(A=A, B=np.diag(b), k=k, f=f)
-        gap = interior_gap(s)
-        if gap < threshold:
-            return {"trial": t, "gap": float(gap), "A": s.A.tolist(),
-                    "B_diag": np.diag(s.B).tolist(), "k": s.k}
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1293,14 +1345,14 @@ def certify_reference(f, property, trials=2000, seed=0):
             margin = float(-np.linalg.eigvalsh(H)[-1])
             tol = 1e-8 * (1.0 + np.abs(H).max())
         elif property == "inverse-concave":
-            M = f.hess_many([z])[0] + 2.0 * np.diag(f.grad(z) / z)
+            M = f.hess_many([z])[0] + 2.0 * np.diag(f.grad_many([z])[0] / z)
             m1 = float(np.linalg.eigvalsh(M)[0])
             Hd = dual.hess_many([1.0 / z])[0]
             m2 = float(-np.linalg.eigvalsh(Hd)[-1])
             margin = min(m1, m2)
             tol = max(1e-8 * (1.0 + np.abs(M).max()), 1e-8 * (1.0 + np.abs(Hd).max()))
         elif property == "monotone":
-            margin = float(f.grad(z).min())
+            margin = float(f.grad_many([z])[0].min())
             tol = 0.0
         else:
             fz = f.value(z)

@@ -1,7 +1,7 @@
 """Each stacked fast path against its per-sample reference in oracles.py:
-the batched Hessians, boundary terms, interior gaps, trial draws, certify
-and the counterexample search.  Tolerances are multiples of eps times a
-stated scale; draws, witnesses and certify reports must be identical."""
+the batched Hessians, boundary terms, interior gaps, trial draws and
+certify.  Tolerances are multiples of eps times a stated scale; draws,
+witnesses and certify reports must be identical."""
 import dataclasses
 
 import numpy as np
@@ -12,15 +12,13 @@ from noncollapse.oracle import (BoundarySample, _boundary_draws,
                                 _boundary_terms_many, _interior_draw,
                                 _interior_draws, _interior_matrices, _normal_width,
                                 _normals, _rotations, boundary_suite,
-                                counterexample_search, interior_gaps_batched,
-                                interior_suite)
+                                interior_gaps_batched, interior_suite)
 from noncollapse.speeds import (GAP_TOL, SpeedFunction, _cone_points, certify,
                                 parse_speed, trial_uniforms)
 
 import oracles
 from oracles import (boundary_stack_reference, boundary_terms_reference,
-                     certify_reference, counterexample_search_reference,
-                     hess_reference, interior_gaps_reference,
+                     certify_reference, hess_reference, interior_gaps_reference,
                      interior_stack_reference)
 
 EPS = np.finfo(float).eps
@@ -110,9 +108,13 @@ def test_boundary_suite_witness_is_the_reference_argmin():
     for t in range(trials):
         lam, B = (x[0] for x in _boundary_draws(3, seed, [t]))
         refs.append((lam, B) + boundary_terms_reference(BoundarySample(lam=lam, B=B, f=f)))
-    worst = min(refs, key=lambda r: r[2] / (1e-7 * r[3]))
-    assert rep["witness"] == {"lam": worst[0].tolist(), "B": worst[1].tolist()}
-    assert abs(rep["min_value"] - worst[2]) <= BOUNDARY_C * EPS * worst[3]
+    worst = min(range(trials), key=lambda t: refs[t][2] / (1e-7 * refs[t][3]))
+    # the witness names the reference argmin and replays from its trial alone
+    w = rep["witness"]
+    assert w["trial"] == worst
+    lam, B = (x[0] for x in _boundary_draws(3, seed, [w["trial"]]))
+    assert w == {"lam": lam.tolist(), "B": B.tolist(), "trial": worst}
+    assert abs(rep["min_value"] - refs[worst][2]) <= BOUNDARY_C * EPS * refs[worst][3]
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +175,11 @@ def test_interior_suite_witness_is_the_reference_draw():
     A, b, k = (np.array(x) for x in zip(*draws))
     gaps, scales = interior_gaps_reference(f, A, b, k)
     worst = int(np.argmin(gaps / (1e-7 * scales)))
-    assert rep["witness"] == {"A": A[worst].tolist(), "B_diag": b[worst].tolist(),
-                              "k": k[worst]}
+    # the witness names the reference argmin and replays from its trial alone
+    w = rep["witness"]
+    assert w["trial"] == worst
+    A_t, b_t, k_t = _interior_draw(f, seed, w["trial"])
+    assert w == {"A": A_t.tolist(), "B_diag": b_t.tolist(), "k": k_t, "trial": worst}
     cond = _interior_cond(f, np.linalg.eigvalsh(A[[worst]]), b[[worst]], k[[worst]])
     assert abs(rep["min_value"] - gaps[worst]) <= INTERIOR_C * EPS * cond[0]
 
@@ -185,8 +190,8 @@ def test_interior_suite_witness_is_the_reference_draw():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_batched_draws_bit_identical(n):
-    # trial t alone, in the 1024-trial chunk of counterexample_search that
-    # holds it, and in the whole stack: the same bits
+    # trial t alone, in a 1024-trial slice that holds it, and in the whole
+    # stack: the same bits
     seed, whole, chunk = 71, np.arange(2100), np.arange(1024, 2048)
     picks = [1024, 1025, 1500, 2047]
     for draws in (_interior_draws, _boundary_draws, _cone_points):
@@ -197,7 +202,7 @@ def test_batched_draws_bit_identical(n):
             for x, y, z in zip(stack, part, alone):
                 assert np.array_equal(x[t], y[t - 1024]), (draws.__name__, t)
                 assert np.array_equal(x[t], z[0]), (draws.__name__, t)
-    # one trial's matrix, as the witness and the search form it
+    # one trial's matrix, as the witness forms it
     a, Q, b, k = _interior_draws(n, seed, whole)
     A = _interior_matrices(a, Q)
     for t in picks:
@@ -316,22 +321,3 @@ def test_certify_witness_is_last_running_minimum_below_its_tolerance(
     assert reports[0]["verdict"] == "refuted"
     assert reports[0]["witness"] == witness
     assert reports[0]["min_eigen_seen"] == pytest.approx(-0.01 if witness[0] == 1.01 else -0.005)
-
-
-# ---------------------------------------------------------------------------
-# Counterexample search
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("spec, trials, seed, threshold", [
-    ("power:-2", 3000, 0, -1e-4),     # witness in the first chunk
-    ("power:-2", 3000, 1, -5.0),      # first witness at trial 1455, second chunk
-    ("harmonic", 2100, 0, -1e-4),     # inverse-concave: no witness in three chunks
-])
-def test_counterexample_search_matches_per_sample_loop(spec, trials, seed, threshold):
-    f = parse_speed(spec, 3)
-    got = counterexample_search(f, trials=trials, seed=seed, threshold=threshold)
-    assert got == counterexample_search_reference(f, trials, seed=seed, threshold=threshold)
-    if spec == "harmonic":
-        assert got is None
-    else:
-        assert got is not None and got["gap"] < threshold

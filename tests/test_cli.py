@@ -9,6 +9,10 @@ import pytest
 
 from noncollapse.cli import main
 from noncollapse.flow import FlowConfig, build_body, build_speed
+from noncollapse.oracle import _interior_draw
+from noncollapse.speeds import parse_speed
+
+from oracles import InteriorSample, interior_gap
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 CONFIGS = os.path.join(ROOT, "configs")
@@ -124,6 +128,19 @@ def test_oracle_counterexample_exit(tmp_path):
     rep = json.loads((tmp_path / "oracle.json").read_text())
     assert rep["min_scaled"] < -1.0
     assert "witness" in rep
+
+
+@pytest.mark.parametrize("prop, speed", [("2.2", "power:-200"), ("2.5", "power:300")])
+def test_oracle_refuses_trials_it_cannot_evaluate(tmp_path, capsys, prop, speed):
+    # z^p overflows on the drawn range [1e-2, 1e2]: the report read
+    # "min_scaled": NaN, exited 2 with no witness and wrote NaN into oracle.json
+    with np.errstate(all="ignore"):
+        code = run_cli("oracle", "--prop", prop, "--speed", speed, "--n", "2",
+                       "--trials", "200", "--out", str(tmp_path))
+    assert code == 1
+    assert f"error: {speed} at n = 2 gives a non-finite value or scale at trial " \
+        in capsys.readouterr().err
+    assert not (tmp_path / "oracle.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +410,16 @@ def test_report_skips_missing_manifest(tmp_path, capsys):
     assert "skipping" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [b'{"passed": tr', b'{"passed": \xff}'],
-                         ids=["truncated", "not-utf8"])
+@pytest.mark.parametrize("content, problem", [
+    (b'{"passed": tr', "is not valid JSON"),
+    (b'{"passed": \xff}', "is not valid JSON"),
+    (b"[]", "is not a JSON object"),
+    (b"3", "is not a JSON object"),
+], ids=["truncated", "not-utf8", "list", "number"])
 @pytest.mark.parametrize("name", ["manifest.json", "verdicts.json"])
-def test_report_skips_unreadable_json(tmp_path, capsys, name, content):
-    # a file that is not valid JSON ended report in a JSONDecodeError traceback
+def test_report_skips_unreadable_json(tmp_path, capsys, name, content, problem):
+    # a file that is not valid JSON ended report in a JSONDecodeError
+    # traceback, and one that is not an object in an AttributeError
     cfg = sphere_config(tmp_path)
     good, bad = tmp_path / "a", tmp_path / "b"
     for out in (good, bad):
@@ -405,7 +427,7 @@ def test_report_skips_unreadable_json(tmp_path, capsys, name, content):
     (bad / name).write_bytes(content)
     capsys.readouterr()
     assert run_cli("report", str(good), str(bad), "--out", str(tmp_path / "rep")) == 0
-    assert f"{bad}: {name} is not valid JSON" in capsys.readouterr().err
+    assert f"{bad}: {name} {problem}" in capsys.readouterr().err
     rows = json.loads((tmp_path / "rep" / "report.json").read_text())["runs"]
     assert [r["dir"] for r in rows] == [str(good)]
 
@@ -488,6 +510,11 @@ def test_oracle_sweep_script_smoke(capsys):
     assert [r[0] for r in rows] == script.CATALOG
     assert all(r[1] == "2" and float(r[2]) >= -1.0 and float(r[3]) >= -1.0 for r in rows)
     assert lines[-1].startswith("negative control power:-2: gap")
+    # the printed trial replays from (seed 0, t) alone to a negative gap
+    t = int(lines[-1].split(" at trial ")[1].split()[0])
+    f = parse_speed("power:-2", 2)
+    A, b, k = _interior_draw(f, 0, t)
+    assert interior_gap(InteriorSample(A=A, B=np.diag(b), k=k, f=f)) < -1e-4
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from noncollapse.oracle import (BoundarySample, InteriorSample, _boundary_terms,
-                                boundary_suite, counterexample_search,
-                                interior_gap, interior_suite)
+from noncollapse.oracle import BoundarySample, _boundary_terms, boundary_suite, interior_suite
 from noncollapse.speeds import (GAP_TOL, ArithmeticMean, HarmonicMean,
                                 PowerMean, SigmaRatio, parse_speed)
 
-from oracles import (boundary_bracket, brute_force_boundary, interior_bracket,
-                     interior_scale, interior_stack_reference, matrix_hess_form,
-                     optimal_lambda, q_reference, q_second_derivative_check,
-                     sample_boundary, sample_interior)
+from oracles import (InteriorSample, boundary_bracket, brute_force_boundary, interior_bracket,
+                     interior_gap, interior_scale, interior_stack_reference,
+                     matrix_hess_form, optimal_lambda, q_reference,
+                     q_second_derivative_check, sample_boundary, sample_interior)
 
 INVERSE_CONCAVE = ["mean", "harmonic", "sigma-ratio:2", "sigma-root:2",
                    "power:-1", "power:0.5"]
@@ -86,7 +84,7 @@ def test_interior_gap_grid_minimum_at_equal_spectra():
     k = 1.0
     z1, z2 = np.meshgrid(np.linspace(1.2, 6.0, 1000), np.linspace(1.2, 6.0, 1000))
     Z = np.column_stack([z1.ravel(), z2.ravel()])
-    ga = f.grad(a)
+    ga = f.grad_many([a])[0]
     vals = (f.value_many(Z) - f.value(a)
             - ((a - k) - (a - k) ** 2 / (Z - k)) @ ga)
     imin = int(np.argmin(vals))
@@ -113,10 +111,13 @@ def test_interior_gap_permutation_invariance():
 
 
 def test_interior_gap_negative_for_non_inverse_concave():
+    # the suite's worst trial, and the formed-matrix gap of its witness
     f = PowerMean(2, -2.0)
-    found = counterexample_search(f, trials=20_000, seed=0, threshold=-1e-4)
-    assert found is not None
-    assert found["gap"] < -1e-4
+    rep = interior_suite(f, trials=20_000, seed=0)
+    assert rep["min_value"] < -1e-4
+    w = rep["witness"]
+    s = InteriorSample(A=np.array(w["A"]), B=np.diag(w["B_diag"]), k=w["k"], f=f)
+    assert interior_gap(s) < -1e-4
 
 
 def test_interior_gap_fails_for_negative_shift():
@@ -136,7 +137,7 @@ def test_interior_minimum_location_multistart():
         for trial in range(50):
             a = 10.0 ** rng.uniform(-1, 1, 2)
             k = rng.uniform(0.0, 0.9 * a.min())
-            ga = f.grad(a)
+            ga = f.grad_many([a])[0]
 
             def q(w):
                 z = k + np.exp(w)
@@ -145,7 +146,7 @@ def test_interior_minimum_location_multistart():
 
             def dq(w):
                 z = k + np.exp(w)
-                return (f.grad(z) - ga * (a - k) ** 2 / (z - k) ** 2) * (z - k)
+                return (f.grad_many([z])[0] - ga * (a - k) ** 2 / (z - k) ** 2) * (z - k)
 
             best = None
             for start in range(3):
@@ -243,7 +244,7 @@ def test_boundary_form_first_row_terms_strictly_positive():
     with_row = _boundary_terms(BoundarySample(lam=lam, B=B1, f=f))[0]
     # divided difference and resolvent telescope: the (0,1) entry contributes
     # exactly 2 g_1/(lam_1 - lam_0) b^2
-    g = f.grad(lam)
+    g = f.grad_many([lam])[0]
     gain = 2 * g[1] / (lam[1] - lam[0]) * 0.7**2
     assert with_row - base == pytest.approx(gain, rel=1e-10)
     assert with_row > base
@@ -376,10 +377,6 @@ def test_boundary_suite_report_shape():
     rep = boundary_suite(ArithmeticMean(2), trials=200, seed=0)
     assert rep["proposition"] == "2.5"
     assert rep["min_scaled"] >= -1.0
-
-
-def test_counterexample_search_none_for_inverse_concave():
-    assert counterexample_search(HarmonicMean(2), trials=300, seed=0) is None
 
 
 def test_suites_deterministic():
