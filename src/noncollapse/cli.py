@@ -184,16 +184,17 @@ def cmd_report(args) -> int:
         try:
             manifest = _read_object(mpath)
             verdicts = _read_object(vpath) if os.path.exists(vpath) else {}
+            cfg = _verdicts_field(verdicts, "config")
+            body = _verdicts_field(verdicts, "config.body")
+            gates = _verdicts_field(verdicts, "gates")
         except ValueError as e:
             print(f"warning: {d}: {e}, skipping", file=sys.stderr)
             continue
-        cfg = verdicts.get("config", {})
-        gates = verdicts.get("gates", {})
         rows.append({
             "dir": d,
             "speed": cfg.get("speed"),
-            "mode": cfg.get("body", {}).get("mode"),
-            "grid": cfg.get("body", {}).get("N"),
+            "mode": body.get("mode"),
+            "grid": body.get("N"),
             "maxF_growth": gates.get("maxF_growth"),
             "eps_radii_ratio_final": gates.get("eps_radii_ratio_final"),
             "eps_upper_final": gates.get("eps_upper_final"),
@@ -229,6 +230,17 @@ def _read_object(path: str) -> dict:
         raise ValueError(f"{name} is not valid JSON ({e})") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{name} is not a JSON object")
+    return obj
+
+
+def _verdicts_field(verdicts: dict, path: str) -> dict:
+    """The object at the dotted path in verdicts, {} where a key is absent,
+    or a ValueError naming the field."""
+    obj = verdicts
+    for key in path.split("."):
+        obj = obj.get(key, {})
+        if not isinstance(obj, dict):
+            raise ValueError(f"verdicts.json field {path} is not a JSON object")
     return obj
 
 

@@ -7,7 +7,11 @@ Trial t of a suite is drawn from its row of speeds.trial_uniforms(seed,
 trials, width), so a witness, which records its t as "trial", replays from
 (seed, t) alone.  An interior trial is drawn as the eigendecomposition
 A = Q diag(a) Q^T and its gap evaluated in that basis; the matrix A is
-formed only where a sample is recorded or replayed.
+formed only where a sample is recorded or replayed.  The draws compute on
+trials-last stacks, one contiguous vector per entry across the trials, and
+return row-major (m, ...) arrays, each trial's entries adjacent: the
+evaluators reduce along a trial's entries, and the order in which NumPy
+adds there depends on the layout.
 """
 from __future__ import annotations
 
@@ -26,11 +30,13 @@ from .speeds import GAP_TOL, SpeedFunction, hess_form_terms, sum_terms, trial_un
 def _normals(U: np.ndarray, count: int) -> np.ndarray:
     """(m, count) standard normals from the (m, 2 ceil(count/2)) uniforms U
     by Box-Muller: the first half of the columns gives the radii
-    sqrt(-2 log(1 - u)), finite at u = 0, and the second half the angles."""
+    sqrt(-2 log(1 - u)), finite at u = 0, and the second half the angles.
+    The result is laid out trials-last, like trial_uniforms: each column is
+    computed as, and returned as, one contiguous vector over the trials."""
     p = U.shape[1] // 2
-    r = np.sqrt(-2.0 * np.log1p(-U[:, :p]))
-    theta = 2.0 * np.pi * U[:, p:]
-    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=1)[:, :count]
+    r = np.sqrt(-2.0 * np.log1p(-U[:, :p].T))
+    theta = 2.0 * np.pi * U[:, p:].T
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count].T
 
 
 def _normal_width(n: int) -> int:
@@ -38,17 +44,26 @@ def _normal_width(n: int) -> int:
     return 2 * ((n * n + 1) // 2)
 
 
+def _matrices(N: np.ndarray, n: int) -> np.ndarray:
+    """The (m, n, n) stack whose matrix t is row t of the (m, n n) normals N
+    filled row by row, as a view that keeps N's trials-last layout."""
+    return np.moveaxis(N.T.reshape(n, n, -1), 2, 0)
+
+
 def _rotations(G: np.ndarray) -> np.ndarray:
-    """The orthonormal Q of G = QR with diag(R) > 0, for a stack G (m, n, n):
-    modified Gram-Schmidt on the columns, run twice so that Q^T Q = I to
-    rounding however ill-conditioned G is."""
-    V = np.moveaxis(G, 2, 0).copy()  # V[j] is column j of every matrix, (m, n)
+    """The orthonormal Q of G = QR with diag(R) > 0, for a stack G (m, n, n),
+    returned C-contiguous: modified Gram-Schmidt on the columns, run twice
+    so that Q^T Q = I to rounding however ill-conditioned G is.  V[j, i] is
+    entry (i, j) of every matrix, one contiguous vector over the trials, and
+    a dot product adds its n terms in turn: the order of NumPy's sum along a
+    length-n axis for n < 8 (from n = 8 that sum uses eight partial sums)."""
+    V = G.transpose(2, 1, 0).copy()  # V[j] is column j of every matrix, (n, m)
     for _ in range(2):
         for j in range(len(V)):
             for i in range(j):
-                V[j] -= (V[i] * V[j]).sum(axis=1)[:, None] * V[i]
-            V[j] /= np.sqrt((V[j] * V[j]).sum(axis=1))[:, None]
-    return np.ascontiguousarray(np.moveaxis(V, 0, 2))
+                V[j] -= (V[i] * V[j]).sum(axis=0) * V[i]
+            V[j] /= np.sqrt((V[j] * V[j]).sum(axis=0))
+    return np.ascontiguousarray(V.transpose(2, 1, 0))
 
 
 def _interior_draws(n: int, seed: int, trials):
@@ -62,9 +77,10 @@ def _interior_draws(n: int, seed: int, trials):
     harmonic-mean counterexample test)."""
     U = trial_uniforms(seed, trials, 2 * n + 1 + _normal_width(n))
     ab = 10.0 ** (-2.0 + 4.0 * U[:, :2 * n])
+    k = 0.9 * ab.min(axis=1) * U[:, 2 * n]
+    ab = np.ascontiguousarray(ab)
     a, b = ab[:, :n], ab[:, n:]
-    k = 0.9 * np.minimum(a.min(axis=1), b.min(axis=1)) * U[:, 2 * n]
-    Q = _rotations(_normals(U[:, 2 * n + 1:], n * n).reshape(-1, n, n))
+    Q = _rotations(_matrices(_normals(U[:, 2 * n + 1:], n * n), n))
     return a, Q, b, k
 
 
@@ -171,10 +187,11 @@ def _boundary_draws(n: int, seed: int, trials):
     and from the next _normal_width(n) a symmetrised standard normal B with
     B[0,0] = 0."""
     U = trial_uniforms(seed, trials, n + _normal_width(n))
-    G = _normals(U[:, n:], n * n).reshape(-1, n, n)
-    B = 0.5 * (G + G.transpose(0, 2, 1))
+    G = _matrices(_normals(U[:, n:], n * n), n)
+    B = np.ascontiguousarray(0.5 * (G + G.transpose(0, 2, 1)))
     B[:, 0, 0] = 0.0
-    return np.sort(10.0 ** (-2.0 + 4.0 * U[:, :n]), axis=1), B
+    lam = np.sort(np.ascontiguousarray(10.0 ** (-2.0 + 4.0 * U[:, :n])), axis=1)
+    return lam, B
 
 
 # ---------------------------------------------------------------------------

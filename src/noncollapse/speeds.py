@@ -429,17 +429,19 @@ def trial_uniforms(seed: int, trials, k: int) -> np.ndarray:
     seed's SplitMix64 stream, t = trials[i], each the top 53 bits of its
     output times 2**-53.  A trial's row does not depend on which other
     trials are drawn with it, so any trial replays from (seed, t) alone.
-    Pure NumPy: numpy.random is never imported.  A negative seed raises
-    ValueError."""
-    z = np.asarray(trials).astype(np.uint64)[:, None] * np.uint64(k) \
-        + np.arange(1, k + 1, dtype=np.uint64)
+    The array is laid out trials-last (the transpose of a C-contiguous
+    (k, m) array), so each column, one position across all trials, is one
+    contiguous vector.  Pure NumPy: numpy.random is never imported.  A
+    negative seed raises ValueError."""
+    z = np.asarray(trials).astype(np.uint64) * np.uint64(k) \
+        + np.arange(1, k + 1, dtype=np.uint64)[:, None]
     z *= _GAMMA
     z += _seed_state(seed)
     _mix64(z)
     z >>= 11
     u = z.astype(float)
     u *= 2.0 ** -53
-    return u
+    return u.T
 
 
 def _cone_points(n: int, seed: int, trials):
@@ -450,7 +452,7 @@ def _cone_points(n: int, seed: int, trials):
     columns n + 1 and n + 2 and v uniform in [-1, 1) from column n + 3;
     s log-uniform over [1e-2, 1e2] (column n + 4)."""
     U = trial_uniforms(seed, trials, n + 5)
-    Z = 10.0 ** (-3.0 + 6.0 * U[:, :n])
+    Z = np.ascontiguousarray(10.0 ** (-3.0 + 6.0 * U[:, :n]))
     if n >= 2:
         near = np.flatnonzero(U[:, n] < 0.25)
         i = (n * U[near, n + 1]).astype(int)

@@ -10,8 +10,9 @@ import numpy as np
 
 from noncollapse.geometry import (AXISYMMETRIC, CURVE, SEP_FACTOR, ConvexBody, _points,
                                   _workspace, check_convex, curve_derivs)
-from noncollapse.oracle import BoundarySample
-from noncollapse.speeds import SpeedFunction, _cone_batch, hess_form_terms, sum_terms
+from noncollapse.oracle import BoundarySample, _normal_width
+from noncollapse.speeds import (SpeedFunction, _cone_batch, _mix64, _seed_state,
+                                hess_form_terms, sum_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -1321,6 +1322,75 @@ def cone_point_reference(n, seed, t):
     # NumPy's array power, as on the stack: Python's float power may round
     # differently in the last bit
     return z, (10.0 ** (-2.0 + 4.0 * u[n + 4:]))[0]
+
+
+# ---------------------------------------------------------------------------
+# The trial draws as stacks laid out trial by trial (row-major)
+# ---------------------------------------------------------------------------
+
+def trial_uniforms_reference(seed, trials, k):
+    """speeds.trial_uniforms built row-major: the C-contiguous (m, k) array
+    whose row i holds trial trials[i]'s k uniforms."""
+    z = np.asarray(trials).astype(np.uint64)[:, None] * np.uint64(k) \
+        + np.arange(1, k + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += _seed_state(seed)
+    _mix64(z)
+    z >>= 11
+    u = z.astype(float)
+    u *= 2.0 ** -53
+    return u
+
+
+def normals_reference(U, count):
+    """oracle._normals on the row-major uniforms U, C-contiguous (m, count)."""
+    p = U.shape[1] // 2
+    r = np.sqrt(-2.0 * np.log1p(-U[:, :p]))
+    theta = 2.0 * np.pi * U[:, p:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=1)[:, :count]
+
+
+def rotations_reference(G):
+    """oracle._rotations with each dot product a sum along a length-n axis
+    of the trial rows."""
+    V = np.moveaxis(G, 2, 0).copy()  # V[j] is column j of every matrix, (m, n)
+    for _ in range(2):
+        for j in range(len(V)):
+            for i in range(j):
+                V[j] -= (V[i] * V[j]).sum(axis=1)[:, None] * V[i]
+            V[j] /= np.sqrt((V[j] * V[j]).sum(axis=1))[:, None]
+    return np.ascontiguousarray(np.moveaxis(V, 0, 2))
+
+
+def interior_draws_reference(n, seed, trials):
+    """oracle._interior_draws from the row-major references above."""
+    U = trial_uniforms_reference(seed, trials, 2 * n + 1 + _normal_width(n))
+    ab = 10.0 ** (-2.0 + 4.0 * U[:, :2 * n])
+    a, b = ab[:, :n], ab[:, n:]
+    k = 0.9 * np.minimum(a.min(axis=1), b.min(axis=1)) * U[:, 2 * n]
+    Q = rotations_reference(normals_reference(U[:, 2 * n + 1:], n * n).reshape(-1, n, n))
+    return a, Q, b, k
+
+
+def boundary_draws_reference(n, seed, trials):
+    """oracle._boundary_draws from the row-major references above."""
+    U = trial_uniforms_reference(seed, trials, n + _normal_width(n))
+    G = normals_reference(U[:, n:], n * n).reshape(-1, n, n)
+    B = 0.5 * (G + G.transpose(0, 2, 1))
+    B[:, 0, 0] = 0.0
+    return np.sort(10.0 ** (-2.0 + 4.0 * U[:, :n]), axis=1), B
+
+
+def cone_points_reference(n, seed, trials):
+    """speeds._cone_points from the row-major trial_uniforms_reference."""
+    U = trial_uniforms_reference(seed, trials, n + 5)
+    Z = 10.0 ** (-3.0 + 6.0 * U[:, :n])
+    if n >= 2:
+        near = np.flatnonzero(U[:, n] < 0.25)
+        i = (n * U[near, n + 1]).astype(int)
+        j = (i + 1 + ((n - 1) * U[near, n + 2]).astype(int)) % n
+        Z[near, j] = Z[near, i] * (1.0 + (-1.0 + 2.0 * U[near, n + 3]) * 1e-6)
+    return Z, 10.0 ** (-2.0 + 4.0 * U[:, n + 4])
 
 
 def without_one_reference(Z, k):

@@ -10,16 +10,18 @@ import pytest
 from noncollapse import speeds
 from noncollapse.oracle import (BoundarySample, _boundary_draws,
                                 _boundary_terms_many, _interior_draw,
-                                _interior_draws, _interior_matrices, _normal_width,
-                                _normals, _rotations, boundary_suite,
+                                _interior_draws, _interior_matrices, _matrices,
+                                _normal_width, _normals, _rotations, boundary_suite,
                                 interior_gaps_batched, interior_suite)
 from noncollapse.speeds import (GAP_TOL, SpeedFunction, _cone_points, certify,
                                 parse_speed, trial_uniforms)
 
 import oracles
-from oracles import (boundary_stack_reference, boundary_terms_reference,
-                     certify_reference, hess_reference, interior_gaps_reference,
-                     interior_stack_reference)
+from oracles import (boundary_draws_reference, boundary_stack_reference,
+                     boundary_terms_reference, certify_reference, cone_points_reference,
+                     hess_reference, interior_draws_reference, interior_gaps_reference,
+                     interior_stack_reference, rotations_reference,
+                     trial_uniforms_reference)
 
 EPS = np.finfo(float).eps
 CATALOG = ["mean", "harmonic", "sigma-ratio:2", "sigma-root:2", "power:-1",
@@ -167,8 +169,9 @@ def test_interior_gaps_match_matrix_reference(n):
         assert np.all(np.abs(scales - ref_scales) <= bound), f.name
 
 
-def test_interior_suite_witness_is_the_reference_draw():
-    f = parse_speed("power:-2", 3)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_interior_suite_witness_is_the_reference_draw(n):
+    f = parse_speed("power:-2", n)
     trials, seed = 400, 62
     rep = interior_suite(f, trials=trials, seed=seed)
     draws = [_interior_draw(f, seed, t) for t in range(trials)]
@@ -210,6 +213,49 @@ def test_batched_draws_bit_identical(n):
         assert np.array_equal(A_t, A[t])
         assert np.array_equal(_interior_matrices(a[t], Q[t]), A[t])
         assert np.array_equal(b_t, b[t]) and k_t == k[t]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_draws_match_row_major_reference(n):
+    # the trials-last stacks hold the bits of the row-major construction
+    trials = np.arange(3000)
+    for seed in (0, 1, 7):
+        k = 2 * n + 1 + _normal_width(n)
+        U = trial_uniforms(seed, trials, k)
+        assert np.array_equal(U, trial_uniforms_reference(seed, trials, k))
+        G = _matrices(_normals(U[:, 2 * n + 1:], n * n), n)
+        assert np.array_equal(_rotations(G), rotations_reference(G))
+        for draws, reference in ((_interior_draws, interior_draws_reference),
+                                 (_boundary_draws, boundary_draws_reference),
+                                 (_cone_points, cone_points_reference)):
+            for x, y in zip(draws(n, seed, trials), reference(n, seed, trials), strict=True):
+                assert np.array_equal(x, y), (draws.__name__, seed)
+
+
+# From n = 8 NumPy sums a short axis with eight running partial sums, while
+# _rotations adds a dot product's terms in turn, so Q moves by rounding
+# amplified by cond(G).  Measured worst over 12,000 drawn matrices per n in
+# {8, 9, 12, 16} and seeds 1-3: |Q - Q_ref| 0.36 eps cond(G).
+ROT_C = 1.0
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_rotations_near_reference_from_eight(n):
+    U = trial_uniforms(n, np.arange(4000), _normal_width(n))
+    G = _matrices(_normals(U, n * n), n)
+    dist = np.abs(_rotations(G) - rotations_reference(G)).max(axis=(1, 2))
+    assert np.all(dist <= ROT_C * EPS * np.linalg.cond(G))
+
+
+def test_draw_stacks_are_trials_last():
+    # a column of uniforms is one contiguous vector, and Q comes back
+    # C-contiguous, the layout _interior_matrices and the evaluators have
+    # always been given
+    U = trial_uniforms(7, range(100), 17)
+    assert all(U[:, c].flags.c_contiguous for c in range(17))
+    G = _matrices(_normals(U[:, :_normal_width(3)], 9), 3)
+    assert _rotations(G).flags.c_contiguous
+    assert _interior_draws(3, 7, range(100))[1].flags.c_contiguous
 
 
 def test_draws_follow_the_generator_laws():

@@ -410,16 +410,28 @@ def test_report_skips_missing_manifest(tmp_path, capsys):
     assert "skipping" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content, problem", [
-    (b'{"passed": tr', "is not valid JSON"),
-    (b'{"passed": \xff}', "is not valid JSON"),
-    (b"[]", "is not a JSON object"),
-    (b"3", "is not a JSON object"),
-], ids=["truncated", "not-utf8", "list", "number"])
-@pytest.mark.parametrize("name", ["manifest.json", "verdicts.json"])
+_UNREADABLE = [
+    (b'{"passed": tr', "is not valid JSON", "truncated"),
+    (b'{"passed": \xff}', "is not valid JSON", "not-utf8"),
+    (b"[]", "is not a JSON object", "list"),
+    (b"3", "is not a JSON object", "number"),
+]
+
+
+@pytest.mark.parametrize("name, content, problem", [
+    pytest.param(name, content, problem, id=f"{name}-{case}")
+    for name in ("manifest.json", "verdicts.json") for content, problem, case in _UNREADABLE
+] + [
+    pytest.param("verdicts.json", content, f"field {field} is not a JSON object",
+                 id=f"verdicts.json-{case}")
+    for content, field, case in [(b'{"config": []}', "config", "config-list"),
+                                 (b'{"config": {"body": 3}}', "config.body", "body-number"),
+                                 (b'{"gates": [1]}', "gates", "gates-list")]
+])
 def test_report_skips_unreadable_json(tmp_path, capsys, name, content, problem):
     # a file that is not valid JSON ended report in a JSONDecodeError
-    # traceback, and one that is not an object in an AttributeError
+    # traceback, and one that is not an object, or whose config, config.body
+    # or gates is not, in an AttributeError
     cfg = sphere_config(tmp_path)
     good, bad = tmp_path / "a", tmp_path / "b"
     for out in (good, bad):
