@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .speeds import (ArithmeticMean, CertReport, DomainError, DualSpeed,
                      HarmonicMean, PowerMean, SigmaRatio, SigmaRoot, SpeedFunction,
                      certify, parse_speed)
-from .oracle import BoundarySample, boundary_suite, interior_suite
+from .oracle import boundary_suite, interior_suite
 from .geometry import (BallCurvatureField, ConvexBody, ConvexityLost, RadiiReport,
                        ball_curvature_field, hausdorff_to_unit_sphere,
                        make_ellipse, make_ellipsoid, make_sphere, radii,

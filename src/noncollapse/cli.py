@@ -47,7 +47,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # report keys that vary between reruns: printed, but left out of the written
@@ -56,7 +56,7 @@ _VOLATILE = ("runtime_ms",)
 
 
 def _emit(obj: dict, out: Optional[str], filename: str) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
     if out:
         os.makedirs(out, exist_ok=True)
         _write_json(os.path.join(out, filename),
@@ -68,13 +68,13 @@ def _emit(obj: dict, out: Optional[str], filename: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_certify(args) -> int:
-    try:
+    props = [args.property] if args.property else ["concave", "inverse-concave"]
+    try:  # a bad speed, or a sample the speed cannot evaluate
         f = parse_speed(args.speed, args.n)
-    except (ValueError, TypeError) as e:
+        reports = certify(f, props, trials=args.trials, seed=args.seed)
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    props = [args.property] if args.property else ["concave", "inverse-concave"]
-    reports = certify(f, props, trials=args.trials, seed=args.seed)
     payload = {"speed": f.name, "n": f.n, "seed": args.seed,
                "reports": [dataclasses.asdict(r) for r in reports]}
     _emit(payload, args.out, "certify.json")
@@ -82,15 +82,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        f = parse_speed(args.speed, args.n)
-    except (ValueError, TypeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     suite = interior_suite if args.prop == "2.2" else boundary_suite
-    try:
+    try:  # a bad speed, or a trial the speed cannot evaluate
+        f = parse_speed(args.speed, args.n)
         report = suite(f, trials=args.trials, seed=args.seed)
-    except ValueError as e:  # a trial the speed cannot evaluate
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     report["seed"] = args.seed
@@ -221,16 +217,20 @@ def cmd_report(args) -> int:
 
 
 def _read_object(path: str) -> dict:
-    """The JSON object in path, or a ValueError naming the file."""
+    """The strict JSON object in path, or a ValueError naming the file."""
     name = os.path.basename(path)
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=_refuse_constant)
     except ValueError as e:  # a JSONDecodeError, or bytes that are not UTF-8
         raise ValueError(f"{name} is not valid JSON ({e})") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{name} is not a JSON object")
     return obj
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def _verdicts_field(verdicts: dict, path: str) -> dict:

@@ -112,12 +112,12 @@ class FlowConfig:
     monitor: str = "full"                      # "full" | "radii"
 
     def __post_init__(self):
-        if not 0.0 < self.cfl <= CFL_MAX:
-            raise ValueError(f"cfl must lie in (0, 2.785/pi^2 = {CFL_MAX:.4f}]")
+        if not (_number(self.cfl) and 0.0 < self.cfl <= CFL_MAX):
+            raise ValueError(f"cfl must lie in (0, 2.785/pi^2 = {CFL_MAX:.4f}], got {self.cfl!r}")
         for name, low in (("t_end", 0.0), ("stop_max_f", 0.0), ("stop_max_f_factor", 1.0)):
             v = getattr(self, name)
-            if v is not None and not low < v < math.inf:
-                raise ValueError(f"{name} must exceed {low:g} and be finite")
+            if v is not None and not (_number(v) and low < v < math.inf):
+                raise ValueError(f"{name} must exceed {low:g} and be finite, got {v!r}")
         if not isinstance(self.speed, str):
             raise ValueError(f"speed must be a speed name, got {self.speed!r}")
         if not _whole(self.snapshot_every):
@@ -139,9 +139,14 @@ class FlowConfig:
             return FlowConfig(**json.load(fh))
 
 
+def _number(x) -> bool:
+    """True for an int or a float; a JSON true, false or string is not one."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _whole(x) -> bool:
     """True for a finite whole number >= 1 (an int or an integral float)."""
-    return isinstance(x, (int, float)) and math.isfinite(x) and x >= 1 and x == int(x)
+    return _number(x) and math.isfinite(x) and x >= 1 and x == int(x)
 
 
 def build_body(spec: dict) -> ConvexBody:
@@ -151,6 +156,9 @@ def build_body(spec: dict) -> ConvexBody:
     N = int(spec["N"])
     shape = spec.get("shape", {"kind": "sphere", "radius": 1.0})
     kind = shape["kind"]
+    for key in ("radius", "a", "b", "c"):
+        if key in shape and not _number(shape[key]):
+            raise ValueError(f"shape {key} must be a number, got {shape[key]!r}")
     if kind == "sphere":
         return make_sphere(mode, N, shape.get("radius", 1.0))
     if kind == "ellipse":
@@ -162,6 +170,8 @@ def build_body(spec: dict) -> ConvexBody:
             raise ValueError("ellipsoid shape is axisymmetric only")
         return make_ellipsoid(N, shape["a"], shape["c"])
     if kind == "support":
+        if not all(_number(x) for x in shape["h"]):
+            raise ValueError("support shape h must hold only numbers")
         h = np.array(shape["h"], dtype=float)
         if h.shape != (N,):
             raise ValueError(f"support shape has {h.size} values for N = {N}")

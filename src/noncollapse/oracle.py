@@ -7,20 +7,21 @@ Trial t of a suite is drawn from its row of speeds.trial_uniforms(seed,
 trials, width), so a witness, which records its t as "trial", replays from
 (seed, t) alone.  An interior trial is drawn as the eigendecomposition
 A = Q diag(a) Q^T and its gap evaluated in that basis; the matrix A is
-formed only where a sample is recorded or replayed.  The draws compute on
-trials-last stacks, one contiguous vector per entry across the trials, and
-return row-major (m, ...) arrays, each trial's entries adjacent: the
-evaluators reduce along a trial's entries, and the order in which NumPy
-adds there depends on the layout.
+formed only where a sample is recorded or replayed.  Boundary trials go
+unchecked to _boundary_terms_many, the one Prop. 2.5 evaluator (see
+_boundary_draws).  The draws compute on trials-last stacks, one contiguous
+vector per entry across the trials, and return row-major (m, ...) arrays,
+each trial's entries adjacent: the evaluators reduce along a trial's
+entries, and the order in which NumPy adds there depends on the layout.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .speeds import GAP_TOL, SpeedFunction, hess_form_terms, sum_terms, trial_uniforms
+from .speeds import (GAP_TOL, SpeedFunction, hess_form_terms, refuse_non_finite, sum_terms,
+                     trial_uniforms)
 
 
 # ---------------------------------------------------------------------------
@@ -121,44 +122,15 @@ def interior_gaps_batched(f: SpeedFunction, a: np.ndarray, Q: np.ndarray,
 # Boundary estimate
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BoundarySample:
-    """Ascending eigenvalues with lam[0] smallest, and a symmetric B with B[0,0] = 0
-    standing for the 3-tensor slice contracted with the bottom eigenvector."""
-
-    lam: np.ndarray
-    B: np.ndarray
-    f: SpeedFunction
-
-    def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
-        _check_boundary(self.f.n, self.lam[None], self.B[None])
-
-
-def _check_boundary(n: int, lam: np.ndarray, B: np.ndarray) -> None:
-    """The BoundarySample conditions on stacked lam (m, n) and B (m, n, n)."""
-    if lam.shape[1:] != (n,) or B.shape[1:] != (n, n) or len(lam) != len(B):
-        raise ValueError("lam must be length n, B must be n x n")
-    if np.any(lam <= 0.0):
-        raise ValueError("lam must lie in the positive cone")
-    if np.any(np.diff(lam, axis=1) < 0.0):
-        raise ValueError("lam must be ascending with lam[0] the smallest")
-    if np.any(B[:, 0, 0] != 0.0):
-        raise ValueError("B[0,0] must be exactly 0")
-    if np.any(np.abs(B - B.transpose(0, 2, 1)) > 0.0):
-        raise ValueError("B must be symmetric")
-
-
 def _boundary_terms_many(f: SpeedFunction, lam: np.ndarray, B: np.ndarray):
     """(values, tolerance scales, closed-form sup parts) of stacked samples
     lam (m, n), B (m, n, n), from one assembly of their terms: the hess-form
     terms of the matrix lift, then the resolvent sum
     2 sum_{p, q >= 1} g_p B_pq^2 / (lam_q - lam_0).  The scale is 1 + the
-    largest term magnitude.
-
-    A sample whose lam[q] - lam[0] is below GAP_TOL relative is nudged apart
-    (continuity in the spectrum) and its perturbed value reported."""
+    largest term magnitude.  A value is >= 0 for inverse-concave speeds, and
+    near zero only when the first row of B is.  A sample whose lam[q] - lam[0]
+    is below GAP_TOL relative is nudged apart (continuity in the spectrum)
+    and its perturbed value reported."""
     m, n = lam.shape
     tol = GAP_TOL * (1.0 + np.abs(lam[:, 0]))
     bad = lam[:, 1:] - lam[:, :1] < tol[:, None]
@@ -173,19 +145,19 @@ def _boundary_terms_many(f: SpeedFunction, lam: np.ndarray, B: np.ndarray):
     return sum_terms(T) + sup, scale, sup
 
 
-def _boundary_terms(s: BoundarySample):
-    """(value, tolerance scale, closed-form sup part) of one sample; see
-    _boundary_terms_many.  The value is >= 0 for inverse-concave speeds,
-    near zero only when the first row of B is near zero."""
-    value, scale, sup = _boundary_terms_many(s.f, s.lam[None], s.B[None])
-    return float(value[0]), float(scale[0]), float(sup[0])
+def _boundary_terms(s):
+    """(value, tolerance scale, closed-form sup part) of one sample with
+    fields f, lam and B.  No program path calls it: it stays only as the
+    hook that perfbench/tracing.py wraps, until ROADMAP 4(c)."""
+    return tuple(float(x[0]) for x in _boundary_terms_many(s.f, s.lam[None], s.B[None]))
 
 
 def _boundary_draws(n: int, seed: int, trials):
     """Stacked (lam, B) of the boundary trials with indices trials: ascending
     log-uniform eigenvalues in [1e-2, 1e2] from a trial's first n uniforms,
     and from the next _normal_width(n) a symmetrised standard normal B with
-    B[0,0] = 0."""
+    B[0,0] = 0: a valid sample by construction, as floating-point addition
+    commutes and so makes 0.5 (G + G^T) exactly symmetric."""
     U = trial_uniforms(seed, trials, n + _normal_width(n))
     G = _matrices(_normals(U[:, n:], n * n), n)
     B = np.ascontiguousarray(0.5 * (G + G.transpose(0, 2, 1)))
@@ -201,19 +173,16 @@ def _boundary_draws(n: int, seed: int, trials):
 def _suite(proposition: str, f: SpeedFunction, trials: int, seed: int,
            draws, evaluate, witness) -> dict:
     """The report of one suite: draws(n, seed, trials) stacks one sample per
-    trial, evaluate(f, *stack) gives their values and tolerance scales, and
-    witness(*sample) records the worst trial's sample, with its index as
-    "trial", when its value is below -1e-7 times its scale.  A trial whose
-    value or scale is not finite raises ValueError."""
+    trial, evaluate(f, *stack) gives their values and tolerance scales as its
+    first two results, and witness(*sample) records the worst trial's
+    sample, with its index as "trial", when its value is below -1e-7 times
+    its scale.  A trial whose value or scale is not finite raises ValueError."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
     stack = draws(f.n, seed, np.arange(trials))
-    values, scales = evaluate(f, *stack)
-    bad = np.flatnonzero(~(np.isfinite(values) & np.isfinite(scales)))
-    if bad.size:
-        raise ValueError(f"{f.name} at n = {f.n} gives a non-finite value or scale "
-                         f"at trial {bad[0]} of seed {seed}")
+    values, scales = evaluate(f, *stack)[:2]
+    refuse_non_finite(f, seed, "value or scale", values, scales)
     scaled = values / (1e-7 * scales)
     worst = int(np.argmin(scaled))
     report = {
@@ -237,11 +206,6 @@ def interior_suite(f: SpeedFunction, trials: int, seed: int = 0) -> dict:
                                       "B_diag": b.tolist(), "k": float(k)})
 
 
-def _boundary_values(f: SpeedFunction, lam: np.ndarray, B: np.ndarray):
-    _check_boundary(f.n, lam, B)
-    return _boundary_terms_many(f, lam, B)[:2]
-
-
 def boundary_suite(f: SpeedFunction, trials: int, seed: int = 0) -> dict:
-    return _suite("2.5", f, trials, seed, _boundary_draws, _boundary_values,
+    return _suite("2.5", f, trials, seed, _boundary_draws, _boundary_terms_many,
                   lambda lam, B: {"lam": lam.tolist(), "B": B.tolist()})

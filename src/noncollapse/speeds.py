@@ -468,37 +468,45 @@ def _psd_tol(M: np.ndarray) -> np.ndarray:
 PROPERTIES = ("concave", "inverse-concave", "monotone", "homogeneous")
 
 
-def certify(f: SpeedFunction, property, trials: int = 2000, seed: int = 0):
-    """Sample-based certification of concavity / inverse-concavity (and the
-    monotonicity / homogeneity sanity properties).
+def refuse_non_finite(f: SpeedFunction, seed: int, what: str, *stacks: np.ndarray) -> None:
+    """Raise ValueError naming the first trial (row) where a stack is not finite."""
+    rows = np.hstack([x.reshape(len(x), -1) for x in stacks])
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{f.name} at n = {f.n} gives a non-finite {what} "
+                         f"at trial {bad[0]} of seed {seed}")
 
-    property is one name, which returns one CertReport, or a sequence of
-    names, which returns one report per name, all checked on one draw of
-    the points: each report equals that of its name alone.
+
+def certify(f: SpeedFunction, properties, trials: int = 2000, seed: int = 0) -> list:
+    """Sample-based certification of concavity / inverse-concavity (and the
+    monotonicity / homogeneity sanity properties): one CertReport per name
+    in properties, all checked on one draw of the points, each equal to the
+    report of its name alone.
 
     Inverse-concavity checks both the shifted-Hessian criterion
     hess + 2 diag(grad/z) >= 0 and concavity of the dual at dual points;
     either failing refutes with a witness.  Points are drawn per (seed,
     trial) by _cone_points and checked as one stack; the witness is the
     last sample that lowers the running minimum margin below its own -tol.
+    A trial whose Hessians or margin are not finite raises ValueError.
     """
-    names = [property] if isinstance(property, str) else list(property)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    for name in names:
+    for name in properties:
         if name not in PROPERTIES:
             raise ValueError(f"unknown property {name!r}")
 
     Z, s = _cone_points(f.n, seed, np.arange(trials))
-    reports = [_certify_on(f, name, Z, s) for name in names]
-    return reports[0] if isinstance(property, str) else reports
+    return [_certify_on(f, name, Z, s, seed) for name in properties]
 
 
-def _certify_on(f: SpeedFunction, property: str, Z: np.ndarray, s: np.ndarray) -> CertReport:
+def _certify_on(f: SpeedFunction, property: str, Z: np.ndarray, s: np.ndarray,
+                seed: int) -> CertReport:
     """certify's report of one property on the drawn points Z (and, for
-    homogeneity, the drawn scales s)."""
+    homogeneity, the drawn scales s) of seed."""
     if property == "concave":
         H = f.hess_many(Z)
+        refuse_non_finite(f, seed, "Hessian", H)
         margin = -np.linalg.eigvalsh(H)[:, -1]
         tol = _psd_tol(H)
     elif property == "inverse-concave":
@@ -506,6 +514,7 @@ def _certify_on(f: SpeedFunction, property: str, Z: np.ndarray, s: np.ndarray) -
         diag = np.arange(f.n)
         M[:, diag, diag] += 2.0 * (f.grad_many(Z) / Z)
         Hd = f.dual().hess_many(1.0 / Z)
+        refuse_non_finite(f, seed, "shifted or dual Hessian", M, Hd)
         margin = np.minimum(np.linalg.eigvalsh(M)[:, 0], -np.linalg.eigvalsh(Hd)[:, -1])
         tol = np.maximum(_psd_tol(M), _psd_tol(Hd))
     elif property == "monotone":
@@ -515,9 +524,10 @@ def _certify_on(f: SpeedFunction, property: str, Z: np.ndarray, s: np.ndarray) -
         fz = f.value_many(Z)
         margin = -np.abs(f.value_many(s[:, None] * Z) - s * fz) / (s * fz)
         tol = 1e-9
+    refuse_non_finite(f, seed, "margin", margin)
 
-    # running[t] is the minimum margin before sample t (NaN margins skipped)
-    running = np.fmin.accumulate(np.concatenate(([np.inf], margin)))
+    # running[t] is the minimum margin before sample t
+    running = np.minimum.accumulate(np.concatenate(([np.inf], margin)))
     hits = np.flatnonzero((margin < running[:-1]) & (margin < -tol))
     w = int(hits[-1]) if hits.size else None
     return CertReport(

@@ -10,7 +10,7 @@ import numpy as np
 
 from noncollapse.geometry import (AXISYMMETRIC, CURVE, SEP_FACTOR, ConvexBody, _points,
                                   _workspace, check_convex, curve_derivs)
-from noncollapse.oracle import BoundarySample, _normal_width
+from noncollapse.oracle import _normal_width
 from noncollapse.speeds import (SpeedFunction, _cone_batch, _mix64, _seed_state,
                                 hess_form_terms, sum_terms)
 
@@ -209,6 +209,35 @@ def q_second_derivative_check(f: SpeedFunction, a, z, k: float):
     lhs = q_ddot + 2.0 * np.diag(q_dot / sz)
     rhs = Hz + 2.0 * np.diag(gz / sz)
     return lhs, rhs
+
+
+@dataclass
+class BoundarySample:
+    """Ascending eigenvalues with lam[0] smallest, and a symmetric B with B[0,0] = 0
+    standing for the 3-tensor slice contracted with the bottom eigenvector."""
+
+    lam: np.ndarray
+    B: np.ndarray
+    f: SpeedFunction
+
+    def __post_init__(self):
+        self.lam = np.asarray(self.lam, dtype=float)
+        self.B = np.asarray(self.B, dtype=float)
+        _check_boundary(self.f.n, self.lam[None], self.B[None])
+
+
+def _check_boundary(n: int, lam: np.ndarray, B: np.ndarray) -> None:
+    """The BoundarySample conditions on stacked lam (m, n) and B (m, n, n)."""
+    if lam.shape[1:] != (n,) or B.shape[1:] != (n, n) or len(lam) != len(B):
+        raise ValueError("lam must be length n, B must be n x n")
+    if np.any(lam <= 0.0):
+        raise ValueError("lam must lie in the positive cone")
+    if np.any(np.diff(lam, axis=1) < 0.0):
+        raise ValueError("lam must be ascending with lam[0] the smallest")
+    if np.any(B[:, 0, 0] != 0.0):
+        raise ValueError("B[0,0] must be exactly 0")
+    if np.any(np.abs(B - B.transpose(0, 2, 1)) > 0.0):
+        raise ValueError("B must be symmetric")
 
 
 def boundary_bracket(s: BoundarySample, L) -> float:
@@ -1259,8 +1288,6 @@ def boundary_stack_reference(n, seed, m):
 
 def sample_boundary(f, rng):
     """boundary_draw_reference as a validated BoundarySample."""
-    from noncollapse.oracle import BoundarySample
-
     lam, B = boundary_draw_reference(f.n, rng)
     return BoundarySample(lam=lam, B=B, f=f)
 

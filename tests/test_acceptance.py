@@ -310,11 +310,11 @@ def test_criterion_9_speed_algebra():
     for spec in SPEEDS + ["power:0", "power:1", "sigma-root:3", "sigma-ratio:3"]:
         f = parse_speed(spec, 3)
         for prop in ("concave", "inverse-concave"):
-            catalog_ok &= certify(f, prop, trials=600, seed=911).certified
-    refuted_ic = certify(parse_speed("power:-2", 2), "inverse-concave",
-                         trials=600, seed=912).verdict == "refuted"
-    refuted_cc = certify(parse_speed("power:2", 2), "concave",
-                         trials=600, seed=913).verdict == "refuted"
+            catalog_ok &= certify(f, [prop], trials=600, seed=911)[0].certified
+    refuted_ic = certify(parse_speed("power:-2", 2), ["inverse-concave"],
+                         trials=600, seed=912)[0].verdict == "refuted"
+    refuted_cc = certify(parse_speed("power:2", 2), ["concave"],
+                         trials=600, seed=913)[0].verdict == "refuted"
     gate(9, "speed-algebra derivatives + catalog",
          catalog_ok and refuted_ic and refuted_cc,
          "finite differences at 1e-5/1e-4, tr(grad)>=1, catalog verdicts as expected")

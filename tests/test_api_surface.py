@@ -30,7 +30,9 @@ there), so each dropped out as soon as its one user moved.  Run on the tree
 before the member and exception scans, those flag SpeedFunction.trace_grad,
 SpeedFunction.hess, ConvexBody.from_dict, BallCurvatureField.diagonal_upper
 and the exception types SingularShift, NotPositiveDefinite, DiagonalWitness
-and CenterOutside, which were raised but never caught.
+and CenterOutside, which were raised but never caught.  No name is exempt:
+BoundarySample, the last public name that only annotations reached, is a
+test reference in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -40,13 +42,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "noncollapse"
-
-# Public names that stay although no use of the kinds above reaches them.
-ALLOWED = {
-    "BoundarySample": "the argument type of oracle._boundary_terms, which "
-                      "perfbench/tracing.py wraps by name; only annotations name it",
-}
-
 
 def _modules(*dirs: Path):
     for d in dirs:
@@ -190,16 +185,9 @@ def unused_public_api(root: Path = ROOT) -> set:
 
 
 def test_every_public_name_is_used_by_the_program():
-    unused = unused_public_api() - set(ALLOWED)
+    unused = unused_public_api()
     assert not unused, (f"public names only the tests use: {sorted(unused)}; "
                         "move them to tests/oracles.py")
-
-
-def test_allow_list_is_current():
-    # an entry whose name is gone, or now used, is stale
-    defined = public_definitions()
-    assert set(ALLOWED) <= set(defined)
-    assert set(ALLOWED) <= unused_public_api()
 
 
 def test_scan_sees_members_and_exceptions(tmp_path):

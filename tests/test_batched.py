@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from noncollapse import speeds
-from noncollapse.oracle import (BoundarySample, _boundary_draws,
-                                _boundary_terms_many, _interior_draw,
+from noncollapse.oracle import (_boundary_draws, _boundary_terms_many, _interior_draw,
                                 _interior_draws, _interior_matrices, _matrices,
                                 _normal_width, _normals, _rotations, boundary_suite,
                                 interior_gaps_batched, interior_suite)
@@ -17,7 +16,7 @@ from noncollapse.speeds import (GAP_TOL, SpeedFunction, _cone_points, certify,
                                 parse_speed, trial_uniforms)
 
 import oracles
-from oracles import (boundary_draws_reference, boundary_stack_reference,
+from oracles import (BoundarySample, boundary_draws_reference, boundary_stack_reference,
                      boundary_terms_reference, certify_reference, cone_points_reference,
                      hess_reference, interior_draws_reference, interior_gaps_reference,
                      interior_stack_reference, rotations_reference,
@@ -323,7 +322,7 @@ def test_rotations_are_the_sign_fixed_qr(n):
 def test_certify_matches_per_sample_loop(prop):
     for n in (2, 3):
         for f in catalog(n):
-            assert dataclasses.asdict(certify(f, prop, trials=150, seed=81)) == \
+            assert dataclasses.asdict(certify(f, [prop], trials=150, seed=81)[0]) == \
                 certify_reference(f, prop, trials=150, seed=81), (f.name, n)
 
 
@@ -361,7 +360,7 @@ def test_certify_witness_is_last_running_minimum_below_its_tolerance(
         np.array(points, dtype=float), np.ones(len(points))))
     monkeypatch.setattr(oracles, "cone_point_reference",
                         lambda n, seed, t: (np.array(points[t], dtype=float), 1.0))
-    reports = [dataclasses.asdict(certify(f, "concave", trials=len(points), seed=0)),
+    reports = [dataclasses.asdict(certify(f, ["concave"], trials=len(points), seed=0)[0]),
                certify_reference(f, "concave", trials=len(points), seed=0)]
     assert reports[0] == reports[1]
     assert reports[0]["verdict"] == "refuted"

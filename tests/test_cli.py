@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from noncollapse.cli import main
+from noncollapse.cli import _write_json, main
 from noncollapse.flow import FlowConfig, build_body, build_speed
 from noncollapse.oracle import _interior_draw
 from noncollapse.speeds import parse_speed
@@ -23,7 +23,7 @@ def run_cli(*argv):
 
 
 def sphere_config(tmp_path, N=48, stop_factor=20.0, monitor="radii", mode="curve",
-                  shape=None, speed="mean", snapshot_every=150):
+                  shape=None, speed="mean", snapshot_every=150, **extra):
     cfg = {
         "speed": speed,
         "body": {"mode": mode, "N": N,
@@ -32,6 +32,7 @@ def sphere_config(tmp_path, N=48, stop_factor=20.0, monitor="radii", mode="curve
         "stop_max_f_factor": stop_factor,
         "snapshot_every": snapshot_every,
         "monitor": monitor,
+        **extra,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -64,6 +65,22 @@ def test_certify_mean_n1_trivial():
 def test_certify_usage_error():
     assert run_cli("certify", "--speed", "nonsense", "--n", "2") == 1
     assert run_cli("certify", "--speed", "mean") == 1  # missing --n
+
+
+@pytest.mark.parametrize("speed, n", [("power:300", "2"), ("power:-200", "2"),
+                                      ("power:-150", "3")])
+def test_certify_refuses_samples_it_cannot_evaluate(tmp_path, capsys, speed, n):
+    # most Hessians overflow on the drawn cone points: power:300 and
+    # power:-200 were certified on the finite rest, power:300 writing
+    # "min_eigen_seen": -Infinity, and power:-150 ended in a LinAlgError
+    with np.errstate(all="ignore"):
+        code = run_cli("certify", "--speed", speed, "--n", n, "--trials", "2000",
+                       "--out", str(tmp_path))
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert f"error: {speed} at n = {n} gives a non-finite Hessian at trial 0 of seed 0" in err
+    assert out == ""
+    assert not (tmp_path / "certify.json").exists()
 
 
 @pytest.mark.parametrize("command", [["certify"], ["oracle", "--prop", "2.2"],
@@ -308,14 +325,32 @@ def test_flow_non_finite_stop_exit_1(tmp_path, capsys, key, value, argv):
     ({"speed": "power:nan"}, "power mean needs a finite p"),
     ({"speed": "power:inf"}, "power mean needs a finite p"),
     ({"speed": "power:-inf"}, "power mean needs a finite p"),
+    ({"cfl": "0.25"}, "cfl must lie in (0, 2.785/pi^2 = 0.2822], got '0.25'"),
+    ({"t_end": True}, "t_end must exceed 0 and be finite, got True"),
+    ({"stop_max_f": True}, "stop_max_f must exceed 0 and be finite, got True"),
+    ({"stop_factor": "20"}, "stop_max_f_factor must exceed 1 and be finite, got '20'"),
+    ({"snapshot_every": True}, "snapshot_every must be a whole number"),
+    ({"N": True}, "body N must be a whole number"),
+    ({"shape": {"kind": "sphere", "radius": "2"}}, "shape radius must be a number"),
+    ({"shape": {"kind": "ellipse", "a": True, "b": "1.5"}}, "shape a must be a number"),
+    ({"mode": "axisymmetric", "N": 65, "shape": {"kind": "ellipsoid", "a": 1.0, "c": False}},
+     "shape c must be a number"),
+    ({"shape": {"kind": "support", "h": [1.0] * 47 + [True]}},
+     "support shape h must hold only numbers"),
+    ({"shape": {"kind": "support", "h": [1.0] * 47 + ["1.0"]}},
+     "support shape h must hold only numbers"),
 ], ids=["nan-interval", "inf-interval", "fractional-interval", "zero-interval",
         "fractional-N", "string-N", "numeric-speed", "nan-power", "inf-power",
-        "minus-inf-power"])
+        "minus-inf-power", "string-cfl", "bool-t-end", "bool-stop", "string-factor",
+        "bool-interval", "bool-N", "string-radius", "bool-ellipse-axis",
+        "bool-ellipsoid-axis", "bool-support-value", "string-support-value"])
 def test_flow_malformed_config_value_exit_1(tmp_path, capsys, kw, message):
     # refused before anything is written: a NaN or infinite interval never
     # lands a snapshot between the first and the last, so no trend verdict
     # could run; N = 64.9 ran on 64 points; a numeric speed raised a
-    # traceback from the speed parser; power:nan died in the step ladder
+    # traceback from the speed parser; power:nan died in the step ladder; a
+    # JSON true or a string where a number belongs ran as 1 or as the
+    # number it spells, and verdicts.json recorded the true or the string
     out = tmp_path / "r"
     assert run_cli("flow", "--config", sphere_config(tmp_path, **kw), "--out", str(out)) == 1
     err = capsys.readouterr().err
@@ -413,6 +448,10 @@ def test_report_skips_missing_manifest(tmp_path, capsys):
 _UNREADABLE = [
     (b'{"passed": tr', "is not valid JSON", "truncated"),
     (b'{"passed": \xff}', "is not valid JSON", "not-utf8"),
+    (b'{"gates": {"maxF_growth": NaN}}', "is not valid JSON (NaN is not a JSON number)",
+     "nan-constant"),
+    (b'{"wall_time_s": -Infinity}', "is not valid JSON (-Infinity is not a JSON number)",
+     "infinity-constant"),
     (b"[]", "is not a JSON object", "list"),
     (b"3", "is not a JSON object", "number"),
 ]
@@ -459,6 +498,15 @@ def test_report_prints_termination(tmp_path, capsys):
 
 def test_report_empty_exit_1():
     assert run_cli("report") == 1
+
+
+def test_written_json_is_strict(tmp_path):
+    # a NaN or an infinity raises instead of being written as a JSON
+    # extension that strict readers, report among them, refuse
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            _write_json(str(tmp_path / "x.json"), {"x": [1.0, value]})
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

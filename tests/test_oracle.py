@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from noncollapse.oracle import BoundarySample, _boundary_terms, boundary_suite, interior_suite
+from noncollapse.oracle import _boundary_draws, _boundary_terms, boundary_suite, interior_suite
 from noncollapse.speeds import (GAP_TOL, ArithmeticMean, HarmonicMean,
                                 PowerMean, SigmaRatio, parse_speed)
 
-from oracles import (InteriorSample, boundary_bracket, brute_force_boundary, interior_bracket,
-                     interior_gap, interior_scale, interior_stack_reference,
+from oracles import (BoundarySample, InteriorSample, _check_boundary, boundary_bracket,
+                     brute_force_boundary, interior_bracket, interior_gap,
+                     interior_scale, interior_stack_reference,
                      matrix_hess_form, optimal_lambda, q_reference,
                      q_second_derivative_check, sample_boundary, sample_interior)
 
@@ -277,6 +278,15 @@ def test_boundary_sample_validation():
     with pytest.raises(ValueError):
         BoundarySample(lam=np.array([1.0, 2.0]),
                        B=np.array([[1.0, 0.0], [0.0, 0.0]]), f=f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_boundary_draws_meet_sample_conditions(n):
+    # boundary_suite checks none of its draws at run time: the sort, 10^x,
+    # the exact symmetrisation and B[0,0] = 0 make every trial a valid sample
+    for seed in range(3):
+        lam, B = _boundary_draws(n, seed, np.arange(3000))
+        _check_boundary(n, lam, B)
 
 
 # ---------------------------------------------------------------------------

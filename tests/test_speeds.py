@@ -326,40 +326,40 @@ def test_certify_catalog_two_sided():
     for spec in CATALOG:
         f = parse_speed(spec, 3)
         for prop in ("concave", "inverse-concave"):
-            rep = certify(f, prop, trials=400, seed=3)
+            rep = certify(f, [prop], trials=400, seed=3)[0]
             assert rep.certified, (spec, prop, rep.min_eigen_seen, rep.witness)
             assert rep.samples_tested == 400
 
 
 def test_certify_power_minus_two_refuted_inverse_concave():
-    rep = certify(PowerMean(2, -2.0), "inverse-concave", trials=400, seed=4)
+    rep = certify(PowerMean(2, -2.0), ["inverse-concave"], trials=400, seed=4)[0]
     assert rep.verdict == "refuted"
     assert rep.witness is not None
     assert rep.witness_eigenvalue < 0
 
 
 def test_certify_power_two_refuted_concave():
-    rep = certify(PowerMean(2, 2.0), "concave", trials=400, seed=4)
+    rep = certify(PowerMean(2, 2.0), ["concave"], trials=400, seed=4)[0]
     assert rep.verdict == "refuted"
     assert rep.witness is not None
 
 
 def test_certify_power_two_is_inverse_concave():
-    rep = certify(PowerMean(2, 2.0), "inverse-concave", trials=400, seed=4)
+    rep = certify(PowerMean(2, 2.0), ["inverse-concave"], trials=400, seed=4)[0]
     assert rep.certified
 
 
 def test_certify_one_dimensional_cone_trivial():
     f = ArithmeticMean(1)
     for prop in ("concave", "inverse-concave", "monotone", "homogeneous"):
-        assert certify(f, prop, trials=50, seed=0).certified
+        assert certify(f, [prop], trials=50, seed=0)[0].certified
 
 
 def test_certify_monotone_and_homogeneous():
     for spec in CATALOG:
         f = parse_speed(spec, 2)
-        assert certify(f, "monotone", trials=200, seed=1).certified
-        assert certify(f, "homogeneous", trials=200, seed=1).certified
+        assert certify(f, ["monotone"], trials=200, seed=1)[0].certified
+        assert certify(f, ["homogeneous"], trials=200, seed=1)[0].certified
 
 
 def test_certify_properties_share_one_draw():
@@ -370,15 +370,15 @@ def test_certify_properties_share_one_draw():
         for names in (list(PROPERTIES), ["inverse-concave", "concave"], ["homogeneous"]):
             reports = certify(f, names, trials=300, seed=17)
             assert [dataclasses.asdict(r) for r in reports] == \
-                [dataclasses.asdict(certify(f, name, trials=300, seed=17)) for name in names]
+                [dataclasses.asdict(certify(f, [name], trials=300, seed=17)[0]) for name in names]
     with pytest.raises(ValueError):
         certify(PowerMean(2, 2.0), ["concave", "convex"], trials=10)
 
 
 def test_certify_deterministic():
     f = SigmaRoot(3, 2)
-    a = certify(f, "concave", trials=100, seed=42)
-    b = certify(f, "concave", trials=100, seed=42)
+    a = certify(f, ["concave"], trials=100, seed=42)[0]
+    b = certify(f, ["concave"], trials=100, seed=42)[0]
     assert a.min_eigen_seen == b.min_eigen_seen
 
 
@@ -449,4 +449,4 @@ def test_trial_uniforms_reject_negative_seed():
     with pytest.raises(ValueError):
         trial_uniforms(-1, range(3), 4)
     with pytest.raises(ValueError):
-        certify(PowerMean(2, 2.0), "concave", trials=10, seed=-1)
+        certify(PowerMean(2, 2.0), ["concave"], trials=10, seed=-1)
