@@ -42,7 +42,7 @@ def uniform_etd(body, speed, steps, t_end):
     ws = _workspace(body.mode, body.N)
     eig = ws.eigenbasis()
     dt = t_end / steps
-    c = eig.forward(body.h)
+    c = eig.forward(body.h[eig.fold])
     for _ in range(steps):
         r = eig.radii(c)
         lin = (ws.dth * ws.dth / _dt_of(ws, r, speed, 1.0)) * eig.lam

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -19,8 +20,8 @@ import time
 from typing import Optional
 
 from . import __version__
-from .flow import (CONVEXITY_LOST, FlowConfig, build_body, build_speed, run as run_flow,
-                   stop_threshold)
+from .flow import (CONVEXITY_LOST, FlowConfig, build_body, build_speed, check_first_step,
+                   run as run_flow, stop_threshold)
 from .monitor import monitor_rows, ratios, run_verdicts, write_monitor_csv
 from .oracle import boundary_suite, interior_suite
 from .speeds import PROPERTIES, certify, parse_speed
@@ -48,6 +49,29 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _write_json(path: str, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _write_snapshot(path: str, snap: dict) -> None:
+    """Write snap, a ConvexBody.to_dict(), with the bytes _write_json would
+    write: its five keys sorted, N, mode and t as json writes them, and h
+    and center_offset as lists of float.__repr__ values.  json's indented
+    encoder runs in Python, one call per value; this joins the values in
+    one pass.  A NaN or an infinity raises ValueError and writes nothing."""
+    h, off = snap["h"], snap["center_offset"]
+    if not (all(map(math.isfinite, h)) and all(map(math.isfinite, off))):
+        raise ValueError("snapshot values must be finite")
+    _atomic_write(path, f'{{\n  "N": {snap["N"]!r},\n'
+                        f'  "center_offset": {_float_list(off)},\n'
+                        f'  "h": {_float_list(h)},\n'
+                        f'  "mode": {json.dumps(snap["mode"])},\n'
+                        f'  "t": {json.dumps(snap["t"], allow_nan=False)}\n}}\n')
+
+
+def _float_list(values: list) -> str:
+    """A list of floats as json.dumps(..., indent=2) writes it at depth one."""
+    if not values:
+        return "[]"
+    return "[\n    " + ",\n    ".join(map(float.__repr__, values)) + "\n  ]"
 
 
 # report keys that vary between reruns: printed, but left out of the written
@@ -109,6 +133,7 @@ def cmd_flow(args) -> int:
         return EXIT_USAGE
     try:
         stop_threshold(cfg, body, speed)
+        check_first_step(cfg, body, speed)
     except geometry.ConvexityLost as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONVEXITY
@@ -131,7 +156,7 @@ def cmd_flow(args) -> int:
     rows = monitor_rows(fr, speed, fields=(cfg.monitor == "full"))
     write_monitor_csv(rows, os.path.join(out, "monitor.csv"))
     for i, snap in enumerate(fr.snapshots):
-        _write_json(os.path.join(out, "snapshots", f"{i:05d}.json"), snap.body.to_dict())
+        _write_snapshot(os.path.join(out, "snapshots", f"{i:05d}.json"), snap.body.to_dict())
 
     deltas = {}
     if cfg.monitor == "full":

@@ -55,11 +55,12 @@ spans a factor 123, a run to max F x3 takes 2,484 accepted steps against
 RK4's 3,998.
 
 The stages never leave coefficient space: a stage is
-forward(-F(R c)) - lin * c, where R c, the principal radii of the body with
+-forward(F(R c)) - lin * c, where R c, the principal radii of the body with
 eigen-coefficients c, is the closed-form radii of the eigenvectors applied to
-c (geometry._Eigenbasis.radii).  Grid values are formed only for the error
-norm, the accepted step and the snapshots; the speed of an accepted step is
-reused as the next step's first stage.
+c (geometry._Eigenbasis.radii), on the folded grid that forward() reads.
+Grid values are formed only for the error norm, the accepted step and the
+snapshots; the speed of an accepted step is reused as the next step's first
+stage.
 
 Curve-mode note: in one curvature variable, degree-one homogeneity plus the
 normalisation force f(kappa) = kappa, so every curve run is curve shortening
@@ -70,6 +71,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field as dc_field, fields
 from typing import Optional
 
@@ -98,6 +100,9 @@ ETD_TOL = 1e-12
 # the step-size ladder: a step takes 2^(j/RUNGS) stable-step units for an
 # integer j, so a rescaled body takes the same steps
 RUNGS = 4
+
+# a step below STEP_FLOOR * max(1, t) no longer moves t, and run() ends there
+STEP_FLOOR = 1e-14
 
 
 @dataclass
@@ -157,8 +162,10 @@ def build_body(spec: dict) -> ConvexBody:
     shape = spec.get("shape", {"kind": "sphere", "radius": 1.0})
     kind = shape["kind"]
     for key in ("radius", "a", "b", "c"):
-        if key in shape and not _number(shape[key]):
-            raise ValueError(f"shape {key} must be a number, got {shape[key]!r}")
+        v = shape.get(key)
+        # bounded by the largest float, not inf: a larger int overflows float()
+        if key in shape and not (_number(v) and 0.0 < v <= sys.float_info.max):
+            raise ValueError(f"shape {key} must be a number, finite and > 0, got {v!r}")
     if kind == "sphere":
         return make_sphere(mode, N, shape.get("radius", 1.0))
     if kind == "ellipse":
@@ -170,6 +177,8 @@ def build_body(spec: dict) -> ConvexBody:
             raise ValueError("ellipsoid shape is axisymmetric only")
         return make_ellipsoid(N, shape["a"], shape["c"])
     if kind == "support":
+        if not isinstance(shape["h"], list):
+            raise ValueError(f"support shape h must be a list of numbers, got {shape['h']!r}")
         if not all(_number(x) for x in shape["h"]):
             raise ValueError("support shape h must hold only numbers")
         h = np.array(shape["h"], dtype=float)
@@ -226,8 +235,10 @@ def _etd_coefficients(z: np.ndarray) -> tuple:
 def _speed_coefficients(eig: _Eigenbasis, speed: SpeedFunction, c: np.ndarray) -> np.ndarray:
     """Eigen-coefficients of -F of the body with eigen-coefficients c (or of
     each row of a stack c), its radii taken straight from c
-    (_Eigenbasis.radii)."""
-    return eig.forward(-_speed_of_radii(eig.radii(c), speed))
+    (_Eigenbasis.radii) on the folded grid that forward() reads.  Negation
+    commutes with the transform's rounding, so -forward(F) is forward(-F)
+    bit for bit, up to the sign of exact zeros."""
+    return -eig.forward(_speed_of_radii(eig.radii(c), speed))
 
 
 def _rk4(eig: _Eigenbasis, speed: SpeedFunction, dt, w: tuple,
@@ -326,6 +337,16 @@ def stop_threshold(config: FlowConfig, body: ConvexBody, speed: SpeedFunction) -
     return stop_f
 
 
+def check_first_step(config: FlowConfig, body: ConvexBody, speed: SpeedFunction) -> None:
+    """Raise ValueError when run() could not step body: its stable step
+    (_dt_of) is not finite, or is below the step floor, as for a sphere of
+    radius 1e200 (r^2 overflows) or 1e-6 (on a 48-point curve)."""
+    dt = _dt_of(_workspace(body.mode, body.N), check_convex(body), speed, config.cfl)
+    if not STEP_FLOOR <= dt < math.inf:
+        raise ValueError(f"the initial stable step {dt:.3g} is not a finite step of at least "
+                         f"{STEP_FLOOR:g}, so the integrator cannot step this body")
+
+
 def _sample(run_: FlowRun, ws: _Workspace, speed: SpeedFunction, b: ConvexBody) -> ConvexBody:
     """Record body b as a snapshot of run_ and return it moved to its in-center."""
     F = _speed_of_radii(ws.radii(b.h), speed)
@@ -383,9 +404,9 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
     def restart(b: ConvexBody) -> tuple:
         """Record b as a snapshot and return the recentred h, t, origin, c, r, -F's c."""
         b = _sample(run_, ws, speed, b)
-        c = eig.forward(b.h)
+        c = eig.forward(b.h[eig.fold])
         r = eig.radii(c)
-        return b.h, b.t, b.center_offset, c, r, eig.forward(-_speed_of_radii(r, speed))
+        return b.h, b.t, b.center_offset, c, r, -eig.forward(_speed_of_radii(r, speed))
 
     h, t, offset, c, r, neg_f = restart(body)
     dt_unit = _dt_of(ws, r, speed, config.cfl)
@@ -400,7 +421,7 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
     while True:
         lin = unit_z / dt_unit
         n0 = neg_f - lin * c
-        floor = 1e-14 * max(1.0, t)
+        floor = STEP_FLOOR * max(1.0, t)
         while True:
             units = 2.0 ** (j / RUNGS)
             lands = units >= config.snapshot_every - clock
@@ -471,7 +492,7 @@ def run(config: FlowConfig, speed: Optional[SpeedFunction] = None,
             break
 
         h, c, r = h_new, c_new, r_new
-        neg_f = eig.forward(-F_new)
+        neg_f = -eig.forward(F_new)
         t = config.t_end if ends else t + dt
         run_.steps += 1
         run_.dt_min = dt if run_.dt_min is None else min(run_.dt_min, dt)

@@ -11,7 +11,8 @@ in one stage each: dual-simplex pivoting for a curve's in-circle, the
 lowest dual vertex for the axial in-ball, and farthest-point pivoting for a
 curve's circumcircle and, on the mirrored meridian, the axial circumball.
 The ball-curvature fields take their x rows in blocks, and the axisymmetric
-field finds each pair's nearest admissible azimuth in closed form.
+field finds the nearest admissible azimuth of each pair off the meridian in
+closed form.
 """
 from __future__ import annotations
 
@@ -184,7 +185,16 @@ class _Eigenbasis:
     Legendre matrix, is the DCT-I of the grid values (their Chebyshev
     coefficients) followed by the Chebyshev-to-Legendre conversion, built
     column by column from T_{m+1} = 2x T_m - T_{m-1}: no matrix inverse and
-    no matrix-matrix product, and no storage beyond the two matrices kept."""
+    no matrix-matrix product, and no storage beyond the two matrices kept.
+
+    The flow's stages go from coefficients to radii, to the speed at each
+    node, and back by forward(), so radii() and forward() use the folded
+    grid: nodes 0 .. ne-1, then N-1 down to ne (the index array fold; a
+    curve's grid order).  radii() then writes the mirrored half s - d
+    without reversing it, and forward() takes a mirrored pair's sum and
+    difference with the 1/2 of the even and odd parts folded into its
+    matrices.  inverse() returns grid order; a caller with grid values h
+    passes h[fold] to forward()."""
 
     def __init__(self, mode: str, N: int):
         self.mode = mode
@@ -192,6 +202,7 @@ class _Eigenbasis:
         if mode == CURVE:
             k = np.arange(N // 2 + 1, dtype=float)
             self.lam = 1.0 - k * k
+            self.fold = slice(None)  # a curve's grid is its own folded grid
             return
         M = N - 1
         ne, no = self.ne, self.no = (N + 1) // 2, N // 2
@@ -229,14 +240,14 @@ class _Eigenbasis:
             xt[:-1] += up * t[1:]
             t_prev, t = t, (2.0 if m else 1.0) * xt - t_prev
         # forward() is B C, B the conversion and C the DCT-I c_m =
-        # (2/M) w_m sum_j w_j h_j cos(m theta_j) (w = 1/2 at the ends; on the
-        # half grid a mirrored node pair counts twice, the equator node
-        # once).  Row k of B C is then a DCT-I of row k of B: an rfft of its
-        # even extension, written back over the row, 16 rows at a time
-        w_node = np.full(ne, 2.0 / M)
-        w_node[0] = 1.0 / M
-        if N % 2:
-            w_node[-1] = 1.0 / M
+        # (2/M) w_m sum_j w_j h_j cos(m theta_j) (w = 1/2 at the ends) of the
+        # even or odd part of h on the half grid, fed the folded values of a
+        # mirrored node pair as their sum (even part) or difference (odd
+        # part), each half of what C takes, and the equator node once.  Row k
+        # of B C is then a DCT-I of row k of B: an rfft of its even
+        # extension, written back over the row, 16 rows at a time
+        w_node = np.full(ne, 1.0 / M)
+        w_node[0] = 0.5 / M
         for b, parity in ((b_e, 0), (b_o, 1)):
             n = b.shape[0]
             for lo in range(0, n, 16):
@@ -247,43 +258,47 @@ class _Eigenbasis:
                 rows[:] = w_node[:n] * spec.real[:, :n]
         self.inv_e, self.inv_o = b_e, b_o
         self.r_e, self.r_o = r_e.reshape(2 * ne, ne), r_o.reshape(2 * no, no)
+        self.fold = np.concatenate([np.arange(ne), np.arange(N - 1, ne - 1, -1)])
 
-    def forward(self, h: np.ndarray) -> np.ndarray:
-        """Eigen-coefficients of grid values h, one row (N,) or each row of a
-        stack (B, N)."""
+    def forward(self, f: np.ndarray) -> np.ndarray:
+        """Eigen-coefficients of values f on the folded grid (the order of
+        radii() and fold), one row (N,) or each row of a stack (B, N)."""
         if self.mode == CURVE:
-            return np.fft.rfft(h)
-        hr = h[..., ::-1]
-        return np.concatenate([_rows(self.inv_e, 0.5 * (h[..., : self.ne] + hr[..., : self.ne])),
-                               _rows(self.inv_o, 0.5 * (h[..., : self.no] - hr[..., : self.no]))],
-                              axis=-1)
+            return np.fft.rfft(f)
+        lo, hi = f[..., : self.no], f[..., self.ne :]
+        even = lo + hi
+        if self.N % 2:
+            even = np.concatenate([even, f[..., self.no : self.ne]], axis=-1)
+        return np.concatenate([_rows(self.inv_e, even), _rows(self.inv_o, lo - hi)], axis=-1)
 
     def radii(self, c: np.ndarray) -> np.ndarray:
-        """Principal radii (N, n), n = 1 or 2, of the body with
-        eigen-coefficients c, or (B, N, n) of the rows of a stack c,
+        """Principal radii (N, n), n = 1 or 2, on the folded grid of the body
+        with eigen-coefficients c, or (B, N, n) of the rows of a stack c,
         straight from the coefficients.  No positivity check."""
         if self.mode == CURVE:
             return np.fft.irfft(self.lam * c, self.N)[..., None]
         lead = c.shape[:-1]
-        return self._unfold(_rows(self.r_e, c[..., : self.ne]).reshape(lead + (self.ne, 2)),
-                            _rows(self.r_o, c[..., self.ne :]).reshape(lead + (self.no, 2)))
+        s = _rows(self.r_e, c[..., : self.ne]).reshape(lead + (self.ne, 2))
+        d = _rows(self.r_o, c[..., self.ne :]).reshape(lead + (self.no, 2))
+        out = np.empty(lead + (self.N, 2))
+        out[..., : self.ne, :] = s
+        out[..., : self.no, :] += d
+        out[..., self.ne :, :] = s[..., : self.no, :] - d
+        return out
 
     def inverse(self, c: np.ndarray) -> np.ndarray:
         """Grid values (N,) of eigen-coefficients c, or (B, N) of the rows of
-        a stack c."""
+        a stack c, in grid order: from the even part s on the nodes down to
+        the equator and the odd part d, s + d there and mirrored s - d
+        beyond."""
         if self.mode == CURVE:
             return np.fft.irfft(c, self.N)
-        return self._unfold(_rows(self.v_e, c[..., : self.ne])[..., None],
-                            _rows(self.v_o, c[..., self.ne :])[..., None])[..., 0]
-
-    def _unfold(self, s: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Values (..., N, k) on the whole grid from their even part s
-        (..., ne, k) on the nodes down to the equator and their odd part d
-        (..., no, k): s + d there, mirrored s - d beyond."""
-        out = np.empty(s.shape[:-2] + (self.N, s.shape[-1]))
-        out[..., : self.ne, :] = s
-        out[..., : self.no, :] += d
-        out[..., self.ne :, :] = (s[..., : self.no, :] - d)[..., ::-1, :]
+        s = _rows(self.v_e, c[..., : self.ne])
+        d = _rows(self.v_o, c[..., self.ne :])
+        out = np.empty(s.shape[:-1] + (self.N,))
+        out[..., : self.ne] = s
+        out[..., : self.no] += d
+        out[..., self.ne :] = (s[..., : self.no] - d)[..., ::-1]
         return out
 
 
@@ -392,9 +407,11 @@ def ball_curvature_field(body: ConvexBody) -> BallCurvatureField:
     in c on the admissible set {A - B c > sep^2}.  Its extrema over the
     azimuths therefore sit at the far azimuth m = N // 2 (the smallest c,
     which is pi only for even N) or at the nearest admissible one, the first
-    admissible m <= N // 2, estimated in closed form and made exact by
-    _first_admissible.  The result equals the sweep over the whole
-    (theta, phi) torus up to rounding.
+    admissible m <= N // 2.  That is the meridian, m = 0, wherever its chord
+    is admissible; only where it is not (2.3% of the pairs of an N = 256
+    ellipsoid, 1.2% at N = 511) is the first admissible m estimated in
+    closed form and made exact by _first_admissible.  The result equals the
+    sweep over the whole (theta, phi) torus up to rounding.
 
     Ties: the witness is the first extremum in y; on one y the nearer of the
     two azimuths wins, and of the mirror azimuths m and N - m the one
@@ -429,9 +446,13 @@ def ball_curvature_field(body: ConvexBody) -> BallCurvatureField:
 
 # x rows per block of ball_curvature_field: a block's (FIELD_ROWS, N)
 # temporaries, 130 kB each at N = 511, stay in a 2 MB L2 cache where the
-# full (N, N) ones (2 MB) do not.  ms per axisymmetric N = 511 field at
-# 16/32/64/128 rows: 20.0/19.4/18.3/21.2, 32 and 64 alike within the noise
-# (the block sweep of BENCH_fields.json, 2-core x86-64, BLAS on one thread)
+# full (N, N) ones (2 MB) do not.  Median ms per field at 16/32/64/128 rows,
+# repeated on one warm body (2-core x86-64, one CPU, BLAS on one thread):
+# axisymmetric N = 256 3.10/2.48/2.20/2.11 and N = 511 8.91/8.15/7.62/8.50,
+# curve N = 256 1.11/0.91/0.84/0.84 and N = 512 3.32/2.95/2.96/3.11.  The
+# 6-11% that 64 rows gain on warm axisymmetric fields does not carry over to
+# full-monitor runs, whose fields run between steps: ellipsoid-monitor
+# wall_rel medians 11.9 at 32 rows and 12.3 at 64 over 4 alternating pairs
 FIELD_ROWS = 32
 
 
@@ -450,7 +471,10 @@ def _curve_blocks(pts, nus, sep2):
 def _axi_blocks(pts, nus, sep2):
     """Per block of x rows: (rows, admissible, k at the lower and the upper
     of the two candidate azimuths, their azimuth indices) over every y;
-    admissibility is that of the far azimuth, the widest chord."""
+    admissibility is that of the far azimuth, the widest chord.  The near
+    candidate is the meridian, m = 0, wherever its chord passes; only the
+    pairs whose meridian chord fails take the closed-form estimate of their
+    first admissible azimuth and its correction."""
     N = pts.shape[0]
     rho, z = pts[:, 0], pts[:, 2]
     phi = 2.0 * np.pi * np.arange(N) / N
@@ -459,21 +483,30 @@ def _axi_blocks(pts, nus, sep2):
     for a in range(0, N, FIELD_ROWS):
         s = slice(a, a + FIELD_ROWS)
         rx, dz, sep2_s = rho[s, None], z[s, None] - z, sep2[s]
-        nu0, nu2 = nus[s, 0:1], nus[s, 2:3]
-        d0, d2 = _chord(rx, rho, dz, cphi[far], sphi[far])
+        dz2, dz_nu = dz * dz, dz * nus[s, 2:3]  # shared by both azimuths
+        d0, d2 = _chord(rx, rho, dz2, cphi[far], sphi[far])
+        # the near azimuth is the meridian, m = 0, wherever its chord
+        # (_chord at cos 1 and sin 0, bit for bit) passes; the pairs (i, j)
+        # where it fails take the estimate below and _first_admissible
+        d0_m = rx - rho
+        d2_m = d0_m * d0_m + dz2
+        m = np.zeros(d2.shape, dtype=np.intp)
+        i, j = np.nonzero(~(d2_m > sep2_s))
         # the pair is admissible at the azimuth phi when A - B cos(phi) >
         # sep^2, A = rho_x^2 + rho_y^2 + dz^2 and B = 2 rho_x rho_y, so the
         # first admissible m is ceil(N arccos((A - sep^2) / B) / 2 pi); where
         # B = 0 (a pole) the azimuth moves nothing, and the quotient's
         # infinity gives 0 or far
+        rx_i, ry, dz2_i, sep2_i = rx[i, 0], rho[j], dz2[i, j], sep2_s[i, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = (rx * rx + rho * rho + dz * dz - sep2_s) / (2.0 * rx * rho)
+            q = (rx_i * rx_i + ry * ry + dz2_i - sep2_i) / (2.0 * rx_i * ry)
         est = np.ceil(N / (2.0 * np.pi) * np.arccos(np.clip(q, -1.0, 1.0)))
-        m = np.clip(np.nan_to_num(est), 0, far).astype(np.intp)
-        d0_m, d2_m = _first_admissible(m, rx, rho, dz, sep2_s, cphi, sphi)
+        m_i = np.clip(np.nan_to_num(est), 0, far).astype(np.intp)
+        d0_m[i, j], d2_m[i, j] = _first_admissible(m_i, rx_i, ry, dz2_i, sep2_i, cphi, sphi)
+        m[i, j] = m_i
         with np.errstate(divide="ignore", invalid="ignore"):
-            k_far = 2.0 * (d0 * nu0 + dz * nu2) / d2
-            k_near = 2.0 * (d0_m * nu0 + dz * nu2) / d2_m
+            k_far = 2.0 * (d0 * nus[s, 0:1] + dz_nu) / d2
+            k_near = 2.0 * (d0_m * nus[s, 0:1] + dz_nu) / d2_m
         near_lo = k_near <= k_far
         near_hi = k_near >= k_far
         yield (s, d2 > sep2_s, np.where(near_lo, k_near, k_far),
@@ -481,35 +514,31 @@ def _axi_blocks(pts, nus, sep2):
                np.where(near_lo, m, far), np.where(near_hi, m, far))
 
 
-def _chord(rx, ry, dz, c, s):
+def _chord(rx, ry, dz2, c, s):
     """Radial component of X_x - Y and |X_x - Y|^2 for the meridian point y
-    turned to the azimuth of cosine c and sine s."""
+    turned to the azimuth of cosine c and sine s; dz2 is the squared height
+    difference."""
     d0 = rx - ry * c
     d1 = ry * s
-    return d0, d0 * d0 + d1 * d1 + dz * dz
+    return d0, d0 * d0 + d1 * d1 + dz2
 
 
-def _first_admissible(m, rx, ry, dz, sep2, cphi, sphi):
-    """Correct, in place, the estimates m of each (x, y) pair's first
-    admissible azimuth index in [0, N // 2] (N // 2 where none is) to the
-    exact test _chord(m)[1] > sep^2 that decides admissibility, and return
-    _chord at m.  The pairs the estimate misses step down while m - 1
-    passes the test and up while m fails it, until none moves, so m is
-    exact however far the estimate is off."""
+def _first_admissible(m, rx, ry, dz2, sep2, cphi, sphi):
+    """Correct, in place, the estimates m of pairs' first admissible azimuth
+    indices in [0, N // 2] (N // 2 where none is) to the exact test
+    _chord(m)[1] > sep^2 that decides admissibility, and return _chord at m.
+    The arguments are vectors over the pairs.  A pair steps down while
+    m - 1 passes the test and up while m fails it, until none moves, so m
+    is exact however far the estimate is off."""
     far = cphi.size // 2
-    d0, d2 = _chord(rx, ry, dz, cphi[m], sphi[m])
-    below = _chord(rx, ry, dz, cphi[m - 1], sphi[m - 1])[1] > sep2
-    i, j = np.nonzero((m > 0) & below | (m < far) & ~(d2 > sep2))
-    rx, ry, dz, sep2, mm = rx[i, 0], ry[j], dz[i, j], sep2[i, 0], m[i, j]
     while True:
-        down = (mm > 0) & (_chord(rx, ry, dz, cphi[mm - 1], sphi[mm - 1])[1] > sep2)
-        up = ~down & (mm < far) & ~(_chord(rx, ry, dz, cphi[mm], sphi[mm])[1] > sep2)
+        down = (m > 0) & (_chord(rx, ry, dz2, cphi[m - 1], sphi[m - 1])[1] > sep2)
+        up = ~down & (m < far) & ~(_chord(rx, ry, dz2, cphi[m], sphi[m])[1] > sep2)
         if not (down.any() or up.any()):
             break
-        mm = mm - down + up
-    m[i, j] = mm
-    d0[i, j], d2[i, j] = _chord(rx, ry, dz, cphi[mm], sphi[mm])
-    return d0, d2
+        m -= down
+        m += up
+    return _chord(rx, ry, dz2, cphi[m], sphi[m])
 
 
 def tangent_plane_diagnostic(body: ConvexBody, fld: BallCurvatureField,

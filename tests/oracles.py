@@ -628,18 +628,19 @@ def rk4_step(mode, h, speed, dt, r0=None, F0=None):
 
 
 def eigenbasis_radii_reference(eig, c):
-    """geometry._Eigenbasis.radii (same signature, a stack of rows c
-    included) by the grid: the coefficients to grid values by eig.inverse,
-    then the grid's radii kernel geometry._Workspace.radii row by row.  The
-    flow's path to the radii of its ETDRK4 stages before they came straight
-    from the coefficients."""
+    """geometry._Eigenbasis.radii (same signature and folded order, a stack
+    of rows c included) by the grid: the coefficients to grid values by
+    eig.inverse, then the grid's radii kernel geometry._Workspace.radii row
+    by row, taken in the folded order eig.fold.  The flow's path to the
+    radii of its ETDRK4 stages before they came straight from the
+    coefficients."""
     from noncollapse.geometry import _workspace
 
     ws = _workspace(eig.mode, eig.N)
     h = eig.inverse(c)
     if h.ndim == 1:
-        return ws.radii(h)
-    return np.stack([ws.radii(row) for row in h])
+        return ws.radii(h)[eig.fold]
+    return np.stack([ws.radii(row)[eig.fold] for row in h])
 
 
 def rk4_reference_run(config, speed=None, body=None, dt_of=None):

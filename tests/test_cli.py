@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from noncollapse.cli import _write_json, main
+from noncollapse.cli import _write_json, _write_snapshot, main
 from noncollapse.flow import FlowConfig, build_body, build_speed
 from noncollapse.oracle import _interior_draw
 from noncollapse.speeds import parse_speed
@@ -339,22 +339,51 @@ def test_flow_non_finite_stop_exit_1(tmp_path, capsys, key, value, argv):
      "support shape h must hold only numbers"),
     ({"shape": {"kind": "support", "h": [1.0] * 47 + ["1.0"]}},
      "support shape h must hold only numbers"),
+    ({"shape": {"kind": "ellipse", "a": -1, "b": 1}}, "shape a must be a number, finite and > 0"),
+    ({"mode": "axisymmetric", "N": 65, "shape": {"kind": "ellipsoid", "a": 1.0, "c": -0.5}},
+     "shape c must be a number, finite and > 0"),
+    ({"shape": {"kind": "sphere", "radius": 0}}, "shape radius must be a number, finite and > 0"),
+    ({"shape": {"kind": "sphere", "radius": float("nan")}}, "shape radius must be a number"),
+    ({"shape": {"kind": "ellipse", "a": 1.5, "b": float("inf")}}, "shape b must be a number"),
+    ({"shape": {"kind": "support", "h": 5}}, "support shape h must be a list of numbers, got 5"),
+    ({"shape": {"kind": "sphere", "radius": 10**400}}, "shape radius must be a number"),
 ], ids=["nan-interval", "inf-interval", "fractional-interval", "zero-interval",
         "fractional-N", "string-N", "numeric-speed", "nan-power", "inf-power",
         "minus-inf-power", "string-cfl", "bool-t-end", "bool-stop", "string-factor",
         "bool-interval", "bool-N", "string-radius", "bool-ellipse-axis",
-        "bool-ellipsoid-axis", "bool-support-value", "string-support-value"])
+        "bool-ellipsoid-axis", "bool-support-value", "string-support-value",
+        "negative-ellipse-axis", "negative-ellipsoid-axis", "zero-radius", "nan-radius",
+        "inf-ellipse-axis", "scalar-support", "int-radius-beyond-float"])
 def test_flow_malformed_config_value_exit_1(tmp_path, capsys, kw, message):
     # refused before anything is written: a NaN or infinite interval never
     # lands a snapshot between the first and the last, so no trend verdict
     # could run; N = 64.9 ran on 64 points; a numeric speed raised a
     # traceback from the speed parser; power:nan died in the step ladder; a
     # JSON true or a string where a number belongs ran as 1 or as the
-    # number it spells, and verdicts.json recorded the true or the string
+    # number it spells, and verdicts.json recorded the true or the string; a
+    # negative axis ran as the positive one, and a support h that is one
+    # number failed with a TypeError that named no field
     out = tmp_path / "r"
     assert run_cli("flow", "--config", sphere_config(tmp_path, **kw), "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert "error: bad config" in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, radius", [
+    ("curve", 1e308), ("curve", 1e200), ("axisymmetric", 1e200),
+    ("curve", 1e-6), ("curve", 1e-7), ("curve", 1e-150), ("axisymmetric", 1e-6),
+])
+def test_flow_unsteppable_body_exit_1(tmp_path, capsys, mode, radius):
+    # a stable step that overflows (r^2 beyond float64) ended in a
+    # LinAlgError or ValueError traceback, and one below the step floor in
+    # StepUnderflow after 0 steps with "passed": true and exit 0, each after
+    # manifest.json and snapshots/ were written
+    N = 48 if mode == "curve" else 49
+    cfg = sphere_config(tmp_path, N=N, mode=mode, shape={"kind": "sphere", "radius": radius})
+    out = tmp_path / "r"
+    assert run_cli("flow", "--config", cfg, "--out", str(out)) == 1
+    assert "the integrator cannot step this body" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -498,6 +527,42 @@ def test_report_prints_termination(tmp_path, capsys):
 
 def test_report_empty_exit_1():
     assert run_cli("report") == 1
+
+
+def _json_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_snapshot_writer_matches_json(tmp_path):
+    # every snapshot of the committed configs, and bodies carrying edge
+    # values in t, h and center_offset, byte for byte as json writes them
+    for name in sorted(os.listdir(CONFIGS)):
+        out = tmp_path / name
+        main(["flow", "--config", os.path.join(CONFIGS, name), "--out", str(out)])
+        snaps = sorted((out / "snapshots").iterdir())
+        assert snaps
+        for path in snaps:
+            text = path.read_text()
+            assert text == _json_text(json.loads(text)), (name, path.name)
+    edges = [-0.0, 1.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308]
+    snaps = [{"mode": "curve", "N": 6, "t": t, "h": edges, "center_offset": [t * 1.0, -t * 1.0]}
+             for t in edges + [0, 3]]
+    snaps.append({"mode": "axisymmetric", "N": 6, "t": 0.5, "h": edges[::-1],
+                  "center_offset": [0.0, -0.0, 5e-324]})
+    for snap in snaps:
+        _write_snapshot(str(tmp_path / "s.json"), snap)
+        assert (tmp_path / "s.json").read_text() == _json_text(snap)
+
+
+@pytest.mark.parametrize("key", ["t", "h", "center_offset"])
+def test_snapshot_writer_refuses_non_finite(tmp_path, key):
+    for value in (float("nan"), float("inf"), -float("inf")):
+        snap = {"mode": "curve", "N": 3, "t": 0.5, "h": [1.0, 1.0, 1.0],
+                "center_offset": [0.0, 0.0]}
+        snap[key] = value if key == "t" else snap[key][:-1] + [value]
+        with pytest.raises(ValueError):
+            _write_snapshot(str(tmp_path / "s.json"), snap)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_written_json_is_strict(tmp_path):

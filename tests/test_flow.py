@@ -280,7 +280,7 @@ def test_stacked_rk4_matches_rows(mode, N, speed):
     sp = build_speed(speed, mode)
     ws = _workspace(mode, N)
     eig = ws.eigenbasis()
-    c = eig.forward(h)
+    c = eig.forward(h[eig.fold])
     r = eig.radii(c)
     unit_z = 0.25 * ws.dth * ws.dth * eig.lam
     dt_unit = _dt_of(ws, r, sp, 0.25)

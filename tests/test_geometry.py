@@ -144,6 +144,7 @@ def test_eigenbasis_diagonalises_radii_operator(mode):
     # sum_i (1 + O_i) to v: every basis vector is an eigenvector to that
     # operator's rounding (N^2 eps |lambda|), with the closed-form eigenvalue
     # (Nyquist modes included), and the two transforms invert each other
+    # (forward reads the folded grid, inverse returns grid order)
     eps = np.finfo(float).eps
     rng = np.random.default_rng(11)
     for N in (8, 9, 64, 65, 256, 511):
@@ -167,7 +168,8 @@ def test_eigenbasis_diagonalises_radii_operator(mode):
             resid = np.abs(ws.radii(v).sum(axis=1) - lam_k * v).max()
             assert resid <= 10 * N * N * eps * max(1.0, abs(lam_k)) * np.abs(v).max()
         h = rng.standard_normal(N)
-        assert np.abs(eig.inverse(eig.forward(h)) - h).max() <= 20 * N * eps * np.abs(h).max()
+        h_back = eig.inverse(eig.forward(h[eig.fold]))
+        assert np.abs(h_back - h).max() <= 20 * N * eps * np.abs(h).max()
 
 
 @pytest.mark.parametrize("mode", [AXISYMMETRIC, CURVE])
@@ -179,7 +181,8 @@ def test_eigenbasis_radii_match_extended_precision(mode):
     # kernel measure 0.13 to 2.5; up to 0.12 at N <= 5, where the error is
     # the rounding of r itself, which N^2 does not scale.  The long-double
     # closed form is checked against the extended-precision DFT radii of its
-    # own grid values (measured at most 0.056)
+    # own grid values (measured at most 0.056).  forward and radii use the
+    # folded grid, and the long-double values are in grid order
     eps = np.finfo(float).eps
     rng = np.random.default_rng(3)
     for N in (3, 4, 5, 64, 65, 256, 257, 511):
@@ -191,12 +194,12 @@ def test_eigenbasis_radii_match_extended_precision(mode):
             bodies = [make_ellipse(N, 1.0, q).h for q in (0.3, 1.5, 4.0)]
             bodies.append(3.0 * random_convex_curve(rng, N=N))
         for h in bodies:
-            c = eig.forward(h)
+            c = eig.forward(h[eig.fold])
             h_ext, r_ext = eigenbasis_extended(mode, N, c)
             unit = N * N * eps * float(np.abs(h_ext).max())
             got = eig.radii(c)
             assert got.shape == (N, 1 if mode == CURVE else 2)
-            assert np.abs(got - r_ext).max() <= (0.01 if N > 5 else 0.25) * unit, N
+            assert np.abs(got - r_ext[eig.fold]).max() <= (0.01 if N > 5 else 0.25) * unit, N
             assert np.abs(principal_radii_reference(mode, h_ext) - r_ext).max() <= 0.1 * unit
 
 
@@ -215,6 +218,7 @@ def test_eigenbasis_stack_matches_rows(mode):
             H = np.stack([make_ellipsoid(N, 1.0, 1.5).h, random_convex_axisym(rng, N=N)])
         else:
             H = np.stack([make_ellipse(N, 1.5, 1.0).h, random_convex_curve(rng, N=N)])
+        H = H[:, eig.fold]
         C = eig.forward(H)
         for f, X in ((eig.forward, H), (eig.radii, C), (eig.inverse, C)):
             got, rows = f(X), np.stack([f(x) for x in X])
@@ -421,7 +425,8 @@ def test_first_admissible_azimuth_exact_from_any_estimate():
     # exact on smooth bodies, so the field tests never reach its correction;
     # started from 0, from N // 2 or at random, the correction ends at the
     # first azimuth index whose chord passes the separation test, N // 2
-    # where none does, and returns the chord there
+    # where none does, and returns the chord there.  It takes the pairs as
+    # vectors, here every (x, y) pair of the grid
     rng = np.random.default_rng(45)
     bodies = [make_ellipsoid(64, 1.0, 0.3), make_ellipsoid(65, 1.0, 1.5),
               ConvexBody(mode=AXISYMMETRIC, h=random_convex_axisym(rng, N=33))]
@@ -430,20 +435,21 @@ def test_first_admissible_azimuth_exact_from_any_estimate():
         pts, r = _points(b), principal_radii(b)
         sep2 = ((SEP_FACTOR * b.grid_spacing * r[:, 0]) ** 2)[:, None]
         rho, z = pts[:, 0], pts[:, 2]
-        rx, dz = rho[:, None], z[:, None] - z
+        rx, dz2 = rho[:, None], (z[:, None] - z) ** 2
         phi = 2.0 * np.pi * np.arange(b.N) / b.N
         cphi, sphi = np.cos(phi), np.sin(phi)
-        adm = np.stack([_chord(rx, rho, dz, cphi[m], sphi[m])[1] > sep2
+        adm = np.stack([_chord(rx, rho, dz2, cphi[m], sphi[m])[1] > sep2
                         for m in range(far + 1)])
         first = np.where(adm.any(axis=0), adm.argmax(axis=0), far)
         assert (first > 0).any() and (first < far).any() and (first == far).any()
+        pairs = [np.broadcast_to(v, first.shape).ravel() for v in (rx, rho, dz2, sep2)]
         for est in (np.zeros_like(first), np.full_like(first, far),
                     rng.integers(0, far + 1, size=first.shape)):
-            m = est.astype(np.intp)
-            d0, d2 = _first_admissible(m, rx, rho, dz, sep2, cphi, sphi)
-            assert np.array_equal(m, first)
-            d0_ref, d2_ref = _chord(rx, rho, dz, cphi[first], sphi[first])
-            assert np.array_equal(d0, d0_ref) and np.array_equal(d2, d2_ref)
+            m = est.astype(np.intp).ravel()
+            d0, d2 = _first_admissible(m, *pairs, cphi, sphi)
+            assert np.array_equal(m, first.ravel())
+            d0_ref, d2_ref = _chord(rx, rho, dz2, cphi[first], sphi[first])
+            assert np.array_equal(d0, d0_ref.ravel()) and np.array_equal(d2, d2_ref.ravel())
 
 
 def test_field_global_radius_bounds():
