@@ -132,8 +132,10 @@ def cmd_flow(args) -> int:
         print(f"error: bad config: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        stop_threshold(cfg, body, speed)
+        # the step first: NaN radii make no step, while stop_threshold would
+        # take them for lost convexity
         check_first_step(cfg, body, speed)
+        stop_threshold(cfg, body, speed)
     except geometry.ConvexityLost as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONVEXITY

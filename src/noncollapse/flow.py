@@ -65,7 +65,9 @@ stage.
 Curve-mode note: in one curvature variable, degree-one homogeneity plus the
 normalisation force f(kappa) = kappa, so every curve run is curve shortening
 regardless of the configured speed name.  Distinct speeds only act in
-axisymmetric mode.
+axisymmetric mode.  A curve's stages and stable steps therefore take
+F = kappa and g = 1 without calling the speed (_speed_of_radii, _dt_of):
+the mean's bits, and other speed names' values up to rounding.
 """
 from __future__ import annotations
 
@@ -126,8 +128,8 @@ class FlowConfig:
         if not isinstance(self.speed, str):
             raise ValueError(f"speed must be a speed name, got {self.speed!r}")
         if not _whole(self.snapshot_every):
-            raise ValueError(f"snapshot_every must be a whole number >= 1, "
-                             f"got {self.snapshot_every!r}")
+            raise ValueError(f"snapshot_every must be a whole number >= 1 and at most the "
+                             f"largest float, got {self.snapshot_every!r}")
         if self.monitor not in ("full", "radii"):
             raise ValueError("monitor must be 'full' or 'radii'")
         # the full monitor's refinement deltas rebuild the body on the nested
@@ -150,14 +152,16 @@ def _number(x) -> bool:
 
 
 def _whole(x) -> bool:
-    """True for a finite whole number >= 1 (an int or an integral float)."""
-    return _number(x) and math.isfinite(x) and x >= 1 and x == int(x)
+    """True for a whole number >= 1 (an int or an integral float) no larger
+    than the largest float: a larger int overflows float() and isfinite()."""
+    return _number(x) and 1 <= x <= sys.float_info.max and x == int(x)
 
 
 def build_body(spec: dict) -> ConvexBody:
     mode = spec["mode"]
     if not _whole(spec["N"]):
-        raise ValueError(f"body N must be a whole number >= 1, got {spec['N']!r}")
+        raise ValueError(f"body N must be a whole number >= 1 and at most the largest float, "
+                         f"got {spec['N']!r}")
     N = int(spec["N"])
     shape = spec.get("shape", {"kind": "sphere", "radius": 1.0})
     kind = shape["kind"]
@@ -193,10 +197,14 @@ def build_speed(name: str, mode: str) -> SpeedFunction:
 
 
 def _speed_of_radii(r: np.ndarray, speed: SpeedFunction) -> np.ndarray:
-    """F at principal radii r (N, n), or (B, N) at a stack r (B, N, n)."""
-    if r.min() <= 0.0:
+    """F at principal radii r (N, n), or (B, N) at a stack r (B, N, n).  One
+    radius (a curve) gives F = kappa whatever the speed (see the module's
+    curve note), the bits of the mean's sum over one column divided by 1."""
+    if not r.min() > 0.0:
         raise DomainError(
             f"curvatures left the positive cone mid-stage (min radius {r.min():.3e})")
+    if r.shape[-1] == 1:
+        return 1.0 / r[..., 0]
     return speed._v(1.0 / r.reshape(-1, r.shape[-1])).reshape(r.shape[:-1])
 
 
@@ -212,24 +220,27 @@ _TAYLOR = np.array([[0.5 ** (n + 1) / math.factorial(n + 1), (n + 1) ** 2 / math
 def _etd_coefficients(z: np.ndarray) -> tuple:
     """The diagonal weights of one ETDRK4 step, for z = dt times the linear
     part's eigenvalues: (e^z, e^(z/2), phi_1(z/2)/2, f1, f2, f3), the last
-    four divided by dt (Cox & Matthews 2002).  Where |z| < 1 the
-    closed forms lose digits to cancellation (Kassam & Trefethen 2005), so
-    the Taylor series replaces them there."""
+    four divided by dt (Cox & Matthews 2002).  Their closed forms, which
+    reuse e^z, run only where |z| >= 1: below that they lose digits to
+    cancellation (Kassam & Trefethen 2005), and the Taylor series, one
+    in-place Horner pass over those entries, gives them there."""
+    e = np.exp(z)
     small = np.abs(z) < 1.0
-    zs = np.where(small, 1.0, z)
-    ez = np.exp(zs)
-    z3 = zs**3
-    q = np.expm1(0.5 * zs) / zs
-    f1 = (-4.0 - zs + ez * (4.0 - 3.0 * zs + zs * zs)) / z3
-    f2 = (2.0 + zs + ez * (zs - 2.0)) / z3
-    f3 = (-4.0 - 3.0 * zs - zs * zs + ez * (4.0 - zs)) / z3
+    big = ~small
+    zb, eb = z[big], e[big]
+    z3 = zb**3
+    w = np.empty((4,) + z.shape)
+    w[:, big] = (np.expm1(0.5 * zb) / zb,
+                 (-4.0 - zb + eb * (4.0 - 3.0 * zb + zb * zb)) / z3,
+                 (2.0 + zb + eb * (zb - 2.0)) / z3,
+                 (-4.0 - 3.0 * zb - zb * zb + eb * (4.0 - zb)) / z3)
     zz = z[small]
     acc = np.zeros((4, zz.size))
-    for coef in _TAYLOR[::-1]:
-        acc = acc * zz + coef[:, None]
-    for f, a in zip((q, f1, f2, f3), acc):
-        f[small] = a
-    return np.exp(z), np.exp(0.5 * z), q, f1, f2, f3
+    for coef in _TAYLOR[::-1, :, None]:
+        acc *= zz
+        acc += coef
+    w[:, small] = acc
+    return (e, np.exp(0.5 * z), *w)
 
 
 def _speed_coefficients(eig: _Eigenbasis, speed: SpeedFunction, c: np.ndarray) -> np.ndarray:
@@ -269,7 +280,10 @@ def _dt_of(ws: _Workspace, r: np.ndarray, speed: SpeedFunction, cfl: float) -> f
     """cfl * dtheta^2 / max over points and directions of g_i kappa_i^2, the
     per-direction parabolic bound (see the module docstring).  It is taken as
     the smallest cfl * dtheta^2 * r_i^2 / g_i, which for the mean (g = 1/2
-    everywhere) rounds exactly as the scalar cfl * dtheta^2 * min r^2 / g."""
+    everywhere) rounds exactly as the scalar cfl * dtheta^2 * min r^2 / g.
+    One radius (a curve) has g = 1 whatever the speed, as F = kappa there."""
+    if r.shape[-1] == 1:
+        return float((cfl * ws.dth * ws.dth * (r * r)).min())
     g = speed._g(1.0 / r)
     return float((cfl * ws.dth * ws.dth * (r * r) / g).min())
 
@@ -340,8 +354,16 @@ def stop_threshold(config: FlowConfig, body: ConvexBody, speed: SpeedFunction) -
 def check_first_step(config: FlowConfig, body: ConvexBody, speed: SpeedFunction) -> None:
     """Raise ValueError when run() could not step body: its stable step
     (_dt_of) is not finite, or is below the step floor, as for a sphere of
-    radius 1e200 (r^2 overflows) or 1e-6 (on a 48-point curve)."""
-    dt = _dt_of(_workspace(body.mode, body.N), check_convex(body), speed, config.cfl)
+    radius 1e200 (r^2 overflows) or 1e-6 (on a 48-point curve).  NaN radii,
+    as of a sphere of radius 1e308 (the sum of h overflows), give no step
+    either; other radii that are not positive raise ConvexityLost."""
+    ws = _workspace(body.mode, body.N)
+    try:
+        dt = _dt_of(ws, check_convex(body), speed, config.cfl)
+    except ConvexityLost:
+        if not np.isnan(ws.radii(body.h)).any():
+            raise
+        dt = math.nan
     if not STEP_FLOOR <= dt < math.inf:
         raise ValueError(f"the initial stable step {dt:.3g} is not a finite step of at least "
                          f"{STEP_FLOOR:g}, so the integrator cannot step this body")

@@ -331,15 +331,16 @@ def axi_derivs(h: np.ndarray):
 
 
 class ConvexityLost(RuntimeError):
-    """A principal radius of curvature dropped to zero or below."""
+    """A principal radius of curvature dropped to zero or below, or is NaN."""
 
 
 def check_convex(body: ConvexBody) -> np.ndarray:
     """(N, n) principal radii of curvature (poles take the meridian value),
-    checked positive."""
+    checked positive; a NaN radius, as from an h whose sum overflows, fails
+    the check too."""
     r = _workspace(body.mode, body.N).radii(body.h)
-    if r.min() <= 0.0:
-        raise ConvexityLost(f"min principal radius {r.min():.3e} <= 0 at t={body.t}")
+    if not r.min() > 0.0:
+        raise ConvexityLost(f"min principal radius {r.min():.3e} is not positive at t={body.t}")
     return r
 
 

@@ -609,6 +609,36 @@ def dt_reference(ws, r, speed, cfl):
 
 
 # ---------------------------------------------------------------------------
+# Reference ETD weights: the closed forms on every entry, the series over them
+# ---------------------------------------------------------------------------
+
+def etd_coefficients_reference(z: np.ndarray) -> tuple:
+    """The diagonal weights of one ETDRK4 step, for z = dt times the linear
+    part's eigenvalues: (e^z, e^(z/2), phi_1(z/2)/2, f1, f2, f3), the last
+    four divided by dt (Cox & Matthews 2002).  Where |z| < 1 the
+    closed forms lose digits to cancellation (Kassam & Trefethen 2005), so
+    the Taylor series replaces them there.  The reference for
+    flow._etd_coefficients, which evaluates the closed forms only where they
+    are kept."""
+    from noncollapse.flow import _TAYLOR
+    small = np.abs(z) < 1.0
+    zs = np.where(small, 1.0, z)
+    ez = np.exp(zs)
+    z3 = zs**3
+    q = np.expm1(0.5 * zs) / zs
+    f1 = (-4.0 - zs + ez * (4.0 - 3.0 * zs + zs * zs)) / z3
+    f2 = (2.0 + zs + ez * (zs - 2.0)) / z3
+    f3 = (-4.0 - 3.0 * zs - zs * zs + ez * (4.0 - zs)) / z3
+    zz = z[small]
+    acc = np.zeros((4, zz.size))
+    for coef in _TAYLOR[::-1]:
+        acc = acc * zz + coef[:, None]
+    for f, a in zip((q, f1, f2, f3), acc):
+        f[small] = a
+    return np.exp(z), np.exp(0.5 * z), q, f1, f2, f3
+
+
+# ---------------------------------------------------------------------------
 # Reference run: classical RK4 at the stable step, the library's stepper
 # before the exponential integrator
 # ---------------------------------------------------------------------------

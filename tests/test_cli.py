@@ -347,13 +347,16 @@ def test_flow_non_finite_stop_exit_1(tmp_path, capsys, key, value, argv):
     ({"shape": {"kind": "ellipse", "a": 1.5, "b": float("inf")}}, "shape b must be a number"),
     ({"shape": {"kind": "support", "h": 5}}, "support shape h must be a list of numbers, got 5"),
     ({"shape": {"kind": "sphere", "radius": 10**400}}, "shape radius must be a number"),
+    ({"snapshot_every": 10**400}, "snapshot_every must be a whole number"),
+    ({"N": 10**400}, "body N must be a whole number"),
 ], ids=["nan-interval", "inf-interval", "fractional-interval", "zero-interval",
         "fractional-N", "string-N", "numeric-speed", "nan-power", "inf-power",
         "minus-inf-power", "string-cfl", "bool-t-end", "bool-stop", "string-factor",
         "bool-interval", "bool-N", "string-radius", "bool-ellipse-axis",
         "bool-ellipsoid-axis", "bool-support-value", "string-support-value",
         "negative-ellipse-axis", "negative-ellipsoid-axis", "zero-radius", "nan-radius",
-        "inf-ellipse-axis", "scalar-support", "int-radius-beyond-float"])
+        "inf-ellipse-axis", "scalar-support", "int-radius-beyond-float",
+        "int-interval-beyond-float", "int-N-beyond-float"])
 def test_flow_malformed_config_value_exit_1(tmp_path, capsys, kw, message):
     # refused before anything is written: a NaN or infinite interval never
     # lands a snapshot between the first and the last, so no trend verdict
@@ -361,8 +364,9 @@ def test_flow_malformed_config_value_exit_1(tmp_path, capsys, kw, message):
     # traceback from the speed parser; power:nan died in the step ladder; a
     # JSON true or a string where a number belongs ran as 1 or as the
     # number it spells, and verdicts.json recorded the true or the string; a
-    # negative axis ran as the positive one, and a support h that is one
-    # number failed with a TypeError that named no field
+    # negative axis ran as the positive one, a support h that is one number
+    # failed with a TypeError that named no field, and an interval or N
+    # beyond the largest float overflowed math.isfinite
     out = tmp_path / "r"
     assert run_cli("flow", "--config", sphere_config(tmp_path, **kw), "--out", str(out)) == 1
     err = capsys.readouterr().err

@@ -3,12 +3,13 @@ import pytest
 
 from noncollapse.flow import (CFL_MAX, REACHED_MAX_F, REACHED_T_END, FlowConfig,
                               _dt_of, _etd_coefficients, _rk4, _speed_coefficients,
-                              build_body, build_speed, run)
+                              _speed_of_radii, build_body, build_speed, run)
 from noncollapse.geometry import (AXISYMMETRIC, CURVE, ConvexBody, ConvexityLost, _Eigenbasis,
                                   _workspace, make_ellipse, make_ellipsoid, make_sphere)
+from noncollapse.speeds import DomainError
 
 from oracles import (area, dt_reference, random_convex_axisym, random_convex_curve,
-                     eigenbasis_radii_reference, rk4_reference_run)
+                     eigenbasis_radii_reference, etd_coefficients_reference, rk4_reference_run)
 
 
 def sphere_cfg(mode, N, stop_factor=100.0, **kw):
@@ -320,6 +321,29 @@ def test_etd_weights_against_extended_precision():
                                                       rel=1e-15)
 
 
+@pytest.mark.parametrize("mode", [CURVE, AXISYMMETRIC])
+@pytest.mark.parametrize("N", [64, 128, 255, 256, 511])
+def test_etd_weights_match_reference(mode, N):
+    # the closed forms only where |z| >= 1 and the series in place below,
+    # against both over every entry: the same bits for ladder rungs and their
+    # stacked half steps, snapshot landings (any fraction of a unit) and
+    # bisection trials (any fraction of a step), and at z = 0 and |z| = 1
+    ws = _workspace(mode, N)
+    unit_z = 0.25 * ws.dth * ws.dth * _Eigenbasis(mode, N).lam
+    rng = np.random.default_rng(N)
+    zs = [np.array([[u], [0.5 * u]]) * unit_z for u in 2.0 ** (np.arange(-12, 25) / 4)]
+    zs += [u * unit_z for u in rng.uniform(1e-3, 16.0, 12)]
+    zs += [u * unit_z for u in 2.0 ** (np.arange(-12, 25) / 4) * rng.uniform(0.0, 1.0, 37)]
+    zs += [np.array([0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0),
+                     np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0), 1e-300, -500.0]),
+           np.zeros((2, 3))]
+    for z in zs:
+        got, want = _etd_coefficients(z), etd_coefficients_reference(z)
+        assert len(got) == 6
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
 def test_area_loss_rate_curve_shortening():
     # enclosed area drops by 2 pi per unit time under curve shortening
     t_target = 0.02
@@ -493,3 +517,32 @@ def test_curve_speeds_all_reduce_to_curvature():
         sp = build_speed(name, CURVE)
         z = np.array([[0.3], [1.0], [7.0]])
         assert np.abs(sp.value_many(z) - z[:, 0]).max() < 1e-12
+    # so a curve stage takes F = kappa and g = 1 without a speed call: the
+    # bits of the mean's path (a sum over one column divided by 1, and
+    # g = 1/1), and within rounding of every other speed's values
+    rng = np.random.default_rng(28)
+    mean = build_speed("mean", CURVE)
+    bodies = [make_ellipse(N, 1.5, 1.0) for N in (64, 255, 256)]
+    bodies += [ConvexBody(mode=CURVE, h=random_convex_curve(rng, N)) for N in (64, 128, 255)]
+    for body in bodies:
+        ws = _workspace(CURVE, body.N)
+        r = ws.radii(body.h)
+        stack = np.stack([r, 2.0 * r])
+        assert np.array_equal(_speed_of_radii(r, mean), mean._v(1.0 / r))
+        assert np.array_equal(_speed_of_radii(stack, mean),
+                              mean._v(1.0 / stack.reshape(-1, 1)).reshape(2, -1))
+        dt = _dt_of(ws, r, mean, 0.25)
+        assert dt == float((0.25 * ws.dth * ws.dth * (r * r) / mean._g(1.0 / r)).min())
+        for name in ("harmonic", "power:0.5", "power:-2"):
+            sp = build_speed(name, CURVE)
+            F = sp._v(1.0 / r)
+            assert np.abs(_speed_of_radii(r, sp) - F).max() <= 1e-12 * np.abs(F).max()
+            ref = float((0.25 * ws.dth * ws.dth * (r * r) / sp._g(1.0 / r)).min())
+            assert _dt_of(ws, r, sp, 0.25) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_speed_of_radii_refuses_nan_radii():
+    # r.min() <= 0 is false for NaN, so NaN radii once passed the check
+    for r in (np.full((8, 1), np.nan), np.array([[1.0, np.nan], [1.0, 1.0]])):
+        with pytest.raises(DomainError):
+            _speed_of_radii(r, build_speed("mean", CURVE if r.shape[1] == 1 else AXISYMMETRIC))

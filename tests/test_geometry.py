@@ -260,6 +260,17 @@ def test_nonconvex_body_raises():
         check_convex(b)
 
 
+def test_nan_radii_raise():
+    # the sum of h overflows on a sphere of radius 1e308, and its radii are
+    # NaN; r.min() <= 0 is false for NaN, so check_convex passed them on,
+    # and the fields and the radii computed on NaN
+    for b in (make_sphere(CURVE, 48, 1e308), make_sphere(AXISYMMETRIC, 49, 1e308)):
+        with np.errstate(all="ignore"):
+            for f in (check_convex, ball_curvature_field, radii):
+                with pytest.raises(ConvexityLost, match="nan"):
+                    f(b)
+
+
 # ---------------------------------------------------------------------------
 # Principal curvatures
 # ---------------------------------------------------------------------------
